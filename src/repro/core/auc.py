@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.ranking import split_triples
 from repro.core.sampling import NegativePools
+from repro.engine.chunking import split_triples
 from repro.kg.graph import KnowledgeGraph
 from repro.metrics.ranking import average_precision, roc_auc
 from repro.models.base import KGEModel

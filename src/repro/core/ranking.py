@@ -8,8 +8,7 @@ the quadratic blow-up (relative to sampled evaluation) that motivates the
 whole framework.
 
 The chunking / grouping / filtering machinery lives in
-:mod:`repro.engine.chunking` (re-exported here for backwards
-compatibility) and execution is delegated to
+:mod:`repro.engine.chunking` and execution is delegated to
 :class:`repro.engine.EvaluationEngine`, so the full protocol can fan its
 chunks across worker processes: ``evaluate_full(model, graph, workers=4)``.
 """
@@ -20,16 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Re-exported: the shared chunking substrate moved to repro.engine.
-from repro.engine.chunking import (  # noqa: F401
-    DEFAULT_CHUNK_SIZE,
-    Query,
-    chunk_filtered_ranks,
-    collect_known_answers,
-    grouped_queries,
-    query_chunks,
-    split_triples,
-)
+from repro.engine.chunking import DEFAULT_CHUNK_SIZE, Query
 from repro.engine.engine import EvaluationEngine
 from repro.kg.graph import SIDES, KnowledgeGraph, Side
 from repro.metrics.ranking import HITS_AT, RankingMetrics

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kg.graph import SIDES, KnowledgeGraph, Side, TripleSet
+from repro.kg.graph import SIDES, FilterIndexCSR, KnowledgeGraph, Side, TripleSet
 
 Query = tuple[int, int, int, Side]
 """A ranking query: ``(head, relation, tail, side)`` where ``side`` names
@@ -142,40 +142,44 @@ def group_offsets(lengths: list[int] | np.ndarray) -> np.ndarray:
 
 
 def collect_known_answers(
-    graph: KnowledgeGraph,
-    queries: list[tuple[int, int, int, int]],
+    index: FilterIndexCSR,
+    anchors: np.ndarray,
+    truths: np.ndarray,
     relation: int,
     side: Side,
-) -> list[np.ndarray]:
-    """Per-query filtered-answer arrays, each guaranteed to contain its truth.
+) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's exclusion sets as flat ``(rows, cols)`` entity pairs.
 
-    For queries drawn from a graph split the truth is always in the filter
-    index; the guard covers caller-supplied triples the index never saw.
+    One batched CSR gather (:meth:`FilterIndexCSR.gather`) yields every
+    known answer of every query; row ``i`` then holds its truth exactly
+    once.  For queries drawn from a graph split the truth is always in
+    the index; a truth the index never saw (a caller-supplied triple) is
+    appended.
     """
-    knowns: list[np.ndarray] = []
-    for anchor, truth, _, _ in queries:
-        known = graph.true_answers(anchor, relation, side)
-        if known.size == 0 or known[
-            min(int(np.searchsorted(known, truth)), known.size - 1)
-        ] != truth:
-            known = np.append(known, truth)
-        knowns.append(known)
-    return knowns
+    rows, cols = index.gather(anchors, relation, side)
+    has_truth = np.zeros(len(truths), dtype=bool)
+    has_truth[rows[cols == truths[rows]]] = True
+    if has_truth.all():
+        return rows, cols
+    missing = np.flatnonzero(~has_truth)
+    return np.concatenate([rows, missing]), np.concatenate([cols, truths[missing]])
 
 
 def chunk_filtered_ranks(
     scores: np.ndarray,
     true_scores: np.ndarray,
-    knowns: list[np.ndarray],
+    rows: np.ndarray,
+    cols: np.ndarray,
     pool: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorised filtered ranks for one chunk of same-(relation, side) queries.
 
     ``scores`` is ``(b, k)``: row ``i`` scores the candidates of query
-    ``i``.  ``knowns[i]`` are the entity ids to exclude (known answers,
-    truth included).  With ``pool`` None the candidate axis *is* the entity
-    axis (full evaluation); otherwise ``pool`` maps columns to sorted
-    entity ids and exclusions outside the pool are ignored.
+    ``i``.  ``(rows, cols)`` are the flat entity ids to exclude per row
+    (known answers, truth included) from :func:`collect_known_answers`.
+    With ``pool`` None the candidate axis *is* the entity axis (full
+    evaluation); otherwise ``pool`` maps columns to sorted entity ids and
+    exclusions outside the pool are ignored.
 
     The rank is ``1 + better + ties/2`` over non-excluded candidates; the
     exclusion is applied as a vectorised correction (one fancy-indexed
@@ -186,21 +190,14 @@ def chunk_filtered_ranks(
     b = scores.shape[0]
     better = (scores > true_scores[:, None]).sum(axis=1)
     ties = (scores == true_scores[:, None]).sum(axis=1)
-    lengths = [known.size for known in knowns]
-    if sum(lengths):
-        flat = np.concatenate(knowns)
-        row_idx = np.repeat(np.arange(b), lengths)
-        if pool is None:
-            cols = flat
-        else:
-            cols = np.searchsorted(pool, flat)
-            np.minimum(cols, pool.size - 1, out=cols)
-            valid = pool[cols] == flat
-            row_idx = row_idx[valid]
-            cols = cols[valid]
-        if row_idx.size:
-            values = scores[row_idx, cols]
-            reference = true_scores[row_idx]
-            better -= np.bincount(row_idx[values > reference], minlength=b)
-            ties -= np.bincount(row_idx[values == reference], minlength=b)
+    if pool is not None:
+        positions = np.searchsorted(pool, cols)
+        np.minimum(positions, pool.size - 1, out=positions)
+        inside = pool[positions] == cols
+        rows, cols = rows[inside], positions[inside]
+    if rows.size:
+        values = scores[rows, cols]
+        reference = true_scores[rows]
+        better -= np.bincount(rows[values > reference], minlength=b)
+        ties -= np.bincount(rows[values == reference], minlength=b)
     return 1.0 + better + ties / 2.0

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.engine.chunking import group_offsets
-from repro.engine.shm import PublishedState, publish_state, state_fingerprint
+from repro.engine.shm import PublishedState, publish_state
 from repro.obs import get_registry, get_tracer
 from repro.obs.context import current_trace_id
 from repro.obs.log import log_event
@@ -218,20 +218,18 @@ class PersistentWorkerPool:
     def ensure_state(self, state: "EvaluationState") -> PublishedState:
         """Publish ``state`` unless the live published state already matches.
 
-        Matching is content-aware (model parameter digest, graph / pools
-        identity, split, sides); wrapper models that travel by pickle are
-        never considered reusable because their bytes cannot be cheaply
-        fingerprinted.
+        Matching is content-aware (model parameter digest, filter index /
+        pools identity, split, sides; see :meth:`PublishedState.matches`);
+        wrapper models that travel by pickle are never considered reusable
+        because their bytes cannot be cheaply fingerprinted.
         """
-        fingerprint = state_fingerprint(state)
         current = self._published
-        reusable = (
+        if (
             current is not None
-            and current.fingerprint == fingerprint
             and current.manifest.model_pickle is None
-        )
-        if reusable:
-            return current  # type: ignore[return-value]
+            and current.matches(state)
+        ):
+            return current
         published = publish_state(state)
         attach_seconds: dict[int, float] = {}
         try:

@@ -23,7 +23,9 @@ arrays are serialised per chunk.  This module is the replacement plane:
   nothing heavier than a :class:`StateManifest` ever crosses a queue.
 * :func:`attach_state` — the worker-side inverse: attach every segment
   by name and rebuild a view-backed ``EvaluationState`` whose arrays
-  alias the parent's bytes.
+  alias the parent's bytes; its filter index is the published
+  :class:`~repro.kg.graph.FilterIndexCSR` itself, rebuilt over the
+  attached views, so workers never see a graph.
 
 Models that do not expose ``parameter_arrays`` (wrapper scorers such as
 :class:`repro.bench.LatencyBoundScorer`) fall back to travelling as one
@@ -52,6 +54,7 @@ from repro.kg.graph import FilterIndexCSR, Side
 from repro.obs import get_registry
 
 if TYPE_CHECKING:
+    from repro.core.sampling import NegativePools
     from repro.engine.worker import EvaluationState
 
 #: Gauge names (documented in docs/observability.md).
@@ -193,27 +196,45 @@ class StateManifest:
 
 @dataclass
 class PublishedState:
-    """Parent-side handle: the arena plus its manifest and result view."""
+    """Parent-side handle: the arena plus its manifest and result view.
+
+    It holds the published filter index and pools objects themselves,
+    not their ids: while the handle lives they cannot be freed, so a new
+    graph or pool set can never reuse their ids and be mistaken for them.
+    """
 
     manifest: StateManifest
     arena: ShmArena
     fingerprint: tuple
+    filter_index: FilterIndexCSR = field(repr=False)
+    pools: "NegativePools | None" = field(repr=False)
 
     @property
     def result_view(self) -> np.ndarray:
         return self.arena.view("result")
+
+    def matches(self, state: "EvaluationState") -> bool:
+        """Whether ``state`` is the one already published."""
+        return (
+            self.filter_index is state.filter_index
+            and self.pools is state.pools
+            and self.fingerprint == state_fingerprint(state)
+        )
 
     def close(self) -> None:
         self.arena.close()
 
 
 def state_fingerprint(state: "EvaluationState") -> tuple:
-    """A cheap content-aware identity for one evaluation state.
+    """A cheap content-aware identity for one evaluation state's model
+    and query selection.
 
     Object ids alone would go stale when a training loop mutates model
     parameters in place between evaluations, so the model contributes a
-    digest of its parameter bytes; the graph and pools are immutable
-    after construction, so identity suffices for them.
+    digest of its parameter bytes.  The filter index and pools are
+    immutable after construction, so object identity suffices for them;
+    :meth:`PublishedState.matches` compares them with ``is``.  (The
+    index is cached on its graph, so its identity stands for the graph's.)
     """
     import hashlib
 
@@ -231,13 +252,7 @@ def state_fingerprint(state: "EvaluationState") -> tuple:
         model_key = (id(model), digest.hexdigest())
     else:
         model_key = (id(model), None)
-    return (
-        model_key,
-        id(state.graph),
-        id(state.pools),
-        state.split,
-        state.sides,
-    )
+    return (model_key, state.split, state.sides)
 
 
 def publish_state(state: "EvaluationState") -> PublishedState:
@@ -275,7 +290,7 @@ def publish_state(state: "EvaluationState") -> PublishedState:
         else:
             model_pickle = pickle.dumps(model)
 
-        csr = FilterIndexCSR.from_graph(state.graph)
+        csr = state.filter_index
         for name, array in csr.arrays().items():
             arena.put(name, array)
 
@@ -318,27 +333,17 @@ def publish_state(state: "EvaluationState") -> PublishedState:
         arena.close()
         raise
     return PublishedState(
-        manifest=manifest, arena=arena, fingerprint=state_fingerprint(state)
+        manifest=manifest,
+        arena=arena,
+        fingerprint=state_fingerprint(state),
+        filter_index=state.filter_index,
+        pools=state.pools,
     )
 
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-class SharedGraphView:
-    """The slice of :class:`~repro.kg.graph.KnowledgeGraph` chunk scoring
-    needs — filtered-answer lookups — backed by attached CSR arrays."""
-
-    def __init__(self, csr: FilterIndexCSR, name: str = "shared"):
-        self._csr = csr
-        self.name = name
-        self.num_entities = csr.num_entities
-        self.num_relations = csr.num_relations
-
-    def true_answers(self, anchor: int, relation: int, side: Side) -> np.ndarray:
-        return self._csr.true_answers(anchor, relation, side)
-
-
 @dataclass
 class AttachedState:
     """A worker's live view of one published state."""
@@ -395,11 +400,6 @@ def attach_state(manifest: StateManifest) -> AttachedState:
             }
         )
 
-    csr = FilterIndexCSR.from_arrays(
-        manifest.num_entities, manifest.num_relations, arrays
-    )
-    graph = SharedGraphView(csr)
-
     queries = arrays["queries"]
     groups: list[GroupState] = []
     offset = 0
@@ -422,7 +422,9 @@ def attach_state(manifest: StateManifest) -> AttachedState:
 
     state = EvaluationState(
         model=model,
-        graph=graph,  # type: ignore[arg-type] — duck-typed true_answers view
+        filter_index=FilterIndexCSR.from_arrays(
+            manifest.num_entities, manifest.num_relations, arrays
+        ),
         groups=groups,
         split=manifest.split,
         sides=manifest.sides,

@@ -2,7 +2,7 @@
 
 The engine's parallel path fans :class:`~repro.engine.chunking.ChunkTask`
 objects across a ``multiprocessing`` pool.  Everything heavy — the model
-parameters, the graph with its filter index, the candidate pools and the
+parameters, the graph's CSR filter index, the candidate pools and the
 grouped query arrays — is built **once in the parent** and handed to each
 worker through the pool initializer (:func:`initialize_worker`), so each
 task only carries four integers.  Under the default ``fork`` start method
@@ -29,7 +29,7 @@ from repro.engine.chunking import (
     collect_known_answers,
     ordered_groups,
 )
-from repro.kg.graph import SIDES, KnowledgeGraph, Side
+from repro.kg.graph import SIDES, FilterIndexCSR, KnowledgeGraph, Side
 from repro.models.base import KGEModel
 
 if TYPE_CHECKING:
@@ -49,10 +49,10 @@ class GroupState:
 
 @dataclass
 class EvaluationState:
-    """Everything a chunk needs to score: model, graph, groups, pools."""
+    """Everything a chunk needs to score: model, filter index, groups, pools."""
 
     model: KGEModel
-    graph: KnowledgeGraph
+    filter_index: FilterIndexCSR
     groups: list[GroupState]
     split: str = "test"
     sides: tuple[Side, ...] = SIDES
@@ -70,9 +70,9 @@ def build_state(
 
     The group order is deterministic (split iteration order), so the state
     built here and the states built inside worker processes agree on every
-    ``ChunkTask.group`` index.
+    ``ChunkTask.group`` index.  Reading ``graph.filter_index`` here
+    builds the graph's cached index before any timed chunk.
     """
-    graph.filter_index  # noqa: B018 — build the index before any timed chunk
     groups = [
         GroupState(
             relation=relation,
@@ -84,7 +84,12 @@ def build_state(
         for (relation, side), queries in ordered_groups(graph, split, sides)
     ]
     return EvaluationState(
-        model=model, graph=graph, groups=groups, split=split, sides=sides, pools=pools
+        model=model,
+        filter_index=graph.filter_index,
+        groups=groups,
+        split=split,
+        sides=sides,
+        pools=pools,
     )
 
 
@@ -98,19 +103,18 @@ def score_chunk(state: EvaluationState, task: ChunkTask) -> tuple[np.ndarray, in
     """
     group = state.groups[task.group]
     chunk = slice(task.start, task.stop)
-    chunk_queries = group.queries[chunk]
     anchors = group.anchors[chunk]
     truths = group.truths[chunk]
     model = state.model
-    b = len(chunk_queries)
+    b = task.num_queries
 
     if state.pools is None:
         scores = model.score_candidates_batch(anchors, group.relation, group.side)
         true_scores = scores[np.arange(b), truths]
-        knowns = collect_known_answers(
-            state.graph, chunk_queries, group.relation, group.side
+        rows, cols = collect_known_answers(
+            state.filter_index, anchors, truths, group.relation, group.side
         )
-        return chunk_filtered_ranks(scores, true_scores, knowns), int(scores.size)
+        return chunk_filtered_ranks(scores, true_scores, rows, cols), int(scores.size)
 
     pool = state.pools.pool(group.relation, group.side)
     if pool.size == 0:
@@ -124,10 +128,10 @@ def score_chunk(state: EvaluationState, task: ChunkTask) -> tuple[np.ndarray, in
     pool_scores = model.score_candidates_batch(
         anchors, group.relation, group.side, pool
     )
-    knowns = collect_known_answers(
-        state.graph, chunk_queries, group.relation, group.side
+    rows, cols = collect_known_answers(
+        state.filter_index, anchors, truths, group.relation, group.side
     )
-    ranks = chunk_filtered_ranks(pool_scores, true_scores, knowns, pool=pool)
+    ranks = chunk_filtered_ranks(pool_scores, true_scores, rows, cols, pool=pool)
     return ranks, int(pool_scores.size) + b
 
 

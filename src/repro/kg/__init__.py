@@ -16,12 +16,12 @@ from repro.kg.graph import (
     KnowledgeGraph,
     Side,
     TripleSet,
+    build_filter_csr,
     build_graph,
     id_dtype,
 )
 from repro.kg.triples import (
     CompactGraph,
-    build_filter_csr,
     open_compact,
     save_compact,
     unique_rows_in_order,

@@ -6,8 +6,9 @@ A :class:`TripleSet` is an immutable ``(n, 3)`` integer array of
 entity/relation vocabularies and the index structures the evaluation
 framework needs:
 
-* *filter indexes* — for each ``(h, r)`` the set of known true tails across
-  all splits (and symmetrically for heads), used by filtered ranking;
+* *the filter index* — for each ``(h, r)`` the set of known true tails
+  across all splits (and symmetrically for heads), used by filtered
+  ranking; one :class:`FilterIndexCSR`, built by :func:`build_filter_csr`;
 * *observed domains & ranges* — for each relation the entities seen as its
   head (domain) or tail (range) in the training split, used by the PT
   recommender and by candidate-recall bookkeeping.
@@ -20,7 +21,7 @@ predict the tail of ``(h, r, ?)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Mapping
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -152,7 +153,7 @@ class KnowledgeGraph:
     name: str = "kg"
 
     def __post_init__(self) -> None:
-        self._filter_index: dict[Side, dict[tuple[int, int], np.ndarray]] | None = None
+        self._filter_index: FilterIndexCSR | None = None
         self._observed: dict[Side, dict[int, np.ndarray]] | None = None
         self._validate()
 
@@ -183,30 +184,17 @@ class KnowledgeGraph:
                 raise ValueError(f"{split_name} split references relations outside the vocabulary")
 
     # ------------------------------------------------------------------
-    # Filter indexes (filtered ranking)
+    # Filter index (filtered ranking)
     # ------------------------------------------------------------------
-    def _build_filter_index(self) -> dict[Side, dict[tuple[int, int], np.ndarray]]:
-        """Map ``(anchor_entity, relation) -> known true answers`` per side.
-
-        For ``side == "tail"`` the anchor is the head: the index answers
-        "which tails are known true for ``(h, r, ?)``" across *all* splits,
-        which is exactly the set filtered ranking must exclude (minus the
-        query's own answer).
-        """
-        index: dict[Side, dict[tuple[int, int], list[int]]] = {HEAD: {}, TAIL: {}}
-        for h, r, t in self.all_triples:
-            index[TAIL].setdefault((h, r), []).append(t)
-            index[HEAD].setdefault((t, r), []).append(h)
-        dtype = id_dtype(self.num_entities)
-        return {
-            side: {key: np.unique(np.asarray(vals, dtype=dtype)) for key, vals in mapping.items()}
-            for side, mapping in index.items()
-        }
-
     @property
-    def filter_index(self) -> dict[Side, dict[tuple[int, int], np.ndarray]]:
+    def filter_index(self) -> FilterIndexCSR:
+        """The CSR filter index over all splits, built once, lazily."""
         if self._filter_index is None:
-            self._filter_index = self._build_filter_index()
+            self._filter_index = build_filter_csr(
+                self.num_entities,
+                self.num_relations,
+                [self.train.array, self.valid.array, self.test.array],
+            )
         return self._filter_index
 
     def true_answers(self, anchor: int, relation: int, side: Side) -> np.ndarray:
@@ -215,7 +203,7 @@ class KnowledgeGraph:
         ``side == "tail"``: true tails of ``(anchor, relation, ?)``.
         ``side == "head"``: true heads of ``(?, relation, anchor)``.
         """
-        return self.filter_index[side].get((anchor, relation), np.empty(0, dtype=np.int64))
+        return self.filter_index.true_answers(anchor, relation, side)
 
     # ------------------------------------------------------------------
     # Observed domains & ranges (training split only)
@@ -287,22 +275,24 @@ class KnowledgeGraph:
 
 @dataclass
 class FilterIndexCSR:
-    """The filter index flattened into three arrays per side (CSR form).
+    """The filter index: every known true answer, in CSR form.
 
-    The dict-of-arrays :attr:`KnowledgeGraph.filter_index` is the right
-    shape for in-process lookups but cannot cross a process boundary
-    without pickling every entry.  This form packs one side into
+    For each side, the answers of every ``(anchor, relation)`` query
+    across all splits — exactly what filtered ranking must exclude (minus
+    the query's own truth) — packed into three flat arrays:
 
-    * ``keys`` — sorted ``anchor * num_relations + relation`` composite
-      keys, one per non-empty ``(anchor, relation)`` pair;
-    * ``offsets`` — ``len(keys) + 1`` prefix offsets into ``values``;
-    * ``values`` — all known true answers, concatenated in key order.
+    * ``keys`` — sorted int64 ``anchor * num_relations + relation``
+      composite keys, one per non-empty ``(anchor, relation)`` pair;
+    * ``offsets`` — ``len(keys) + 1`` int64 prefix offsets into ``values``;
+    * ``values`` — the answers, sorted and unique within each key's
+      segment, concatenated in key order, stored as
+      :func:`id_dtype` (int32 unless the vocabulary needs int64).
 
-    All six arrays (two sides) are plain contiguous int64 buffers, so
-    they can live in ``multiprocessing.shared_memory`` and be attached
-    zero-copy by worker processes (:mod:`repro.engine.shm`).  Lookups
-    are one ``searchsorted`` per query — the same answers, byte for
-    byte, as :meth:`KnowledgeGraph.true_answers`.
+    For ``side == "tail"`` the anchor is the head (true tails of
+    ``(h, r, ?)``); for ``side == "head"`` it is the tail.  The six
+    contiguous buffers live in ``multiprocessing.shared_memory`` as they
+    are, so worker processes attach them zero-copy
+    (:mod:`repro.engine.shm`).  Build one with :func:`build_filter_csr`.
     """
 
     num_entities: int
@@ -311,59 +301,34 @@ class FilterIndexCSR:
     offsets: dict[Side, np.ndarray]
     values: dict[Side, np.ndarray]
 
-    @classmethod
-    def from_graph(cls, graph: "KnowledgeGraph") -> "FilterIndexCSR":
-        """Flatten ``graph.filter_index`` (building it if necessary).
-
-        Graph-like objects that already maintain a CSR index (for example
-        the out-of-core :class:`repro.kg.triples.CompactGraph`) can expose
-        a ``filter_csr()`` method; it is used directly so the dict index
-        is never materialized for large vocabularies.
-        """
-        maker = getattr(graph, "filter_csr", None)
-        if callable(maker):
-            return maker()
-        keys: dict[Side, np.ndarray] = {}
-        offsets: dict[Side, np.ndarray] = {}
-        values: dict[Side, np.ndarray] = {}
-        num_relations = graph.num_relations
-        for side in SIDES:
-            mapping = graph.filter_index[side]
-            composite = np.asarray(
-                [anchor * num_relations + relation for anchor, relation in mapping],
-                dtype=np.int64,
-            )
-            order = np.argsort(composite, kind="stable")
-            answer_lists = list(mapping.values())
-            keys[side] = composite[order]
-            lengths = np.asarray(
-                [answer_lists[i].size for i in order], dtype=np.int64
-            )
-            offsets[side] = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(lengths)]
-            )
-            values[side] = (
-                np.concatenate([answer_lists[i] for i in order])
-                if len(order)
-                else np.empty(0, dtype=np.int64)
-            )
-        return cls(
-            num_entities=graph.num_entities,
-            num_relations=graph.num_relations,
-            keys=keys,
-            offsets=offsets,
-            values=values,
-        )
-
     def true_answers(self, anchor: int, relation: int, side: Side) -> np.ndarray:
-        """Known true answers for one query — equal to the dict index's."""
-        keys = self.keys[side]
+        """Known true answers of one query (empty when it has none)."""
+        keys, offsets = self.keys[side], self.offsets[side]
         key = anchor * self.num_relations + relation
-        position = int(np.searchsorted(keys, key))
-        if position >= keys.size or keys[position] != key:
-            return np.empty(0, dtype=np.int64)
-        offsets = self.offsets[side]
-        return self.values[side][offsets[position] : offsets[position + 1]]
+        start = offsets[np.searchsorted(keys, key)]
+        stop = offsets[np.searchsorted(keys, key, side="right")]
+        return self.values[side][start:stop]
+
+    def gather(
+        self, anchors: np.ndarray, relation: int, side: Side
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Known answers of a batch of same-relation queries, flattened.
+
+        Returns ``(rows, answers)``: ``answers[j]`` is a known answer of
+        query ``rows[j]`` (an index into ``anchors``), row-major in the
+        index's answer order — the batched :meth:`true_answers`, with one
+        pair of ``searchsorted`` calls for the whole batch.  A key the
+        index lacks has ``left == right`` insertion points, hence an empty
+        segment, so misses need no special case.
+        """
+        keys, offsets = self.keys[side], self.offsets[side]
+        wanted = np.asarray(anchors, dtype=np.int64) * self.num_relations + relation
+        starts = offsets[np.searchsorted(keys, wanted)]
+        lengths = offsets[np.searchsorted(keys, wanted, side="right")] - starts
+        rows = np.repeat(np.arange(wanted.size), lengths)
+        # Slot j of the output reads values[starts[row] + j - first slot of row].
+        shift = starts - (np.cumsum(lengths) - lengths)
+        return rows, self.values[side][np.arange(rows.size) + shift[rows]]
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The six flat arrays, named for shared-memory export."""
@@ -386,6 +351,61 @@ class FilterIndexCSR:
             offsets={side: arrays[f"filter_{side}_offsets"] for side in SIDES},
             values={side: arrays[f"filter_{side}_values"] for side in SIDES},
         )
+
+
+def build_filter_csr(
+    num_entities: int,
+    num_relations: int,
+    split_arrays: Sequence[np.ndarray],
+) -> FilterIndexCSR:
+    """Build the filter index from raw ``(n, 3)`` triple arrays.
+
+    Per side, sort the triples by ``(anchor * num_relations + relation,
+    answer)``, drop duplicate (key, answer) pairs with one shifted
+    comparison, and read the key table and offsets off ``np.unique``.
+    Composite keys are int64 (they can exceed int32 even when ids fit);
+    answers use :func:`id_dtype`.  Every step is a vectorised numpy
+    pass, so memory stays flat in the number of keys.
+    """
+    arrays = [np.asarray(a) for a in split_arrays if np.asarray(a).shape[0]]
+    if arrays:
+        triples = (
+            arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=0)
+        )
+    else:
+        triples = np.empty((0, 3), dtype=np.int64)
+    value_dtype = id_dtype(num_entities)
+    keys: dict[Side, np.ndarray] = {}
+    offsets: dict[Side, np.ndarray] = {}
+    values: dict[Side, np.ndarray] = {}
+    relations = triples[:, 1].astype(np.int64, copy=False)
+    for side in SIDES:
+        anchor = triples[:, 2] if side == HEAD else triples[:, 0]
+        answer = triples[:, 0] if side == HEAD else triples[:, 2]
+        composite = anchor.astype(np.int64) * num_relations + relations
+        order = np.lexsort((answer, composite))
+        composite = composite[order]
+        answer = answer[order].astype(value_dtype, copy=False)
+        if composite.size:
+            fresh = np.ones(composite.size, dtype=bool)
+            fresh[1:] = (composite[1:] != composite[:-1]) | (
+                answer[1:] != answer[:-1]
+            )
+            composite = composite[fresh]
+            answer = answer[fresh]
+        side_keys, counts = np.unique(composite, return_counts=True)
+        keys[side] = side_keys
+        offsets[side] = np.concatenate(
+            [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
+        )
+        values[side] = np.ascontiguousarray(answer)
+    return FilterIndexCSR(
+        num_entities=num_entities,
+        num_relations=num_relations,
+        keys=keys,
+        offsets=offsets,
+        values=values,
+    )
 
 
 def build_graph(

@@ -4,10 +4,9 @@ A :class:`CompactGraph` is the million-entity counterpart of the in-memory
 :class:`~repro.kg.graph.KnowledgeGraph`: the three splits live on disk as
 ``(n, 3)`` int32 ``.npy`` files (12 bytes per triple) that are memory-mapped
 on open, the vocabularies stay on disk as plain label files that are only
-read when labels are actually requested, and the filter index is built
-**directly in CSR form** with vectorised numpy passes — the dict-of-arrays
-index, whose per-key Python objects dominate memory at large vocabularies,
-is never materialised.
+read when labels are actually requested, and the filter index is the same
+vectorised CSR build (:func:`~repro.kg.graph.build_filter_csr`) the
+in-memory graph uses, run straight over the memory maps.
 
 The store directory layout is::
 
@@ -18,10 +17,9 @@ The store directory layout is::
     entities.txt      one label per line, line i = label of entity id i
     relations.txt     one label per line
 
-Per-query answers from the CSR index are equal, element for element, to
-:meth:`KnowledgeGraph.true_answers` on the same triples — both are sorted
-unique answer sets — so evaluation ranks are bitwise-identical between the
-two graph backends.
+Both graph backends build their index with the one builder, so on the
+same triples the CSR arrays are bitwise-equal and evaluation ranks are
+identical between them.
 """
 
 from __future__ import annotations
@@ -33,12 +31,11 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.kg.graph import (
-    HEAD,
-    SIDES,
     FilterIndexCSR,
     KnowledgeGraph,
     Side,
     TripleSet,
+    build_filter_csr,
     id_dtype,
 )
 
@@ -65,63 +62,6 @@ def unique_rows_in_order(rows: np.ndarray) -> np.ndarray:
     return contiguous[np.sort(first)]
 
 
-def build_filter_csr(
-    num_entities: int,
-    num_relations: int,
-    split_arrays: Sequence[np.ndarray],
-) -> FilterIndexCSR:
-    """Build the CSR filter index from raw ``(n, 3)`` triple arrays.
-
-    A fully vectorised equivalent of
-    :meth:`KnowledgeGraph._build_filter_index` +
-    :meth:`FilterIndexCSR.from_graph`: per side, sort the triples by
-    ``(anchor * num_relations + relation, answer)``, drop duplicate
-    (key, answer) pairs with one shifted comparison, and read the key
-    table and offsets off ``np.unique``.  Composite keys are int64 (they
-    can exceed int32 even when ids fit), answers use
-    :func:`~repro.kg.graph.id_dtype`.
-    """
-    arrays = [np.asarray(a) for a in split_arrays if np.asarray(a).shape[0]]
-    if arrays:
-        triples = (
-            arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=0)
-        )
-    else:
-        triples = np.empty((0, 3), dtype=np.int64)
-    value_dtype = id_dtype(num_entities)
-    keys: dict[Side, np.ndarray] = {}
-    offsets: dict[Side, np.ndarray] = {}
-    values: dict[Side, np.ndarray] = {}
-    relations = triples[:, 1].astype(np.int64, copy=False)
-    for side in SIDES:
-        anchor = triples[:, 2] if side == HEAD else triples[:, 0]
-        answer = triples[:, 0] if side == HEAD else triples[:, 2]
-        composite = anchor.astype(np.int64) * num_relations + relations
-        order = np.lexsort((answer, composite))
-        composite = composite[order]
-        answer = answer[order].astype(value_dtype, copy=False)
-        if composite.size:
-            fresh = np.ones(composite.size, dtype=bool)
-            fresh[1:] = (composite[1:] != composite[:-1]) | (
-                answer[1:] != answer[:-1]
-            )
-            composite = composite[fresh]
-            answer = answer[fresh]
-        side_keys, counts = np.unique(composite, return_counts=True)
-        keys[side] = side_keys
-        offsets[side] = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
-        )
-        values[side] = np.ascontiguousarray(answer)
-    return FilterIndexCSR(
-        num_entities=num_entities,
-        num_relations=num_relations,
-        keys=keys,
-        offsets=offsets,
-        values=values,
-    )
-
-
 def _read_labels(path: Path) -> list[str]:
     with path.open("r", encoding="utf-8") as handle:
         return [line.rstrip("\n") for line in handle]
@@ -140,14 +80,10 @@ class CompactGraph:
     Duck-types the slice of the :class:`~repro.kg.graph.KnowledgeGraph`
     interface the evaluation engine touches — ``num_entities`` /
     ``num_relations`` / ``name``, the split :class:`TripleSet` properties,
-    ``filter_index`` warming and ``true_answers`` — while keeping memory
-    flat in the vocabulary size: split arrays are int32 memory maps,
-    the filter index is CSR-only, and label files are read lazily.
-
-    ``filter_index`` and ``true_answers`` are served by the CSR index;
-    :meth:`FilterIndexCSR.from_graph` short-circuits to :meth:`filter_csr`
-    so the shm engine transport publishes the index without any dict
-    round-trip.
+    ``filter_index`` and ``true_answers`` — while keeping memory flat in
+    the vocabulary size: split arrays are int32 memory maps, the filter
+    index is built from them without an int64 copy of the triples, and
+    label files are read lazily.
     """
 
     def __init__(self, directory: str | Path):
@@ -169,7 +105,7 @@ class CompactGraph:
         self.num_relations: int = int(manifest["num_relations"])
         self._splits: dict[str, np.ndarray] = {}
         self._triple_sets: dict[str, TripleSet] = {}
-        self._filter_csr: FilterIndexCSR | None = None
+        self._filter_index: FilterIndexCSR | None = None
         self._entity_labels: list[str] | None = None
         self._relation_labels: list[str] | None = None
 
@@ -213,26 +149,22 @@ class CompactGraph:
         return int(self.manifest["splits"][split])
 
     # ------------------------------------------------------------------
-    # Filter index (CSR only — the dict index is never built)
+    # Filter index
     # ------------------------------------------------------------------
-    def filter_csr(self) -> FilterIndexCSR:
+    @property
+    def filter_index(self) -> FilterIndexCSR:
         """The CSR filter index over all splits, built once, lazily."""
-        if self._filter_csr is None:
-            self._filter_csr = build_filter_csr(
+        if self._filter_index is None:
+            self._filter_index = build_filter_csr(
                 self.num_entities,
                 self.num_relations,
                 [self.split_array(split) for split in SPLITS],
             )
-        return self._filter_csr
-
-    @property
-    def filter_index(self) -> FilterIndexCSR:
-        """CSR index; accessing it warms the index like the dict path."""
-        return self.filter_csr()
+        return self._filter_index
 
     def true_answers(self, anchor: int, relation: int, side: Side) -> np.ndarray:
-        """Known true answers across all splits — CSR-served."""
-        return self.filter_csr().true_answers(anchor, relation, side)
+        """Known true answers across all splits."""
+        return self.filter_index.true_answers(anchor, relation, side)
 
     # ------------------------------------------------------------------
     # Vocabularies (lazy — label files are only read when asked for)

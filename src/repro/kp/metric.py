@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.ranking import split_triples
 from repro.core.sampling import NegativePools
+from repro.engine.chunking import split_triples
 from repro.kg.graph import KnowledgeGraph
 from repro.kp.persistence import PersistenceDiagram, score_graph_diagram
 from repro.kp.wasserstein import sliced_wasserstein

@@ -522,11 +522,10 @@ class LinkPredictionService:
             true_scores = np.diagonal(
                 model.score_candidates_batch(anchors[rows], relation, side, truths)
             )
-        chunk_queries = [
-            (queries[i].anchor, int(truth), 0, 0) for i, truth in zip(rows, truths)
-        ]
-        knowns = collect_known_answers(self.graph, chunk_queries, relation, side)
-        ranks = chunk_filtered_ranks(sub, true_scores, knowns, pool=pool)
+        known_rows, known_cols = collect_known_answers(
+            self.graph.filter_index, anchors[rows], truths, relation, side
+        )
+        ranks = chunk_filtered_ranks(sub, true_scores, known_rows, known_cols, pool=pool)
         for j, i in enumerate(rows):
             results[i] = {
                 "score": float(true_scores[j]),

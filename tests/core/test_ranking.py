@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import evaluate_full, filtered_rank
-from repro.core.ranking import chunk_filtered_ranks, grouped_queries, query_chunks, split_triples
+from repro.engine.chunking import (
+    chunk_filtered_ranks,
+    collect_known_answers,
+    grouped_queries,
+    query_chunks,
+    split_triples,
+)
+from repro.kg import build_filter_csr
 from repro.kg.graph import HEAD, TAIL
 from repro.models import RandomModel, build_model
 
@@ -33,26 +40,68 @@ class TestFilteredRank:
         assert filtered_rank(scores, truth=0, known_answers=np.empty(0, dtype=int)) == 1.0
 
 
+#: A 12-entity index whose relation-0 tail answers are
+#: 0 -> {1, 2, 5}, 1 -> {2}, 3 -> {7, 9} (relation 1 must not leak in).
+INDEX_TRIPLES = [(0, 0, 1), (0, 0, 2), (0, 0, 5), (1, 0, 2), (3, 0, 7), (3, 0, 9), (0, 1, 4)]
+
+#: ``(anchors, truths)`` chunks for the batched gather + rank kernel.
+CHUNKS = [
+    ([0, 1, 3, 0, 3], [1, 2, 9, 5, 7]),  # every truth is a known answer
+    ([0, 3], [8, 11]),  # truths the index never saw (an unseen /v1/score triple)
+    ([4, 6, 0], [3, 10, 2]),  # rows 0 and 1 have no known answers at all
+    ([3], [7]),  # a one-row chunk
+]
+
+
+def _chunk_exclusions(anchors, truths):
+    """The batched gather over ``INDEX_TRIPLES``, checked row by row."""
+    index = build_filter_csr(12, 2, [np.asarray(INDEX_TRIPLES)])
+    anchors, truths = np.asarray(anchors), np.asarray(truths)
+    rows, cols = collect_known_answers(index, anchors, truths, 0, TAIL)
+    for i, (anchor, truth) in enumerate(zip(anchors, truths)):
+        known = index.true_answers(int(anchor), 0, TAIL)
+        row = cols[rows == i]
+        # The truth is excluded exactly once, next to every known answer.
+        assert np.count_nonzero(row == truth) == 1
+        assert sorted(row.tolist()) == sorted(set(known.tolist()) | {int(truth)})
+    return index, anchors, truths, rows, cols
+
+
 class TestChunkFilteredRanks:
     def test_matches_scalar_reference_full(self, rng):
-        scores = rng.standard_normal((5, 20))
-        truths = rng.integers(20, size=5)
-        true_scores = scores[np.arange(5), truths]
-        knowns = [
-            np.unique(np.append(rng.integers(20, size=3), truths[i]))
-            for i in range(5)
-        ]
-        ranks = chunk_filtered_ranks(scores, true_scores, knowns)
-        for i in range(5):
-            expected = filtered_rank(scores[i], int(truths[i]), knowns[i])
-            assert ranks[i] == pytest.approx(expected)
+        for anchors, truths in CHUNKS:
+            index, anchors, truths, rows, cols = _chunk_exclusions(anchors, truths)
+            # Small integer scores force ties with known answers and the truth.
+            scores = rng.integers(0, 4, size=(truths.size, 12)).astype(np.float64)
+            true_scores = scores[np.arange(truths.size), truths]
+            ranks = chunk_filtered_ranks(scores, true_scores, rows, cols)
+            for i in range(truths.size):
+                known = index.true_answers(int(anchors[i]), 0, TAIL)
+                assert ranks[i] == filtered_rank(scores[i], int(truths[i]), known)
+
+    def test_matches_scalar_reference_pooled(self, rng):
+        # The second pool holds none of the truths.
+        for pool in (np.array([1, 2, 5, 7, 8, 10]), np.array([0, 4, 6])):
+            for anchors, truths in CHUNKS:
+                index, anchors, truths, rows, cols = _chunk_exclusions(anchors, truths)
+                scores = rng.integers(0, 4, size=(truths.size, 12)).astype(np.float64)
+                true_scores = scores[np.arange(truths.size), truths]
+                ranks = chunk_filtered_ranks(scores[:, pool], true_scores, rows, cols, pool=pool)
+                for i in range(truths.size):
+                    # Out-of-pool entities never compete: score them -inf.
+                    masked = np.full(12, -np.inf)
+                    masked[pool] = scores[i, pool]
+                    masked[truths[i]] = true_scores[i]
+                    known = index.true_answers(int(anchors[i]), 0, TAIL)
+                    assert ranks[i] == filtered_rank(masked, int(truths[i]), known)
 
     def test_pool_mode_ignores_out_of_pool_exclusions(self, rng):
         pool = np.array([2, 5, 9, 14])
         scores = rng.standard_normal((2, 4))
         true_scores = np.array([10.0, -10.0])  # truth not in pool
-        knowns = [np.array([5, 100]), np.array([3])]  # 100 and 3 not in pool
-        ranks = chunk_filtered_ranks(scores, true_scores, knowns, pool=pool)
+        # Row 0 excludes {5, 100}, row 1 excludes {3}: 100 and 3 are not in the pool.
+        rows, cols = np.array([0, 0, 1]), np.array([5, 100, 3])
+        ranks = chunk_filtered_ranks(scores, true_scores, rows, cols, pool=pool)
         # Query 0: truth outranks everything -> rank 1.
         assert ranks[0] == 1.0
         # Query 1: all four pool scores beat -10 -> rank 5.
@@ -60,7 +109,8 @@ class TestChunkFilteredRanks:
 
     def test_empty_knowns(self, rng):
         scores = np.asarray([[1.0, 2.0, 3.0]])
-        ranks = chunk_filtered_ranks(scores, np.array([2.5]), [np.empty(0, dtype=np.int64)])
+        empty = np.empty(0, dtype=np.int64)
+        ranks = chunk_filtered_ranks(scores, np.array([2.5]), empty, empty)
         assert ranks[0] == 2.0
 
 

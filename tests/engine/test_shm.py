@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.engine import build_state, plan_chunks, score_chunk
+from repro.engine import build_state, get_engine_pool, plan_chunks, score_chunk
 from repro.engine.shm import (
     ShmArena,
     attach_array,
@@ -13,7 +16,22 @@ from repro.engine.shm import (
     publish_state,
     state_fingerprint,
 )
+from repro.kg import KnowledgeGraph, TripleSet, Vocabulary
 from repro.models import build_model
+
+
+def _fresh_graph(seed: int) -> KnowledgeGraph:
+    """A 50-entity graph whose test split size varies with ``seed``."""
+    rng = np.random.default_rng(seed)
+    triples = rng.integers(0, [50, 3, 50], size=(120, 3))
+    test_size = 8 + seed % 7
+    return KnowledgeGraph(
+        entities=Vocabulary([f"e{i}" for i in range(50)]),
+        relations=Vocabulary(["r0", "r1", "r2"]),
+        train=TripleSet(triples[:-test_size]),
+        test=TripleSet(triples[-test_size:]),
+        name=f"fresh-{seed}",
+    )
 
 
 @pytest.fixture
@@ -142,3 +160,35 @@ class TestStateFingerprint:
         test_state = build_state(model, tiny_graph, "test")
         valid_state = build_state(model, tiny_graph, "valid")
         assert state_fingerprint(test_state) != state_fingerprint(valid_state)
+
+
+class TestPublishedStateIdentity:
+    """A freed graph's id can be reused by the next one; a live published
+    state must never mistake that new graph for the one it published."""
+
+    def test_published_state_pins_its_index(self):
+        graph = _fresh_graph(0)
+        model = build_model("distmult", 50, 3, dim=4, seed=0)
+        published = publish_state(build_state(model, graph, "test"))
+        try:
+            index = weakref.ref(graph.filter_index)
+            del graph
+            gc.collect()
+            assert index() is not None  # its id cannot be recycled
+            fresh = build_state(model, _fresh_graph(1), "test")
+            assert not published.matches(fresh)
+        finally:
+            published.close()
+
+    def test_every_fresh_graph_is_republished(self):
+        model = build_model("distmult", 50, 3, dim=4, seed=0)
+        pool = get_engine_pool(2)
+        before = pool.states_published
+        for seed in range(12):
+            graph = _fresh_graph(seed)
+            state = build_state(model, graph, "test")
+            published = pool.ensure_state(state)
+            assert pool.states_published == before + seed + 1
+            assert published.manifest.num_queries == 2 * len(graph.test)
+            del graph, state, published
+            gc.collect()

@@ -88,9 +88,12 @@ class TestFilterIndex:
         assert tiny_graph.true_answers(5, 1, TAIL).size == 0
 
     def test_answers_are_sorted_unique(self, tiny_graph):
+        index = tiny_graph.filter_index
         for side in (HEAD, TAIL):
-            for key, values in tiny_graph.filter_index[side].items():
-                assert np.all(np.diff(values) > 0), key
+            offsets, values = index.offsets[side], index.values[side]
+            for start, stop in zip(offsets[:-1], offsets[1:]):
+                assert stop > start  # only non-empty keys are stored
+                assert np.all(np.diff(values[start:stop]) > 0)
 
 
 class TestObserved:

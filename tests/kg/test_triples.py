@@ -11,7 +11,8 @@ from repro.kg import (
     CompactGraph,
     FilterIndexCSR,
     KnowledgeGraph,
-    build_filter_csr,
+    TripleSet,
+    Vocabulary,
     build_graph,
     id_dtype,
     open_compact,
@@ -60,10 +61,9 @@ class TestIdDtype:
 
     def test_filter_index_buffers_downcast(self, graph):
         index = graph.filter_index
-        for answers in index["head"].values():
-            assert answers.dtype == np.int32
-        for answers in index["tail"].values():
-            assert answers.dtype == np.int32
+        for side in ("head", "tail"):
+            assert index.values[side].dtype == np.int32
+            assert graph.true_answers(0, 0, side).dtype == np.int32
 
     def test_observed_buffers_downcast(self, graph):
         assert graph.observed(0, "head").dtype == np.int32
@@ -89,25 +89,64 @@ class TestUniqueRowsInOrder:
         assert unique_rows_in_order(rows).shape == (0, 3)
 
 
-class TestBuildFilterCSR:
-    """The vectorised CSR build must match the dict-index flatten exactly."""
+def _set_oracle(graph) -> dict[tuple[str, int, int], set[int]]:
+    """``(side, anchor, relation) -> known answers``, straight from the triples."""
+    oracle: dict[tuple[str, int, int], set[int]] = {}
+    for h, r, t in graph.all_triples:
+        oracle.setdefault(("tail", h, r), set()).add(t)
+        oracle.setdefault(("head", t, r), set()).add(h)
+    return oracle
 
-    def test_matches_dict_filter_index(self, graph):
-        csr = build_filter_csr(
-            graph.num_entities,
-            graph.num_relations,
-            [getattr(graph, split).array for split in ("train", "valid", "test")],
-        )
-        index = graph.filter_index
-        for side in ("head", "tail"):
-            for (anchor, relation), expected in index[side].items():
-                got = csr.true_answers(int(anchor), int(relation), side)
-                np.testing.assert_array_equal(got, expected)
-                assert got.dtype == expected.dtype
+
+class TestBuildFilterCSR:
+    """The one filter-index builder, checked against a set-based oracle."""
+
+    def test_matches_set_oracle(self, tmp_path):
+        rng = np.random.default_rng(7)
+        num_entities, num_relations = 30, 4
+        triples = rng.integers(0, [num_entities, num_relations, num_entities], size=(300, 3))
+        triples[:20, 2] = triples[:20, 0]  # self-loops
+        splits = {
+            # The same triples recur within and across splits.
+            "full": (triples[:200], np.concatenate([triples[180:240], triples[:10]]), triples[240:]),
+            "train-only": (np.concatenate([triples, triples[:50]]), [], []),
+        }
+        entities = Vocabulary([f"e{i}" for i in range(num_entities)])
+        relations = Vocabulary([f"r{i}" for i in range(num_relations)])
+        for name, (train, valid, test) in splits.items():
+            graph = KnowledgeGraph(
+                entities=entities,
+                relations=relations,
+                train=TripleSet(train),
+                valid=TripleSet(valid),
+                test=TripleSet(test),
+                name=name,
+            )
+            oracle = _set_oracle(graph)
+            index = graph.filter_index
+            assert index is graph.filter_index  # built once, cached
+            anchors = np.arange(num_entities)
+            for side in ("head", "tail"):
+                assert index.values[side].dtype == id_dtype(num_entities)
+                for relation in range(num_relations):
+                    rows, cols = index.gather(anchors, relation, side)
+                    for anchor in range(num_entities):
+                        expected = sorted(oracle.get((side, anchor, relation), ()))
+                        got = graph.true_answers(anchor, relation, side)
+                        assert got.tolist() == expected, (name, side, anchor, relation)
+                        assert got.dtype == id_dtype(num_entities)
+                        assert cols[rows == anchor].tolist() == expected
+            save_compact(graph, tmp_path / name)
+            compact = open_compact(tmp_path / name).filter_index
+            for array_name, array in index.arrays().items():
+                other = compact.arrays()[array_name]
+                assert other.dtype == array.dtype, array_name
+                np.testing.assert_array_equal(other, array)
 
     def test_missing_key_is_empty(self, graph):
-        csr = FilterIndexCSR.from_graph(graph)
-        assert csr.true_answers(5, 2, "head").size == 0
+        answers = graph.filter_index.true_answers(5, 2, "head")
+        assert answers.size == 0
+        assert answers.dtype == id_dtype(graph.num_entities)
 
 
 class TestCompactRoundTrip:
@@ -141,17 +180,15 @@ class TestCompactRoundTrip:
 
     def test_filter_index_property_serves_csr(self, graph, compact):
         csr = compact.filter_index
-        assert csr is compact.filter_csr()
-        index = graph.filter_index
+        assert isinstance(csr, FilterIndexCSR)
+        assert csr is compact.filter_index
         for side in ("head", "tail"):
-            for (anchor, relation), expected in index[side].items():
-                np.testing.assert_array_equal(
-                    compact.true_answers(int(anchor), int(relation), side),
-                    expected,
-                )
-
-    def test_from_graph_dispatches_to_compact_csr(self, compact):
-        assert FilterIndexCSR.from_graph(compact) is compact.filter_csr()
+            for anchor in range(graph.num_entities):
+                for relation in range(graph.num_relations):
+                    np.testing.assert_array_equal(
+                        compact.true_answers(anchor, relation, side),
+                        graph.true_answers(anchor, relation, side),
+                    )
 
     def test_manifest_validation_rejects_foreign_format(self, tmp_path, graph):
         save_compact(graph, tmp_path / "store")
