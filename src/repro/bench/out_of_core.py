@@ -142,7 +142,7 @@ def _sampled_run(model, graph, workers: int, num_samples: int, seed: int):
     pools = build_pools(
         graph, "random", np.random.default_rng(seed), num_samples=num_samples
     )
-    engine = EvaluationEngine(workers=workers, transport="shm")
+    engine = EvaluationEngine(workers=workers)
     engine.run(model, graph, "test", pools=pools, keep_ranks=False)  # warm
     run = engine.run(model, graph, "test", pools=pools, keep_ranks=False)
     return run.num_queries / max(run.seconds, 1e-9), run
@@ -232,7 +232,7 @@ def stage_compare(args: argparse.Namespace) -> dict:
             np.random.default_rng(args.seed),
             num_samples=args.num_samples,
         )
-        engine = EvaluationEngine(workers=args.workers, transport="shm")
+        engine = EvaluationEngine(workers=args.workers)
         runs = {}
         for tag, model in (("memory", memory_model), ("mmap", mmap_model)):
             engine.run(model, graph, "test", pools=pools)  # warm

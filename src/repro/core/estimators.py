@@ -82,22 +82,17 @@ def evaluate_sampled(
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     start_method: str | None = None,
-    transport: str | None = None,
 ) -> SampledEvaluationResult:
     """Estimate ranking metrics of ``model`` using pre-drawn pools.
 
     Execution goes through :class:`repro.engine.EvaluationEngine`:
     ``workers`` fans the chunk schedule across scoring processes (the
-    state reaches workers through shared memory under the default
-    transport) and ``chunk_size`` bounds the per-chunk score matrix.
-    Ranks are bitwise-identical across worker counts, start methods and
-    transports.
+    state reaches workers through shared memory) and ``chunk_size``
+    bounds the per-chunk score matrix.  Ranks are bitwise-identical
+    across worker counts and start methods.
     """
     engine = EvaluationEngine(
-        workers=workers,
-        chunk_size=chunk_size,
-        start_method=start_method,
-        transport=transport,
+        workers=workers, chunk_size=chunk_size, start_method=start_method
     )
     run = engine.run(
         model, graph, split=split, pools=pools, hits_at=hits_at, sides=sides

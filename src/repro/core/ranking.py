@@ -70,7 +70,6 @@ def evaluate_full(
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     start_method: str | None = None,
-    transport: str | None = None,
 ) -> FullEvaluationResult:
     """Run the full filtered ranking protocol on one split.
 
@@ -82,14 +81,11 @@ def evaluate_full(
     processes (1 = in-process serial; negative = all cores); the ranks
     are bitwise-identical either way.  ``chunk_size`` bounds the
     ``chunk_size x |E|`` score intermediate per chunk.  ``start_method``
-    and ``transport`` select how parallel runs move data (shared-memory
-    persistent pool by default); see :class:`repro.engine.EvaluationEngine`.
+    selects how the persistent shared-memory pool's workers start; see
+    :class:`repro.engine.EvaluationEngine`.
     """
     engine = EvaluationEngine(
-        workers=workers,
-        chunk_size=chunk_size,
-        start_method=start_method,
-        transport=transport,
+        workers=workers, chunk_size=chunk_size, start_method=start_method
     )
     run = engine.run(model, graph, split=split, hits_at=hits_at, sides=sides)
     assert run.ranks is not None

@@ -2,24 +2,22 @@
 
 One execution core for both evaluation protocols: queries are grouped by
 ``(relation, side)``, cut into bounded chunks, scored — serially, or in
-parallel over one of two transports: the default ``"shm"`` transport
-publishes the model / graph / pools into ``multiprocessing.shared_memory``
-once and reuses a persistent worker pool across runs
-(:mod:`repro.engine.pool` / :mod:`repro.engine.shm`); the legacy
-``"pickle"`` transport ships the state to a per-run ``multiprocessing``
-pool at pool start — and folded into :class:`RankingMetrics`, optionally
-through the flat-memory online :class:`RankAccumulator`.
+parallel on a persistent worker pool that reads the model / filter index /
+pools from ``multiprocessing.shared_memory``, published once per distinct
+state and reused across runs (:mod:`repro.engine.pool` /
+:mod:`repro.engine.shm`) — and folded into :class:`RankingMetrics`,
+optionally through the flat-memory online :class:`RankAccumulator`.
 
 Entry points
 ------------
 * :class:`EvaluationEngine` — ``run()`` a model over a split with
-  ``workers=`` / ``chunk_size=`` / ``start_method=`` / ``transport=``
-  control (env: ``$REPRO_ENGINE_START_METHOD``, ``$REPRO_ENGINE_TRANSPORT``);
+  ``workers=`` / ``chunk_size=`` / ``start_method=`` control (env:
+  ``$REPRO_ENGINE_START_METHOD``);
 * the same knobs surface on :class:`repro.core.protocol.EvaluationProtocol`,
   :func:`repro.bench.runner.run_training_study` and the CLI
   (``repro evaluate --workers N``);
 * :func:`get_engine_pool` / :func:`shutdown_engine_pools` — the
-  persistent pool registry behind the shm transport.
+  persistent pool registry behind every parallel run.
 """
 
 from repro.engine.aggregator import RankAccumulator
@@ -43,7 +41,6 @@ from repro.engine.pool import (
     active_pools,
     get_engine_pool,
     resolve_start_method,
-    resolve_transport,
     shutdown_engine_pools,
 )
 from repro.engine.shm import (
@@ -87,7 +84,6 @@ __all__ = [
     "publish_state",
     "query_chunks",
     "resolve_start_method",
-    "resolve_transport",
     "resolve_workers",
     "score_chunk",
     "shutdown_engine_pools",

@@ -7,9 +7,9 @@ evaluation protocols: the full filtered ranking
 
 1. builds the deterministic chunk schedule
    (:func:`repro.engine.chunking.plan_chunks`);
-2. scores the chunks — in-process for ``workers=1``, or across a
-   ``multiprocessing`` pool whose workers receive the model / graph /
-   pools once at pool start (:mod:`repro.engine.worker`);
+2. scores the chunks — in-process for ``workers=1``, or on a persistent
+   worker pool that reads the model / filter index / pools from shared
+   memory, published once per distinct state (:mod:`repro.engine.pool`);
 3. folds the per-chunk ranks into metrics, either retaining every rank
    (the legacy API surface) or streaming them through the online
    :class:`~repro.engine.aggregator.RankAccumulator` so memory stays flat
@@ -29,24 +29,12 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
-import multiprocessing
-
 import numpy as np
 
 from repro.engine.aggregator import RankAccumulator
 from repro.engine.chunking import DEFAULT_CHUNK_SIZE, ChunkTask, Query, plan_chunks
-from repro.engine.pool import (
-    PersistentWorkerPool,
-    get_engine_pool,
-    resolve_transport,
-)
-from repro.engine.worker import (
-    EvaluationState,
-    build_state,
-    initialize_worker,
-    run_task,
-    score_chunk,
-)
+from repro.engine.pool import PersistentWorkerPool, get_engine_pool
+from repro.engine.worker import EvaluationState, build_state, score_chunk
 from repro.kg.graph import SIDES, KnowledgeGraph, Side
 from repro.metrics.ranking import HITS_AT, RankingMetrics, aggregate_ranks
 from repro.models.base import KGEModel
@@ -91,31 +79,23 @@ class EvaluationEngine:
     workers:
         Number of scoring processes.  ``1`` (default) runs in-process with
         zero multiprocessing overhead; ``N > 1`` fans chunks across a
-        process pool; negative means all cores.
+        persistent shared-memory worker pool; negative means all cores.
     chunk_size:
         Queries ranked per score-matrix chunk — bounds the ``b x k``
         intermediate at ``chunk_size x num_candidates`` floats.
     start_method:
         Optional ``multiprocessing`` start method (``"fork"``,
         ``"spawn"``, ``"forkserver"``).  ``None`` defers to
-        ``$REPRO_ENGINE_START_METHOD``, then the platform default; on
-        Linux that is ``fork``, under which the legacy transport inherits
-        state copy-on-write instead of pickling it.
-    transport:
-        How parallel runs move data: ``"shm"`` (default) publishes the
-        state into ``multiprocessing.shared_memory`` once and reuses a
-        persistent worker pool across runs (:mod:`repro.engine.pool`);
-        ``"pickle"`` is the legacy per-run ``multiprocessing.Pool`` path
-        that serialises the state at every pool start.  ``None`` defers
-        to ``$REPRO_ENGINE_TRANSPORT``, then ``"shm"``.  Serial runs
-        (``workers=1``) never touch either transport.
+        ``$REPRO_ENGINE_START_METHOD``, then the platform default
+        (``fork`` on Linux).  It only decides how pool workers start;
+        state always reaches them through shared memory.
     timeout:
-        Optional per-run deadline in seconds for the shm transport; a run
+        Optional per-run deadline in seconds for parallel runs; a run
         exceeding it raises :class:`~repro.engine.pool.EngineWorkerError`
         instead of hanging (the fault tests lean on this).
     pool:
         Optional caller-owned :class:`~repro.engine.pool.
-        PersistentWorkerPool` the shm transport should run on instead of
+        PersistentWorkerPool` parallel runs should use instead of
         the shared module-level registry — the serve layer injects its
         private pool here so its lifecycle (and ``close()``) stays fully
         its own.
@@ -126,7 +106,6 @@ class EvaluationEngine:
         workers: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         start_method: str | None = None,
-        transport: str | None = None,
         timeout: float | None = None,
         pool: "PersistentWorkerPool | None" = None,
     ):
@@ -135,7 +114,6 @@ class EvaluationEngine:
         self.workers = resolve_workers(workers)
         self.chunk_size = chunk_size
         self.start_method = start_method
-        self.transport = resolve_transport(transport)
         self.timeout = timeout
         self.pool = pool
 
@@ -214,7 +192,6 @@ class EvaluationEngine:
             "engine.run",
             split=split,
             workers=self.workers,
-            transport=self.transport if self.workers > 1 else "serial",
             chunks=len(tasks),
             queries=num_queries,
             entities=num_scored,
@@ -236,47 +213,27 @@ class EvaluationEngine:
     ) -> Iterator[tuple[ChunkTask, tuple[np.ndarray, int]]]:
         """Yield ``(task, (ranks, scored))`` in deterministic schedule order."""
         tracer = get_tracer()
-        workers = min(self.workers, len(tasks)) if tasks else 1
-        if workers <= 1:
-            if tracer.enabled:
+        if self.workers <= 1 or len(tasks) <= 1:
+            for task in tasks:
                 # A perf_counter pair per chunk is cheaper than a context
                 # manager in a loop that may run thousands of times.
-                for task in tasks:
-                    chunk_start = time.perf_counter()
-                    result = score_chunk(state, task)
-                    tracer.record("engine.chunk", time.perf_counter() - chunk_start)
-                    yield task, result
-            else:
-                for task in tasks:
-                    yield task, score_chunk(state, task)
-            return
-        if self.transport == "shm":
-            pool = self.pool if self.pool is not None else get_engine_pool(
-                workers, self.start_method
-            )
-            wait_start = time.perf_counter()
-            results = pool.run_tasks(state, tasks, timeout=self.timeout)
-            # The pool returns every chunk at once; one record covers the
-            # whole merge-side wait (serial runs keep per-chunk records).
-            tracer.record("engine.chunk", time.perf_counter() - wait_start)
-            yield from zip(tasks, results)
-            return
-        context = multiprocessing.get_context(self.start_method)
-        with context.Pool(
-            processes=workers,
-            initializer=initialize_worker,
-            initargs=(state,),
-        ) as pool:
-            # imap preserves submission order, so the merge is
-            # schedule-ordered no matter which worker finishes first.
-            # Workers are separate processes, so only the merge-side wait
-            # is observable here.
-            results = pool.imap(run_task, tasks)
-            for task in tasks:
                 chunk_start = time.perf_counter()
-                result = next(results)
+                result = score_chunk(state, task)
                 tracer.record("engine.chunk", time.perf_counter() - chunk_start)
                 yield task, result
+            return
+        # Always the pool at ``self.workers``: round-robin dispatch leaves
+        # surplus workers idle when there are fewer chunks than workers,
+        # which beats starting (and keeping alive) a smaller second pool.
+        pool = self.pool if self.pool is not None else get_engine_pool(
+            self.workers, self.start_method
+        )
+        wait_start = time.perf_counter()
+        results = pool.run_tasks(state, tasks, timeout=self.timeout)
+        # The pool returns every chunk at once; one record covers the
+        # whole merge-side wait (serial runs keep per-chunk records).
+        tracer.record("engine.chunk", time.perf_counter() - wait_start)
+        yield from zip(tasks, results)
 
     def __repr__(self) -> str:
         return (

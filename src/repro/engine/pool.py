@@ -1,9 +1,9 @@
 """Persistent shared-memory worker pools for the evaluation engine.
 
-A :class:`PersistentWorkerPool` is the long-lived half of the engine's
-``transport="shm"`` path: ``N`` daemon worker processes that stay alive
-across ``evaluate_full`` / ``evaluate_sampled`` calls (and across serve
-requests), each looping on its own task queue.  A pool executes *runs*:
+A :class:`PersistentWorkerPool` is the engine's only parallel path:
+``N`` daemon worker processes that stay alive across ``evaluate_full`` /
+``evaluate_sampled`` calls (and across serve requests), each looping on
+its own task queue.  A pool executes *runs*:
 
 1. :meth:`ensure_state` publishes the evaluation state into shared
    memory (:func:`repro.engine.shm.publish_state`) — skipped entirely
@@ -52,9 +52,6 @@ from repro.obs.log import log_event
 if TYPE_CHECKING:
     from repro.engine.chunking import ChunkTask
     from repro.engine.worker import EvaluationState
-
-#: Transports the engine can execute a parallel run through.
-TRANSPORTS: tuple[str, ...] = ("shm", "pickle")
 
 #: Seconds between liveness checks while waiting on worker results.
 POLL_INTERVAL = 0.1
@@ -112,16 +109,6 @@ def resolve_telemetry(telemetry: bool | None = None) -> bool:
 
 class EngineWorkerError(RuntimeError):
     """A worker process died, failed, or a run exceeded its timeout."""
-
-
-def resolve_transport(transport: str | None) -> str:
-    """``transport`` argument > ``$REPRO_ENGINE_TRANSPORT`` > ``"shm"``."""
-    resolved = transport or os.environ.get("REPRO_ENGINE_TRANSPORT") or "shm"
-    if resolved not in TRANSPORTS:
-        raise ValueError(
-            f"unknown engine transport {resolved!r}; expected one of {TRANSPORTS}"
-        )
-    return resolved
 
 
 def resolve_start_method(start_method: str | None) -> str:

@@ -1,10 +1,8 @@
 """The shared-memory plane of the parallel evaluation engine.
 
-The legacy (``transport="pickle"``) parallel path ships the whole
-evaluation state to every worker through the pool initializer and every
-chunk's ranks back through a result queue.  That transport *loses* the
-CPU-bound regime: state pickling is paid at every pool start and rank
-arrays are serialised per chunk.  This module is the replacement plane:
+Parallel runs never pickle the evaluation state's arrays or the ranks:
+the state is published into shared memory once per distinct state, and
+workers write ranks into a shared buffer.  This module is that plane:
 
 * :class:`ShmArena` — a named set of ``multiprocessing.shared_memory``
   segments, one per numpy array, created once in the parent.  The arena

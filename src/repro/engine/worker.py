@@ -1,14 +1,13 @@
 """Per-worker evaluation state and the chunk-scoring kernel.
 
 The engine's parallel path fans :class:`~repro.engine.chunking.ChunkTask`
-objects across a ``multiprocessing`` pool.  Everything heavy — the model
-parameters, the graph's CSR filter index, the candidate pools and the
-grouped query arrays — is built **once in the parent** and handed to each
-worker through the pool initializer (:func:`initialize_worker`), so each
-task only carries four integers.  Under the default ``fork`` start method
-on Linux the state is inherited copy-on-write and costs nothing; under
-``spawn`` it is pickled exactly once per worker at pool start, never per
-chunk.
+objects across a persistent worker pool (:mod:`repro.engine.pool`).
+Everything heavy — the model parameters, the graph's CSR filter index,
+the candidate pools and the grouped query arrays — is built **once in the
+parent** (:func:`build_state`) and published into shared memory
+(:mod:`repro.engine.shm`); each long-lived worker (:func:`worker_main`)
+attaches it once per distinct state, so each task only carries four
+integers and each chunk's ranks go straight into a shared result buffer.
 
 :func:`score_chunk` is the single scoring kernel both evaluation paths
 share; the serial engine path calls it directly on a locally built
@@ -68,10 +67,11 @@ def build_state(
 ) -> EvaluationState:
     """Materialise the evaluation state for one (model, split) run.
 
-    The group order is deterministic (split iteration order), so the state
-    built here and the states built inside worker processes agree on every
-    ``ChunkTask.group`` index.  Reading ``graph.filter_index`` here
-    builds the graph's cached index before any timed chunk.
+    The group order is deterministic (split iteration order), and workers
+    attach the published copy of this very state, so parent and workers
+    agree on every ``ChunkTask.group`` index.  Reading
+    ``graph.filter_index`` here builds the graph's cached index before
+    any timed chunk.
     """
     groups = [
         GroupState(
@@ -136,7 +136,7 @@ def score_chunk(state: EvaluationState, task: ChunkTask) -> tuple[np.ndarray, in
 
 
 # ----------------------------------------------------------------------
-# Persistent-pool worker loop (transport="shm")
+# Persistent-pool worker loop
 # ----------------------------------------------------------------------
 def worker_main(worker_id: int, task_queue, result_queue) -> None:
     """The long-lived loop of one persistent shared-memory pool worker.
@@ -261,28 +261,3 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
             result_queue.put(("error", index, traceback.format_exc()))
     if attached is not None:
         attached.close()
-
-
-# ----------------------------------------------------------------------
-# Legacy pool plumbing (transport="pickle")
-# ----------------------------------------------------------------------
-_WORKER_STATE: EvaluationState | None = None
-
-
-def initialize_worker(state: EvaluationState) -> None:
-    """Pool initializer: adopt the parent's already-built state.
-
-    The parent builds the state (groups, filter index) exactly once and
-    hands it over here — inherited copy-on-write under ``fork``, pickled
-    once per worker under ``spawn`` — so workers never repeat the
-    O(split) grouping work.
-    """
-    global _WORKER_STATE
-    _WORKER_STATE = state
-
-
-def run_task(task: ChunkTask) -> tuple[np.ndarray, int]:
-    """Score one chunk against the worker's shared state."""
-    if _WORKER_STATE is None:
-        raise RuntimeError("worker used before initialize_worker ran")
-    return score_chunk(_WORKER_STATE, task)

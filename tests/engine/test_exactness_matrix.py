@@ -92,7 +92,6 @@ class TestExactnessMatrix:
             dataset.graph,
             workers=workers,
             start_method=start_method,
-            transport="shm",
         )
         baseline = full_baselines[dtype]
         assert result.ranks == baseline.ranks
@@ -109,7 +108,6 @@ class TestExactnessMatrix:
             pools,
             workers=workers,
             start_method=start_method,
-            transport="shm",
         )
         baseline = sampled_baselines[dtype]
         assert result.ranks == baseline.ranks
@@ -117,25 +115,7 @@ class TestExactnessMatrix:
 
 
 class TestTransportParity:
-    """The legacy pickle transport must agree with shm, not just serial."""
-
-    @pytest.mark.parametrize("transport", ("shm", "pickle"))
-    def test_transports_agree(self, dataset, models, full_baselines, transport):
-        result = evaluate_full(
-            models["float64"], dataset.graph, workers=2, transport=transport
-        )
-        assert result.ranks == full_baselines["float64"].ranks
-
-    def test_env_knob_selects_transport(self, dataset, models, monkeypatch):
-        from repro.engine import EvaluationEngine
-
-        monkeypatch.setenv("REPRO_ENGINE_TRANSPORT", "pickle")
-        assert EvaluationEngine(workers=2).transport == "pickle"
-        monkeypatch.setenv("REPRO_ENGINE_TRANSPORT", "shm")
-        assert EvaluationEngine(workers=2).transport == "shm"
-        monkeypatch.setenv("REPRO_ENGINE_TRANSPORT", "bogus")
-        with pytest.raises(ValueError, match="transport"):
-            EvaluationEngine(workers=2)
+    """Pool workers start by argument > environment > platform default."""
 
     def test_env_knob_selects_start_method(self, monkeypatch):
         from repro.engine import resolve_start_method

@@ -156,7 +156,7 @@ class TestWorkerDeath:
 class TestWorkerException:
     def test_error_carries_worker_traceback(self, tiny_graph):
         model = FailingModel(tiny_graph.num_entities)
-        engine = EvaluationEngine(workers=2, transport="shm", timeout=RUN_TIMEOUT)
+        engine = EvaluationEngine(workers=2, timeout=RUN_TIMEOUT)
         with pytest.raises(EngineWorkerError, match="injected scoring failure"):
             engine.run(model, tiny_graph, split="test")
 

@@ -90,7 +90,6 @@ class TestMmapExactness:
             dataset.graph,
             workers=workers,
             start_method=start_method,
-            transport="shm",
         )
         assert result.ranks == full_baseline.ranks
         assert result.metrics == full_baseline.metrics
@@ -105,7 +104,6 @@ class TestMmapExactness:
             pools,
             workers=workers,
             start_method=start_method,
-            transport="shm",
         )
         assert result.ranks == sampled_baseline.ranks
         assert result.metrics == sampled_baseline.metrics
@@ -119,7 +117,6 @@ class TestMmapExactness:
             compact_graph,
             workers=workers,
             start_method=start_method,
-            transport="shm",
         )
         assert result.ranks == full_baseline.ranks
         assert result.metrics == full_baseline.metrics

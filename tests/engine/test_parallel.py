@@ -14,7 +14,12 @@ import pytest
 from repro.core.estimators import evaluate_sampled
 from repro.core.protocol import EvaluationProtocol
 from repro.core.ranking import evaluate_full
-from repro.engine import EvaluationEngine, resolve_workers
+from repro.engine import (
+    EvaluationEngine,
+    active_pools,
+    resolve_workers,
+    shutdown_engine_pools,
+)
 from repro.models import build_model
 from repro.store import ExperimentStore
 
@@ -67,8 +72,32 @@ class TestFullEvaluationParallel:
             "distmult", tiny_graph.num_entities, tiny_graph.num_relations, dim=4
         )
         serial = evaluate_full(model, tiny_graph, workers=1)
-        flooded = evaluate_full(model, tiny_graph, workers=64)
+        # Two chunks, four workers: every requested worker is a live
+        # process, so the surplus stays small.
+        flooded = evaluate_full(model, tiny_graph, workers=4)
         assert flooded.ranks == serial.ranks
+
+    def test_fewer_chunks_than_workers_reuses_the_one_pool(self):
+        from repro.kg import KnowledgeGraph, TripleSet, Vocabulary
+
+        graph = KnowledgeGraph(
+            entities=Vocabulary([f"e{i}" for i in range(6)]),
+            relations=Vocabulary(["r0", "r1", "r2"]),
+            train=TripleSet([(0, 0, 2), (1, 1, 3), (2, 2, 4), (3, 0, 5)]),
+            test=TripleSet([(0, 0, 1), (1, 1, 2), (2, 2, 3)]),
+            name="three-relations",
+        )
+        model = build_model("distmult", 6, 3, dim=4, seed=0)
+        shutdown_engine_pools()
+        try:
+            for sides in (("tail",), ("head", "tail")):  # 3 chunks, then 6
+                serial = EvaluationEngine().run(model, graph, sides=sides)
+                fanned = EvaluationEngine(workers=4).run(model, graph, sides=sides)
+                assert fanned.ranks == serial.ranks
+                pools = active_pools()
+                assert [pool.workers for pool in pools] == [4]
+        finally:
+            shutdown_engine_pools()
 
 
 class TestSampledEvaluationParallel:

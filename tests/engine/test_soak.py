@@ -28,7 +28,7 @@ def model(tiny_graph):
 
 class TestPoolSoak:
     def test_fifty_runs_one_pool_flat_gauges(self, tiny_graph, model):
-        engine = EvaluationEngine(workers=2, transport="shm")
+        engine = EvaluationEngine(workers=2)
         registry = get_registry()
         baseline = engine.run(model, tiny_graph, split="test")
         pool = get_engine_pool(2)
@@ -58,7 +58,7 @@ class TestPoolSoak:
         )
 
     def test_retraining_republishes_exactly_once(self, tiny_graph, model):
-        engine = EvaluationEngine(workers=2, transport="shm")
+        engine = EvaluationEngine(workers=2)
         engine.run(model, tiny_graph, split="test")
         pool = get_engine_pool(2)
         published = pool.states_published
