@@ -48,15 +48,6 @@ class AUCEstimate:
         }
 
 
-def _score_triples(model: KGEModel, triples: np.ndarray) -> np.ndarray:
-    scores = np.empty(triples.shape[0])
-    for i, (h, r, t) in enumerate(triples):
-        scores[i] = model.score_candidates(
-            int(h), int(r), "tail", np.asarray([int(t)], dtype=np.int64)
-        )[0]
-    return scores
-
-
 def corrupt_with_pools(
     triples: np.ndarray,
     graph: KnowledgeGraph,
@@ -114,8 +105,8 @@ def estimate_auc(
         keep = rng.choice(positives.shape[0], size=num_triples, replace=False)
         positives = positives[keep]
     negatives = corrupt_with_pools(positives, graph, pools, rng)
-    positive_scores = _score_triples(model, positives)
-    negative_scores = _score_triples(model, negatives)
+    positive_scores = model.score_triples_numpy(*positives.T)
+    negative_scores = model.score_triples_numpy(*negatives.T)
     return AUCEstimate(
         roc_auc=roc_auc(positive_scores, negative_scores),
         average_precision=average_precision(positive_scores, negative_scores),

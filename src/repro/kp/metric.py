@@ -52,16 +52,6 @@ class KPResult:
         return f"KPResult(value={self.value:.4f}, n+={self.num_positive}, n-={self.num_negative})"
 
 
-def _score_triples(model: KGEModel, triples: np.ndarray) -> np.ndarray:
-    """Inference-path scores of an ``(n, 3)`` triple array."""
-    scores = np.empty(triples.shape[0])
-    for i, (h, r, t) in enumerate(triples):
-        scores[i] = model.score_candidates(
-            int(h), int(r), "tail", np.asarray([int(t)], dtype=np.int64)
-        )[0]
-    return scores
-
-
 def _corrupt(
     triples: np.ndarray,
     pools: NegativePools | None,
@@ -138,8 +128,8 @@ def knowledge_persistence(
         positives = positives[keep]
     negatives = _corrupt(positives, pools, graph.num_entities, rng)
 
-    positive_scores = _score_triples(model, positives)
-    negative_scores = _score_triples(model, negatives)
+    positive_scores = model.score_triples_numpy(*positives.T)
+    negative_scores = model.score_triples_numpy(*negatives.T)
 
     positive_diagram = score_graph_diagram(positives, positive_scores, graph.num_entities)
     negative_diagram = score_graph_diagram(negatives, negative_scores, graph.num_entities)

@@ -7,11 +7,22 @@ surfaces:
 * a *training* surface — :meth:`score_triples` returns a differentiable
   Tensor of scores for a batch of ``(h, r, t)`` triples, so losses can
   backpropagate into the embeddings;
-* an *inference* surface — :meth:`score_all` and :meth:`score_candidates`
-  return plain numpy arrays computed outside the autodiff graph, because
+* an *inference* surface — :meth:`score_candidates_batch` returns plain
+  numpy ``(b, k)`` scores computed outside the autodiff graph, because
   evaluation scores millions of candidates and must not build graphs.
+  :meth:`score_all` and :meth:`score_candidates` are its one-query views.
 
-Both surfaces must agree: ``score_all(anchor, r, side)[e]`` equals
+A model implements inference once, as two pieces:
+
+* :meth:`query_vectors` — one ``(q,)`` row per query anchor, folding the
+  anchor and relation into whatever the candidates are compared against;
+* :meth:`score_rows` — the product of those rows with the candidates'
+  entity rows.  It defaults to ``queries @ rows.T``; override it only for
+  a score that is not an inner product (a distance, an added bias).
+
+Every inference call goes through one validated entry point, so engine,
+serve and the scalar reference all rank from the same kernel.  Both
+surfaces must agree: ``score_all(anchor, r, side)[e]`` equals
 ``score_triples`` of the corresponding triple.  The evaluation framework is
 agnostic to everything else about the model, which is the property the
 paper's "model-agnostic" claim rests on.
@@ -25,7 +36,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.autodiff.engine import Tensor, parameter
-from repro.kg.graph import HEAD, Side
+from repro.kg.graph import HEAD, SIDES, Side
 
 Array = np.ndarray
 
@@ -216,25 +227,53 @@ class KGEModel(abc.ABC):
     def score_triples(self, heads: Array, relations: Array, tails: Array) -> Tensor:
         """Differentiable scores for a batch of triples (shape ``(b,)``)."""
 
-    @abc.abstractmethod
-    def score_all(self, anchor: int, relation: int, side: Side) -> Array:
-        """Scores of *every* entity as the missing side of one query.
+    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
+        """``(b, q)`` query rows for validated ``anchors`` of one (relation, side).
 
-        ``side == "tail"`` scores all tails of ``(anchor, relation, ?)``;
-        ``side == "head"`` scores all heads of ``(?, relation, anchor)``.
-        Returns a ``(num_entities,)`` float64 array, no autodiff graph.
+        Row ``i`` is what :meth:`score_rows` compares every candidate
+        entity row against for the query anchored at ``anchors[i]``.
         """
+        raise NotImplementedError(f"{type(self).__name__} has no query vectors")
 
-    def score_candidates(
-        self, anchor: int, relation: int, side: Side, candidates: Array
+    def score_rows(self, queries: Array, candidates: Array | None = None) -> Array:
+        """``(b, k)`` scores of ``queries`` against candidate entity rows.
+
+        ``candidates`` is a validated id array, or None for every entity.
+        The default is the inner product every factorisation model ends in.
+        """
+        return queries @ self._entity_rows(candidates).T
+
+    def _entity_rows(self, candidates: Array | None) -> Array:
+        entities = self.entity.data
+        return entities if candidates is None else entities[candidates]
+
+    def _score_batch(
+        self, anchors: Array, relation: int, side: Side, candidates: Array | None
     ) -> Array:
-        """Scores of selected candidate entities for one query.
+        """The one inference kernel, called with validated arguments only.
 
-        The default implementation slices :meth:`score_all`; subclasses
-        override it when scoring a small candidate set directly is cheaper
-        (all the factorisation models below do).
+        Scorers without embedding tables (the hash scorers) override this
+        instead of :meth:`query_vectors`.
         """
-        return self.score_all(anchor, relation, side)[np.asarray(candidates, dtype=np.int64)]
+        return self.score_rows(self.query_vectors(anchors, relation, side), candidates)
+
+    def _validate_query(
+        self,
+        anchors: Iterable[int],
+        relation: int,
+        side: Side,
+        candidates: Iterable[int] | None,
+    ) -> tuple[Array, int, Side, Array | None]:
+        anchors = check_ids(anchors, self.num_entities, "anchor")
+        if not 0 <= relation < self.num_relations:
+            raise IndexError(
+                f"relation id must lie in [0, {self.num_relations}), got {relation}"
+            )
+        if side not in SIDES:
+            raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+        if candidates is not None:
+            candidates = check_ids(candidates, self.num_entities, "candidate")
+        return anchors, int(relation), side, candidates
 
     def score_candidates_batch(
         self,
@@ -246,33 +285,39 @@ class KGEModel(abc.ABC):
         """``(b, k)`` scores for many queries of one (relation, side).
 
         Row ``i`` holds the scores of ``candidates`` (all entities when
-        None) for the query anchored at ``anchors[i]``.  The default loops
-        over :meth:`score_candidates`; the factorisation models override
-        it with a single matrix product, which is what makes batched
-        sampled evaluation fast.  Callers chunk ``anchors`` to bound the
-        ``b * k`` intermediate.
+        None) for the query anchored at ``anchors[i]``: one query-vector
+        build and one product, which is what makes batched evaluation
+        fast.  Out-of-range anchors, relations or candidates raise
+        ``IndexError`` and an unknown side ``ValueError``.  Callers chunk
+        ``anchors`` to bound the ``b * k`` intermediate.
         """
-        anchors = check_ids(anchors, self.num_entities, "anchor")
-        if candidates is None:
-            candidates = np.arange(self.num_entities, dtype=np.int64)
-        return np.stack(
-            [
-                self.score_candidates(int(anchor), relation, side, candidates)
-                for anchor in anchors
-            ]
-        )
+        return self._score_batch(*self._validate_query(anchors, relation, side, candidates))
+
+    def score_all(self, anchor: int, relation: int, side: Side) -> Array:
+        """Scores of *every* entity as the missing side of one query.
+
+        ``side == "tail"`` scores all tails of ``(anchor, relation, ?)``;
+        ``side == "head"`` scores all heads of ``(?, relation, anchor)``.
+        Row 0 of :meth:`score_candidates_batch` for the single anchor.
+        """
+        return self._score_batch(*self._validate_query([anchor], relation, side, None))[0]
+
+    def score_candidates(
+        self, anchor: int, relation: int, side: Side, candidates: Array
+    ) -> Array:
+        """Scores of selected candidate entities for one query."""
+        return self._score_batch(
+            *self._validate_query([anchor], relation, side, candidates)
+        )[0]
 
     def score_triples_numpy(self, heads: Array, relations: Array, tails: Array) -> Array:
-        """Inference-path batch triple scores (no graph)."""
-        h = np.asarray(heads, dtype=np.int64)
-        r = np.asarray(relations, dtype=np.int64)
-        t = np.asarray(tails, dtype=np.int64)
-        return np.asarray(
-            [
-                self.score_candidates(int(hi), int(ri), "tail", np.asarray([ti]))[0]
-                for hi, ri, ti in zip(h, r, t)
-            ]
-        )
+        """Inference-path float64 scores of a batch of triples (no graph)."""
+        scores = np.empty(len(heads))
+        for i, (h, r, t) in enumerate(zip(heads, relations, tails)):
+            scores[i] = self.score_candidates(
+                int(h), int(r), "tail", np.asarray([int(t)], dtype=np.int64)
+            )[0]
+        return scores
 
     # ------------------------------------------------------------------
     # Convenience

@@ -58,10 +58,11 @@ class ComplEx(KGEModel):
         hr_im = mul(h_re, r_im) + mul(h_im, r_re)
         return sum_(mul(hr_re, t_re) + mul(hr_im, t_im), axis=-1)
 
-    def score_all(self, anchor: int, relation: int, side: Side) -> Array:
-        e_re, e_im = _split(self.entity.data, self.dim)
+    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
+        # Returned as [q_re | q_im] so the product is one full-width GEMM
+        # against the contiguous (N, 2*dim) entity table.
         r_re, r_im = _split(self.relation.data[relation], self.dim)
-        a_re, a_im = self.entity.data[anchor, : self.dim], self.entity.data[anchor, self.dim :]
+        a_re, a_im = _split(self.entity.data[anchors], self.dim)
         if side == HEAD:
             # score(h) = h_re.(r_re*t_re + r_im*t_im) + h_im.(r_re*t_im - r_im*t_re)
             q_re = r_re * a_re + r_im * a_im
@@ -70,38 +71,4 @@ class ComplEx(KGEModel):
             # score(t) = t_re.(h_re*r_re - h_im*r_im) + t_im.(h_re*r_im + h_im*r_re)
             q_re = a_re * r_re - a_im * r_im
             q_im = a_re * r_im + a_im * r_re
-        return e_re @ q_re + e_im @ q_im
-
-    def score_candidates(
-        self, anchor: int, relation: int, side: Side, candidates: Array
-    ) -> Array:
-        candidates = check_ids(candidates, self.num_entities, "candidate")
-        rows = self.entity.data[candidates]
-        e_re, e_im = _split(rows, self.dim)
-        r_re, r_im = _split(self.relation.data[relation], self.dim)
-        a_re, a_im = self.entity.data[anchor, : self.dim], self.entity.data[anchor, self.dim :]
-        if side == HEAD:
-            q_re = r_re * a_re + r_im * a_im
-            q_im = r_re * a_im - r_im * a_re
-        else:
-            q_re = a_re * r_re - a_im * r_im
-            q_im = a_re * r_im + a_im * r_re
-        return e_re @ q_re + e_im @ q_im
-
-    def score_candidates_batch(
-        self, anchors: Array, relation: int, side: Side, candidates: Array | None = None
-    ) -> Array:
-        anchors = check_ids(anchors, self.num_entities, "anchor")
-        rows = self.entity.data if candidates is None else self.entity.data[
-            check_ids(candidates, self.num_entities, "candidate")
-        ]
-        e_re, e_im = _split(rows, self.dim)
-        r_re, r_im = _split(self.relation.data[relation], self.dim)
-        a_re, a_im = _split(self.entity.data[anchors], self.dim)
-        if side == HEAD:
-            q_re = r_re * a_re + r_im * a_im
-            q_im = r_re * a_im - r_im * a_re
-        else:
-            q_re = a_re * r_re - a_im * r_im
-            q_im = a_re * r_im + a_im * r_re
-        return q_re @ e_re.T + q_im @ e_im.T
+        return np.concatenate([q_re, q_im], axis=1)

@@ -153,16 +153,6 @@ class ConvE(KGEModel):
         flat = reshape(conv, (conv.shape[0], -1))
         return relu(einsum("bm,md->bd", flat, self.fc))
 
-    def _features_numpy(self, head_id: int, relation_id: int) -> np.ndarray:
-        """Inference-path feature vector for one (head, relation) pair."""
-        image = np.concatenate(
-            [self.entity.data[head_id], self.relation.data[relation_id]]
-        )
-        patches = image[self._patches]  # (P, k*k)
-        conv = np.maximum(patches @ self.filters.data.T, 0.0)  # (P, F)
-        flat = conv.reshape(-1)
-        return np.maximum(flat @ self.fc.data, 0.0)
-
     # ------------------------------------------------------------------
     def score_triples(self, heads: Array, relations: Array, tails: Array) -> Tensor:
         head_ids = check_ids(heads, self.num_entities, "head")
@@ -173,23 +163,7 @@ class ConvE(KGEModel):
         b = gather(self.bias, tail_ids)
         return sum_(mul(features, t), axis=-1) + b
 
-    def score_all(self, anchor: int, relation: int, side: Side) -> Array:
-        relation_id = relation + self.inverse_offset if side == HEAD else relation
-        features = self._features_numpy(anchor, relation_id)
-        return self.entity.data @ features + self.bias.data
-
-    def score_candidates(
-        self, anchor: int, relation: int, side: Side, candidates: Array
-    ) -> Array:
-        candidates = check_ids(candidates, self.num_entities, "candidate")
-        relation_id = relation + self.inverse_offset if side == HEAD else relation
-        features = self._features_numpy(anchor, relation_id)
-        return self.entity.data[candidates] @ features + self.bias.data[candidates]
-
-    def score_candidates_batch(
-        self, anchors: Array, relation: int, side: Side, candidates: Array | None = None
-    ) -> Array:
-        anchors = check_ids(anchors, self.num_entities, "anchor")
+    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
         relation_id = relation + self.inverse_offset if side == HEAD else relation
         relation_rows = np.broadcast_to(
             self.relation.data[relation_id], (anchors.shape[0], self.dim)
@@ -198,8 +172,8 @@ class ConvE(KGEModel):
         patches = images[:, self._patches]  # (b, P, k*k)
         conv = np.maximum(patches @ self.filters.data.T, 0.0)  # (b, P, F)
         flat = conv.reshape(anchors.shape[0], -1)
-        features = np.maximum(flat @ self.fc.data, 0.0)  # (b, dim)
-        if candidates is None:
-            return features @ self.entity.data.T + self.bias.data
-        candidates = check_ids(candidates, self.num_entities, "candidate")
-        return features @ self.entity.data[candidates].T + self.bias.data[candidates]
+        return np.maximum(flat @ self.fc.data, 0.0)  # (b, dim)
+
+    def score_rows(self, queries: Array, candidates: Array | None = None) -> Array:
+        bias = self.bias.data if candidates is None else self.bias.data[candidates]
+        return super().score_rows(queries, candidates) + bias

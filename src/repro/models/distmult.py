@@ -33,25 +33,6 @@ class DistMult(KGEModel):
         t = gather(self.entity, check_ids(tails, self.num_entities, "tail"))
         return sum_(mul(mul(h, r), t), axis=-1)
 
-    def score_all(self, anchor: int, relation: int, side: Side) -> Array:
+    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
         del side  # DistMult is head/tail symmetric
-        query = self.entity.data[anchor] * self.relation.data[relation]
-        return self.entity.data @ query
-
-    def score_candidates(
-        self, anchor: int, relation: int, side: Side, candidates: Array
-    ) -> Array:
-        del side
-        candidates = check_ids(candidates, self.num_entities, "candidate")
-        query = self.entity.data[anchor] * self.relation.data[relation]
-        return self.entity.data[candidates] @ query
-
-    def score_candidates_batch(
-        self, anchors: Array, relation: int, side: Side, candidates: Array | None = None
-    ) -> Array:
-        del side
-        anchors = check_ids(anchors, self.num_entities, "anchor")
-        entities = self.entity.data
-        cand = entities if candidates is None else entities[check_ids(candidates, self.num_entities, "candidate")]
-        queries = entities[anchors] * self.relation.data[relation]
-        return queries @ cand.T
+        return self.entity.data[anchors] * self.relation.data[relation]

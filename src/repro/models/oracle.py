@@ -129,57 +129,19 @@ class OracleModel(KGEModel):
         side_bit = 0 if side == "head" else 1
         return _mix(self.seed, salt, anchor, relation, side_bit)
 
-    def _scores_for(
-        self, anchor: int, relation: int, side: Side, candidates: np.ndarray
-    ) -> np.ndarray:
-        """O(k) scores of ``candidates`` for one query (hash-derived)."""
-        noise_seed = self._query_seed(anchor, relation, side, salt=7_919)
-        scores = _hash_normal(candidates, noise_seed)
-        scores += self._popularity_bonus(relation, side)[candidates]
-        truths = self.graph.true_answers(anchor, relation, side)
-        if truths.size:
-            is_truth = np.isin(candidates, truths)
-            if is_truth.any():
-                truth_seed = self._query_seed(anchor, relation, side, salt=104_729)
-                scores[is_truth] = (
-                    _hash_normal(candidates[is_truth], truth_seed)
-                    + 1.5 * self.domain_bonus
-                    + self.skill
-                )
-        return scores
-
     # ------------------------------------------------------------------
     def score_triples(self, heads: Array, relations: Array, tails: Array) -> Tensor:
         heads = check_ids(heads, self.num_entities, "head")
         relations = check_ids(relations, self.num_relations, "relation")
         tails = check_ids(tails, self.num_entities, "tail")
-        scores = np.asarray(
-            [
-                self._scores_for(int(h), int(r), "tail", np.asarray([t]))[0]
-                for h, r, t in zip(heads, relations, tails)
-            ]
-        )
-        return Tensor(scores)
+        return Tensor(self.score_triples_numpy(heads, relations, tails))
 
-    def score_all(self, anchor: int, relation: int, side: Side) -> Array:
-        return self._scores_for(
-            anchor, relation, side, np.arange(self.num_entities, dtype=np.int64)
-        )
-
-    def score_candidates(
-        self, anchor: int, relation: int, side: Side, candidates: Array
+    def _score_batch(
+        self, anchors: Array, relation: int, side: Side, candidates: Array | None
     ) -> Array:
-        candidates = check_ids(candidates, self.num_entities, "candidate")
-        return self._scores_for(anchor, relation, side, candidates)
-
-    def score_candidates_batch(
-        self, anchors: Array, relation: int, side: Side, candidates: Array | None = None
-    ) -> Array:
-        anchors = check_ids(anchors, self.num_entities, "anchor")
+        """O(b * k) hash-derived scores of ``candidates`` for each anchor."""
         if candidates is None:
             candidates = np.arange(self.num_entities, dtype=np.int64)
-        else:
-            candidates = check_ids(candidates, self.num_entities, "candidate")
         noise_seeds = np.asarray(
             [self._query_seed(int(a), relation, side, salt=7_919) for a in anchors]
         )[:, None]

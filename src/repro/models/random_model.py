@@ -45,21 +45,15 @@ class RandomModel(KGEModel):
         heads = check_ids(heads, self.num_entities, "head")
         relations = check_ids(relations, self.num_relations, "relation")
         tails = check_ids(tails, self.num_entities, "tail")
-        scores = np.asarray(
-            [
-                self.score_candidates(int(h), int(r), "tail", np.asarray([t]))[0]
-                for h, r, t in zip(heads, relations, tails)
-            ]
-        )
-        return Tensor(scores)
+        return Tensor(self.score_triples_numpy(heads, relations, tails))
 
-    def score_all(self, anchor: int, relation: int, side: Side) -> Array:
-        side_bit = 0 if side == "head" else 1
-        rng = np.random.default_rng(_mix(self.seed, anchor, relation, side_bit))
-        return rng.standard_normal(self.num_entities)
-
-    def score_candidates(
-        self, anchor: int, relation: int, side: Side, candidates: Array
+    def _score_batch(
+        self, anchors: Array, relation: int, side: Side, candidates: Array | None
     ) -> Array:
-        candidates = check_ids(candidates, self.num_entities, "candidate")
-        return self.score_all(anchor, relation, side)[candidates]
+        side_bit = 0 if side == "head" else 1
+        rows = []
+        for anchor in anchors:
+            rng = np.random.default_rng(_mix(self.seed, int(anchor), relation, side_bit))
+            scores = rng.standard_normal(self.num_entities)
+            rows.append(scores if candidates is None else scores[candidates])
+        return np.stack(rows)

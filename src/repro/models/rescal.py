@@ -34,31 +34,8 @@ class RESCAL(KGEModel):
         hw = einsum("bi,bij->bj", h, w)
         return sum_(mul(hw, t), axis=-1)
 
-    def score_all(self, anchor: int, relation: int, side: Side) -> Array:
+    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
         w = self.relation.data[relation]
-        a = self.entity.data[anchor]
-        if side == HEAD:
-            # score(h) = h . (W_r t)
-            return self.entity.data @ (w @ a)
-        # score(t) = (h W_r) . t
-        return self.entity.data @ (a @ w)
-
-    def score_candidates(
-        self, anchor: int, relation: int, side: Side, candidates: Array
-    ) -> Array:
-        candidates = check_ids(candidates, self.num_entities, "candidate")
-        w = self.relation.data[relation]
-        a = self.entity.data[anchor]
-        query = (w @ a) if side == HEAD else (a @ w)
-        return self.entity.data[candidates] @ query
-
-    def score_candidates_batch(
-        self, anchors: Array, relation: int, side: Side, candidates: Array | None = None
-    ) -> Array:
-        anchors = check_ids(anchors, self.num_entities, "anchor")
-        entities = self.entity.data
-        cand = entities if candidates is None else entities[check_ids(candidates, self.num_entities, "candidate")]
-        w = self.relation.data[relation]
-        anchor_emb = entities[anchors]
-        queries = anchor_emb @ w.T if side == HEAD else anchor_emb @ w
-        return queries @ cand.T
+        anchor_emb = self.entity.data[anchors]
+        # score(h) = h . (W_r t); score(t) = (h W_r) . t
+        return anchor_emb @ w.T if side == HEAD else anchor_emb @ w

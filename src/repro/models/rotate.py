@@ -57,56 +57,18 @@ class RotatE(KGEModel):
         modulus = sqrt(square(d_re) + square(d_im))
         return neg(sum_(modulus, axis=-1))
 
-    def _split_entities(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return rows[..., : self.dim], rows[..., self.dim :]
-
-    def _scores_numpy(self, anchor: int, relation: int, side: Side, rows: np.ndarray) -> Array:
+    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
+        # |h*r - t| = |h - t*conj(r)| for unit-modulus r, so the head side
+        # rotates the anchor back instead of rotating every candidate.
         theta = self.phase.data[relation]
-        r_re, r_im = np.cos(theta), np.sin(theta)
-        a_re, a_im = self.entity.data[anchor, : self.dim], self.entity.data[anchor, self.dim :]
-        e_re, e_im = self._split_entities(rows)
-        if side == HEAD:
-            # candidate h rotates: |h*r - t_anchor|
-            rot_re = e_re * r_re - e_im * r_im
-            rot_im = e_re * r_im + e_im * r_re
-            d_re = rot_re - a_re
-            d_im = rot_im - a_im
-        else:
-            rot_re = a_re * r_re - a_im * r_im
-            rot_im = a_re * r_im + a_im * r_re
-            d_re = rot_re - e_re
-            d_im = rot_im - e_im
-        return -np.sqrt(d_re**2 + d_im**2 + 1e-12).sum(axis=-1)
+        r_re = np.cos(theta)
+        r_im = -np.sin(theta) if side == HEAD else np.sin(theta)
+        anchor_emb = self.entity.data[anchors]
+        a_re, a_im = anchor_emb[:, : self.dim], anchor_emb[:, self.dim :]
+        return np.concatenate([a_re * r_re - a_im * r_im, a_re * r_im + a_im * r_re], axis=1)
 
-    def score_all(self, anchor: int, relation: int, side: Side) -> Array:
-        return self._scores_numpy(anchor, relation, side, self.entity.data)
-
-    def score_candidates(
-        self, anchor: int, relation: int, side: Side, candidates: Array
-    ) -> Array:
-        candidates = check_ids(candidates, self.num_entities, "candidate")
-        return self._scores_numpy(anchor, relation, side, self.entity.data[candidates])
-
-    def score_candidates_batch(
-        self, anchors: Array, relation: int, side: Side, candidates: Array | None = None
-    ) -> Array:
-        anchors = check_ids(anchors, self.num_entities, "anchor")
-        rows = self.entity.data if candidates is None else self.entity.data[
-            check_ids(candidates, self.num_entities, "candidate")
-        ]
-        theta = self.phase.data[relation]
-        r_re, r_im = np.cos(theta), np.sin(theta)
-        a_re, a_im = self._split_entities(self.entity.data[anchors])  # (b, d)
-        e_re, e_im = self._split_entities(rows)  # (k, d)
-        if side == HEAD:
-            # candidate h rotates: |h*r - t_anchor| per (anchor, candidate)
-            rot_re = e_re * r_re - e_im * r_im
-            rot_im = e_re * r_im + e_im * r_re
-            d_re = rot_re[None, :, :] - a_re[:, None, :]
-            d_im = rot_im[None, :, :] - a_im[:, None, :]
-        else:
-            rot_re = a_re * r_re - a_im * r_im
-            rot_im = a_re * r_im + a_im * r_re
-            d_re = rot_re[:, None, :] - e_re[None, :, :]
-            d_im = rot_im[:, None, :] - e_im[None, :, :]
+    def score_rows(self, queries: Array, candidates: Array | None = None) -> Array:
+        rows = self._entity_rows(candidates)
+        d_re = queries[:, None, : self.dim] - rows[None, :, : self.dim]
+        d_im = queries[:, None, self.dim :] - rows[None, :, self.dim :]
         return -np.sqrt(d_re**2 + d_im**2 + 1e-12).sum(axis=2)

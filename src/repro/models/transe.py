@@ -51,44 +51,15 @@ class TransE(KGEModel):
             return neg(sum_(abs_(diff), axis=-1))
         return neg(sqrt(sum_(square(diff), axis=-1)))
 
-    def score_all(self, anchor: int, relation: int, side: Side) -> Array:
-        entities = self.entity.data
+    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
+        # The best candidate sits at q: t = h + r on the tail side, h = t - r
+        # on the head side.
         r = self.relation.data[relation]
-        if side == HEAD:
-            # score(e) = -||e + r - t_anchor||
-            diff = entities + r - entities[anchor]
-        else:
-            diff = (entities[anchor] + r) - entities
-        if self.norm == 1:
-            return -np.abs(diff).sum(axis=1)
-        return -np.sqrt((diff**2).sum(axis=1) + 1e-12)
+        anchor_emb = self.entity.data[anchors]
+        return anchor_emb - r if side == HEAD else anchor_emb + r
 
-    def score_candidates(
-        self, anchor: int, relation: int, side: Side, candidates: Array
-    ) -> Array:
-        candidates = check_ids(candidates, self.num_entities, "candidate")
-        cand = self.entity.data[candidates]
-        r = self.relation.data[relation]
-        if side == HEAD:
-            diff = cand + r - self.entity.data[anchor]
-        else:
-            diff = (self.entity.data[anchor] + r) - cand
-        if self.norm == 1:
-            return -np.abs(diff).sum(axis=1)
-        return -np.sqrt((diff**2).sum(axis=1) + 1e-12)
-
-    def score_candidates_batch(
-        self, anchors: Array, relation: int, side: Side, candidates: Array | None = None
-    ) -> Array:
-        anchors = check_ids(anchors, self.num_entities, "anchor")
-        entities = self.entity.data
-        cand = entities if candidates is None else entities[check_ids(candidates, self.num_entities, "candidate")]
-        r = self.relation.data[relation]
-        anchor_emb = entities[anchors]
-        if side == HEAD:
-            diff = cand[None, :, :] + r - anchor_emb[:, None, :]
-        else:
-            diff = (anchor_emb + r)[:, None, :] - cand[None, :, :]
+    def score_rows(self, queries: Array, candidates: Array | None = None) -> Array:
+        diff = queries[:, None, :] - self._entity_rows(candidates)[None, :, :]
         if self.norm == 1:
             return -np.abs(diff).sum(axis=2)
         return -np.sqrt((diff**2).sum(axis=2) + 1e-12)

@@ -42,36 +42,12 @@ class TuckER(KGEModel):
         hrw = einsum("bjk,bj->bk", hw, r)
         return sum_(mul(hrw, t), axis=-1)
 
-    def _query_vector(self, anchor: int, relation: int, side: Side) -> np.ndarray:
+    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
         w = self.core.data
         r = self.relation.data[relation]
-        a = self.entity.data[anchor]
+        anchor_emb = self.entity.data[anchors]
         if side == HEAD:
             # score(h) = h . (W x_2 r x_3 t)
-            return np.einsum("ijk,j,k->i", w, r, a)
+            return np.einsum("ijk,j,bk->bi", w, r, anchor_emb)
         # score(t) = (W x_1 h x_2 r) . t
-        return np.einsum("ijk,i,j->k", w, a, r)
-
-    def score_all(self, anchor: int, relation: int, side: Side) -> Array:
-        return self.entity.data @ self._query_vector(anchor, relation, side)
-
-    def score_candidates(
-        self, anchor: int, relation: int, side: Side, candidates: Array
-    ) -> Array:
-        candidates = check_ids(candidates, self.num_entities, "candidate")
-        return self.entity.data[candidates] @ self._query_vector(anchor, relation, side)
-
-    def score_candidates_batch(
-        self, anchors: Array, relation: int, side: Side, candidates: Array | None = None
-    ) -> Array:
-        anchors = check_ids(anchors, self.num_entities, "anchor")
-        entities = self.entity.data
-        cand = entities if candidates is None else entities[check_ids(candidates, self.num_entities, "candidate")]
-        w = self.core.data
-        r = self.relation.data[relation]
-        anchor_emb = entities[anchors]
-        if side == HEAD:
-            queries = np.einsum("ijk,j,bk->bi", w, r, anchor_emb)
-        else:
-            queries = np.einsum("ijk,bi,j->bk", w, anchor_emb, r)
-        return queries @ cand.T
+        return np.einsum("ijk,bi,j->bk", w, anchor_emb, r)

@@ -40,8 +40,8 @@ class TestSampledRank:
 
     def test_rank_counts_pool_competitors(self, tiny_graph):
         class FixedModel(OracleModel):
-            def _scores_for(self, anchor, relation, side, candidates):
-                return candidates.astype(float)
+            def _score_batch(self, anchors, relation, side, candidates):
+                return np.tile(candidates.astype(float), (len(anchors), 1))
 
         model = FixedModel(tiny_graph, seed=0)
         # Query (0, likes, ?) truth 3; pool {4, 5} both score higher.

@@ -145,10 +145,11 @@ class TestEvaluateFull:
                 self.graph = graph
                 super().__init__(graph.num_entities, graph.num_relations, seed=0)
 
-            def score_all(self, anchor, relation, side):
-                scores = np.zeros(self.num_entities)
-                scores[self.graph.true_answers(anchor, relation, side)] = 1.0
-                return scores
+            def _score_batch(self, anchors, relation, side, candidates):
+                scores = np.zeros((len(anchors), self.num_entities))
+                for row, anchor in zip(scores, anchors):
+                    row[self.graph.true_answers(int(anchor), relation, side)] = 1.0
+                return scores if candidates is None else scores[:, candidates]
 
         result = evaluate_full(PerfectModel(tiny_graph), tiny_graph, split="test")
         assert result.metrics.mrr == 1.0

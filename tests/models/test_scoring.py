@@ -4,9 +4,12 @@ These are the invariants the evaluation framework relies on being true of
 *any* model plugged into it:
 
 * ``score_triples`` (training surface) agrees with ``score_candidates``
-  (inference surface) on the same triple;
-* ``score_all`` equals ``score_candidates`` on slices;
+  and ``score_candidates_batch`` (inference surface) on both sides;
+* ``score_all`` and ``score_candidates`` are exactly row 0 of a one-query
+  ``score_candidates_batch``, in the model's own dtype;
 * ``score_candidates_batch`` equals row-wise ``score_candidates``;
+* every inference call validates anchors, relations, sides and candidates;
+* no model re-implements the inference entry points;
 * scoring is deterministic;
 * gradients flow into the embedding tables.
 """
@@ -16,15 +19,75 @@ import pytest
 
 from repro.autodiff.engine import sum_
 from repro.kg.graph import HEAD, TAIL
-from repro.models import MODEL_REGISTRY, available_models, build_model
+from repro.kg import KnowledgeGraph, TripleSet, Vocabulary
+from repro.models import (
+    MODEL_REGISTRY,
+    ConvE,
+    OracleModel,
+    RandomModel,
+    RotatE,
+    TransE,
+    available_models,
+    build_model,
+)
 
 NUM_ENTITIES = 40
 NUM_RELATIONS = 6
+INFERENCE_ENTRY_POINTS = ("score_all", "score_candidates", "score_candidates_batch")
 
 
 @pytest.fixture(params=sorted(MODEL_REGISTRY), scope="module")
 def model(request):
     return build_model(request.param, NUM_ENTITIES, NUM_RELATIONS, dim=8, seed=3)
+
+
+def _graph() -> KnowledgeGraph:
+    rng = np.random.default_rng(0)
+    triples = np.stack(
+        [
+            rng.integers(0, NUM_ENTITIES, 120),
+            rng.integers(0, NUM_RELATIONS, 120),
+            rng.integers(0, NUM_ENTITIES, 120),
+        ],
+        axis=1,
+    )
+    return KnowledgeGraph(
+        entities=Vocabulary([f"e{i}" for i in range(NUM_ENTITIES)]),
+        relations=Vocabulary([f"r{i}" for i in range(NUM_RELATIONS)]),
+        train=TripleSet([tuple(int(x) for x in row) for row in triples[:100]]),
+        valid=TripleSet([]),
+        test=TripleSet([tuple(int(x) for x in row) for row in triples[100:]]),
+        name="scoring",
+    )
+
+
+@pytest.fixture(params=sorted(MODEL_REGISTRY) + ["random", "oracle"], scope="module")
+def scorer(request):
+    """Every registered model plus the two hash scorers."""
+    if request.param == "random":
+        return RandomModel(NUM_ENTITIES, NUM_RELATIONS, seed=3)
+    if request.param == "oracle":
+        return OracleModel(_graph(), seed=3)
+    return build_model(request.param, NUM_ENTITIES, NUM_RELATIONS, dim=8, seed=3)
+
+
+def _reference_grid(model, anchors, relation, side, candidates) -> np.ndarray:
+    """``score_triples`` (autodiff) over every (anchor, candidate) pair.
+
+    A head query ``(?, r, anchor)`` is the triple ``(candidate, r, anchor)``,
+    except for reciprocal-relation models, which score it as the tail query
+    ``(anchor, r + inverse_offset, candidate)``.
+    """
+    grid_anchors, grid_candidates = np.meshgrid(anchors, candidates, indexing="ij")
+    heads, tails = grid_anchors.ravel(), grid_candidates.ravel()
+    offset = getattr(model, "inverse_offset", None)
+    if side == HEAD:
+        if offset is None:
+            heads, tails = tails, heads
+        else:
+            relation = relation + offset
+    relations = np.full(heads.shape, relation)
+    return model.score_triples(heads, relations, tails).data.reshape(grid_anchors.shape)
 
 
 class TestSurfacesAgree:
@@ -36,6 +99,24 @@ class TestSurfacesAgree:
         for h, r, t, expected in zip(heads, relations, tails, train_scores):
             inferred = model.score_candidates(int(h), int(r), TAIL, np.array([t]))[0]
             assert inferred == pytest.approx(float(expected), abs=1e-9)
+
+    def test_triples_match_candidates_head_side(self, model):
+        tails = np.array([0, 5, 11])
+        relations = np.array([0, 2, 1])
+        heads = np.array([7, 3, 30])
+        for t, r, h in zip(tails, relations, heads):
+            expected = _reference_grid(model, [t], int(r), HEAD, [h])[0, 0]
+            inferred = model.score_candidates(int(t), int(r), HEAD, np.array([h]))[0]
+            assert inferred == pytest.approx(float(expected), abs=1e-9)
+
+    @pytest.mark.parametrize("side", [HEAD, TAIL])
+    def test_batch_grid_matches_triples(self, model, side):
+        anchors = np.array([1, 8, 23, 39])
+        candidates = np.array([0, 2, 9, 15, 31])
+        batch = model.score_candidates_batch(anchors, 3, side, candidates)
+        np.testing.assert_allclose(
+            batch, _reference_grid(model, anchors, 3, side, candidates), rtol=0, atol=1e-9
+        )
 
     @pytest.mark.parametrize("side", [HEAD, TAIL])
     def test_score_all_matches_candidates(self, model, side):
@@ -79,6 +160,43 @@ class TestDeterminism:
         np.testing.assert_array_equal(a, b)
 
 
+class TestOneEntryPoint:
+    @pytest.mark.parametrize("side", [HEAD, TAIL])
+    def test_single_query_surfaces_are_batch_row_zero(self, scorer, side):
+        candidates = np.array([3, 0, 17, 39])
+        np.testing.assert_array_equal(
+            scorer.score_all(5, 2, side), scorer.score_candidates_batch([5], 2, side)[0]
+        )
+        np.testing.assert_array_equal(
+            scorer.score_candidates(5, 2, side, candidates),
+            scorer.score_candidates_batch([5], 2, side, candidates)[0],
+        )
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_float32_models_score_in_float32(self, name):
+        model = build_model(name, NUM_ENTITIES, NUM_RELATIONS, dim=8, dtype="float32")
+        candidates = np.array([1, 2])
+        for side in (HEAD, TAIL):
+            assert model.score_all(4, 1, side).dtype == np.float32
+            assert model.score_candidates(4, 1, side, candidates).dtype == np.float32
+            assert model.score_candidates_batch([4, 6], 1, side).dtype == np.float32
+
+    def test_models_define_only_the_kernel(self):
+        """Models implement ``query_vectors`` (+ ``score_rows``), never an entry point."""
+        for cls in [*MODEL_REGISTRY.values(), RandomModel, OracleModel]:
+            own = vars(cls)
+            assert not set(INFERENCE_ENTRY_POINTS) & set(own), cls.__name__
+        for cls in MODEL_REGISTRY.values():
+            assert "query_vectors" in vars(cls), cls.__name__
+        assert {cls for cls in MODEL_REGISTRY.values() if "score_rows" in vars(cls)} == {
+            TransE,
+            RotatE,
+            ConvE,
+        }
+        for cls in (RandomModel, OracleModel):
+            assert "_score_batch" in vars(cls), cls.__name__
+
+
 class TestValidation:
     def test_out_of_range_ids_rejected(self, model):
         with pytest.raises(IndexError):
@@ -89,6 +207,33 @@ class TestValidation:
     def test_out_of_range_candidates_rejected(self, model):
         with pytest.raises(IndexError):
             model.score_candidates(0, 0, TAIL, np.array([NUM_ENTITIES + 5]))
+
+    def test_negative_anchor_rejected(self, scorer):
+        with pytest.raises(IndexError, match="anchor"):
+            scorer.score_all(-1, 0, TAIL)
+        with pytest.raises(IndexError, match="anchor"):
+            scorer.score_candidates(-2, 0, TAIL, [1])
+        with pytest.raises(IndexError, match="anchor"):
+            scorer.score_candidates_batch([0, NUM_ENTITIES], 0, TAIL)
+
+    @pytest.mark.parametrize("relation", [-1, NUM_RELATIONS])
+    def test_out_of_range_relation_rejected(self, scorer, relation):
+        with pytest.raises(IndexError, match="relation"):
+            scorer.score_all(0, relation, TAIL)
+        with pytest.raises(IndexError, match="relation"):
+            scorer.score_candidates(0, relation, HEAD, [1])
+        with pytest.raises(IndexError, match="relation"):
+            scorer.score_candidates_batch([0], relation, TAIL)
+
+    def test_unknown_side_rejected(self, scorer):
+        with pytest.raises(ValueError, match="side"):
+            scorer.score_all(0, 0, "sideways")
+        with pytest.raises(ValueError, match="side"):
+            scorer.score_candidates_batch([0], 0, "sideways", [1])
+
+    def test_out_of_range_batch_candidates_rejected(self, scorer):
+        with pytest.raises(IndexError, match="candidate"):
+            scorer.score_candidates_batch([0], 0, TAIL, [-1])
 
     def test_bad_dim_rejected(self):
         with pytest.raises(ValueError):
