@@ -27,7 +27,8 @@ from repro.core.estimators import SampledEvaluationResult, evaluate_sampled
 from repro.core.ranking import FullEvaluationResult, evaluate_full
 from repro.core.sampling import NegativePools, Strategy, build_pools
 from repro.engine.chunking import DEFAULT_CHUNK_SIZE
-from repro.kg.graph import KnowledgeGraph
+from repro.engine.worker import evaluation_plan
+from repro.kg.graph import SIDES, KnowledgeGraph
 from repro.kg.typing import TypeStore
 from repro.metrics.ranking import HITS_AT
 from repro.models.base import KGEModel
@@ -209,6 +210,7 @@ class EvaluationProtocol:
             restored = self._restore_preparation(self._preparation_key())
             if restored is not None:
                 self.preparation = restored
+                self._warm_plan()
                 return restored
         needs_recommender = self.strategy in ("probabilistic", "static")
         fit_seconds = 0.0
@@ -242,7 +244,19 @@ class EvaluationProtocol:
         )
         if self.store is not None:
             self._persist_preparation(self._preparation_key(), self.preparation)
+        self._warm_plan()
         return self.preparation
+
+    def _warm_plan(self) -> None:
+        """Build the test split's evaluation plan over the current pools.
+
+        Like the filter index, the plan (grouped queries, known answers
+        mapped into the pools) is a once-per-pools cost: it belongs to
+        preparation, not to the first timed :meth:`evaluate`.  Other
+        splits get theirs on first use.
+        """
+        if len(self.graph.test):
+            evaluation_plan(self.graph, "test", SIDES, self.pools)
 
     def resample(self, seed: int) -> None:
         """Redraw the pools with a new seed (for repeated-sampling CIs).
@@ -264,6 +278,7 @@ class EvaluationProtocol:
             restored = self._restore_preparation(self._preparation_key())
             if restored is not None:
                 self.preparation = restored
+                self._warm_plan()
                 return
         if self.strategy == "probabilistic" and self.fitted is None:
             # A cache-restored preparation skips fitting; resampling under
@@ -288,6 +303,7 @@ class EvaluationProtocol:
         )
         if self.store is not None:
             self._persist_preparation(self._preparation_key(), self.preparation)
+        self._warm_plan()
 
     # ------------------------------------------------------------------
     def evaluate(

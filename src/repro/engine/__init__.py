@@ -1,10 +1,12 @@
 """The parallel chunked evaluation engine (`repro.engine`).
 
 One execution core for both evaluation protocols: queries are grouped by
-``(relation, side)``, cut into bounded chunks, scored — serially, or in
-parallel on a persistent worker pool that reads the model / filter index /
-pools from ``multiprocessing.shared_memory``, published once per distinct
-state and reused across runs (:mod:`repro.engine.pool` /
+``(relation, side)`` and their known answers mapped onto the candidate
+axis once per graph, split, sides and pools (the cached
+:class:`EvaluationPlan`), cut into bounded chunks, scored — serially, or
+in parallel on a persistent worker pool that reads the model and the plan
+from ``multiprocessing.shared_memory``, published once per distinct state
+and reused across runs (:mod:`repro.engine.pool` /
 :mod:`repro.engine.shm`) — and folded into :class:`RankingMetrics`,
 optionally through the flat-memory online :class:`RankAccumulator`.
 
@@ -27,11 +29,10 @@ from repro.engine.chunking import (
     Query,
     chunk_filtered_ranks,
     collect_known_answers,
-    group_offsets,
-    grouped_queries,
-    ordered_groups,
     plan_chunks,
+    pool_positions,
     query_chunks,
+    query_table,
     split_triples,
 )
 from repro.engine.engine import EngineRun, EvaluationEngine, resolve_workers
@@ -51,9 +52,10 @@ from repro.engine.shm import (
     state_fingerprint,
 )
 from repro.engine.worker import (
+    EvaluationPlan,
     EvaluationState,
-    GroupState,
     build_state,
+    evaluation_plan,
     score_chunk,
     worker_main,
 )
@@ -64,8 +66,8 @@ __all__ = [
     "EngineRun",
     "EngineWorkerError",
     "EvaluationEngine",
+    "EvaluationPlan",
     "EvaluationState",
-    "GroupState",
     "PersistentWorkerPool",
     "Query",
     "RankAccumulator",
@@ -76,13 +78,13 @@ __all__ = [
     "build_state",
     "chunk_filtered_ranks",
     "collect_known_answers",
+    "evaluation_plan",
     "get_engine_pool",
-    "group_offsets",
-    "grouped_queries",
-    "ordered_groups",
     "plan_chunks",
+    "pool_positions",
     "publish_state",
     "query_chunks",
+    "query_table",
     "resolve_start_method",
     "resolve_workers",
     "score_chunk",

@@ -6,7 +6,7 @@ sampled estimators (:func:`repro.core.estimators.evaluate_sampled`).
 Both reduce to the same pipeline —
 
 1. group a split's queries by ``(relation, side)`` so same-candidate
-   queries can share one matrix product (:func:`grouped_queries`);
+   queries can share one matrix product (:func:`query_table`);
 2. cut each group into bounded chunks so the ``b x k`` score
    intermediates stay small (:func:`plan_chunks`);
 3. rank each chunk's truths against its candidates with known true
@@ -14,18 +14,20 @@ Both reduce to the same pipeline —
 
 The only difference between the two paths is the candidate axis: the full
 protocol ranks against *every* entity, the sampled path against a
-pre-drawn pool.  :class:`ChunkTask` captures one unit of that pipeline, so
-the evaluation engine can run chunks serially or fan them out across
-worker processes without duplicating any of the logic.
+pre-drawn pool (known answers are moved onto the pool axis by
+:func:`pool_positions`).  :class:`ChunkTask` captures one unit of that
+pipeline, so the evaluation engine can run chunks serially or fan them
+out across worker processes without duplicating any of the logic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.kg.graph import SIDES, FilterIndexCSR, KnowledgeGraph, Side, TripleSet
+from repro.kg.graph import HEAD, SIDES, FilterIndexCSR, KnowledgeGraph, Side, TripleSet
 
 Query = tuple[int, int, int, Side]
 """A ranking query: ``(head, relation, tail, side)`` where ``side`` names
@@ -42,24 +44,55 @@ def split_triples(graph: KnowledgeGraph, split: str) -> TripleSet:
     return getattr(graph, split)
 
 
-def grouped_queries(
+def query_table(
     graph: KnowledgeGraph,
     split: str,
     sides: tuple[Side, ...] = SIDES,
-) -> dict[tuple[int, Side], list[tuple[int, int, int, int]]]:
-    """Group a split's ranking queries by ``(relation, side)``.
+) -> tuple[np.ndarray, list[tuple[int, Side]], np.ndarray]:
+    """A split's ranking queries grouped by ``(relation, side)``.
 
-    Each group entry is ``(anchor, truth, head, tail)``.  Grouping is what
-    lets both evaluators score whole query batches against one candidate
-    set / pool with a single matrix product — the same-relation queries
-    share their candidates by construction of the framework.
+    Returns ``(table, groups, starts)``: ``table`` is an ``(N, 4)`` int64
+    array of ``(anchor, truth, head, tail)`` rows, group ``g`` is
+    ``groups[g] = (relation, side)`` and owns rows
+    ``starts[g]:starts[g + 1]``.  The order is that of walking the split
+    triple by triple and ``sides`` side by side: groups appear in order
+    of their first query, and each group keeps its queries in that walk
+    order.  Grouping is what lets both evaluators score whole query
+    batches against one candidate set / pool with a single matrix
+    product.  Built with array passes, not a per-triple loop.
     """
-    groups: dict[tuple[int, Side], list[tuple[int, int, int, int]]] = {}
-    for h, r, t in split_triples(graph, split):
-        for side in sides:
-            anchor, truth = (t, h) if side == "head" else (h, t)
-            groups.setdefault((r, side), []).append((anchor, truth, h, t))
-    return groups
+    triples = split_triples(graph, split).array
+    if not len(triples) or not sides:
+        return np.empty((0, 4), dtype=np.int64), [], np.zeros(1, dtype=np.int64)
+    side_ids = np.asarray([SIDES.index(side) for side in sides], dtype=np.int64)
+    # One event per (triple, side) in walk order, keyed by (relation, side).
+    keys = (triples[:, 1, None] * len(SIDES) + side_ids).ravel()
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    appearance = np.argsort(first)
+    group_of_key = np.empty_like(appearance)
+    group_of_key[appearance] = np.arange(appearance.size)
+    event_group = group_of_key[inverse.ravel()]
+    events = np.argsort(event_group, kind="stable")
+    rows = triples[events // len(sides)]
+    predict_head = side_ids[events % len(sides)] == SIDES.index(HEAD)
+    heads, tails = rows[:, 0], rows[:, 2]
+    table = np.stack(
+        [
+            np.where(predict_head, tails, heads),
+            np.where(predict_head, heads, tails),
+            heads,
+            tails,
+        ],
+        axis=1,
+    )
+    groups = [
+        (int(key) // len(SIDES), SIDES[int(key) % len(SIDES)])
+        for key in unique[appearance]
+    ]
+    starts = np.concatenate(
+        [np.zeros(1, dtype=np.int64), np.cumsum(np.bincount(event_group))]
+    )
+    return table, groups, starts
 
 
 def query_chunks(num_queries: int, chunk_size: int = DEFAULT_CHUNK_SIZE):
@@ -73,7 +106,7 @@ class ChunkTask:
     """One schedulable unit of evaluation work.
 
     ``group`` indexes the ordered ``(relation, side)`` group list built by
-    :func:`ordered_groups`; ``start``/``stop`` bound the query rows of the
+    :func:`query_table`; ``start``/``stop`` bound the query rows of the
     chunk inside that group.  Tasks are tiny (four integers and a string),
     so shipping them to worker processes costs nothing next to the scoring
     they trigger.
@@ -90,31 +123,22 @@ class ChunkTask:
         return self.stop - self.start
 
 
-def ordered_groups(
-    graph: KnowledgeGraph,
-    split: str,
-    sides: tuple[Side, ...] = SIDES,
-) -> list[tuple[tuple[int, Side], list[tuple[int, int, int, int]]]]:
-    """The ``(relation, side)`` groups of a split in deterministic order.
-
-    The order is the insertion order of :func:`grouped_queries` (first
-    appearance in the split), which pins both the chunk schedule and the
-    rank-dictionary insertion order, so serial and parallel runs produce
-    identical results.
-    """
-    return list(grouped_queries(graph, split, sides).items())
-
-
 def plan_chunks(
-    groups: list[tuple[tuple[int, Side], list[tuple[int, int, int, int]]]],
+    groups: Sequence[tuple[int, Side]],
+    starts: Sequence[int] | np.ndarray,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> list[ChunkTask]:
-    """Cut ordered groups into the engine's chunk schedule."""
+    """Cut the groups of :func:`query_table` into the engine's chunk schedule.
+
+    The schedule walks the groups in order and each group front to back,
+    so it covers the query table's rows contiguously, in table order.
+    """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     tasks: list[ChunkTask] = []
-    for group_index, ((relation, side), queries) in enumerate(groups):
-        for chunk in query_chunks(len(queries), chunk_size):
+    sizes = np.diff(np.asarray(starts, dtype=np.int64)).tolist()
+    for group_index, ((relation, side), size) in enumerate(zip(groups, sizes)):
+        for chunk in query_chunks(size, chunk_size):
             tasks.append(
                 ChunkTask(
                     group=group_index,
@@ -127,20 +151,6 @@ def plan_chunks(
     return tasks
 
 
-def group_offsets(lengths: list[int] | np.ndarray) -> np.ndarray:
-    """Start offset of each group inside the concatenated query table.
-
-    ``group_offsets(lengths)[g] + task.start`` is the global row of a
-    chunk's first query — the index workers use to write ranks straight
-    into the shared result buffer, and the parent uses to read them back.
-    The returned array has ``len(lengths) + 1`` entries (the last is the
-    total query count).
-    """
-    return np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(np.asarray(lengths, dtype=np.int64))]
-    )
-
-
 def collect_known_answers(
     index: FilterIndexCSR,
     anchors: np.ndarray,
@@ -148,13 +158,13 @@ def collect_known_answers(
     relation: int,
     side: Side,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's exclusion sets as flat ``(rows, cols)`` entity pairs.
+    """A batch's exclusion sets as flat ``(rows, cols)`` entity pairs.
 
     One batched CSR gather (:meth:`FilterIndexCSR.gather`) yields every
-    known answer of every query; row ``i`` then holds its truth exactly
-    once.  For queries drawn from a graph split the truth is always in
-    the index; a truth the index never saw (a caller-supplied triple) is
-    appended.
+    known answer of every query, sorted by row; row ``i`` then holds its
+    truth exactly once.  For queries drawn from a graph split the truth
+    is always in the index; a truth the index never saw (a
+    caller-supplied triple) is added to its row.
     """
     rows, cols = index.gather(anchors, relation, side)
     has_truth = np.zeros(len(truths), dtype=bool)
@@ -162,7 +172,25 @@ def collect_known_answers(
     if has_truth.all():
         return rows, cols
     missing = np.flatnonzero(~has_truth)
-    return np.concatenate([rows, missing]), np.concatenate([cols, truths[missing]])
+    rows = np.concatenate([rows, missing])
+    cols = np.concatenate([cols, truths[missing]])
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order]
+
+
+def pool_positions(pool: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where entity ``ids`` sit on a sorted pool's candidate axis.
+
+    Returns ``(inside, positions)``: ``inside[j]`` says whether
+    ``ids[j]`` is in ``pool`` and, where it is, ``positions[j]`` is its
+    column.  This is how known answers (entity ids) become exclusions on
+    the sampled path, whose candidate axis is the pool.
+    """
+    if pool.size == 0:
+        return np.zeros(len(ids), dtype=bool), np.zeros(len(ids), dtype=np.int64)
+    positions = np.searchsorted(pool, ids)
+    np.minimum(positions, pool.size - 1, out=positions)
+    return pool[positions] == ids, positions
 
 
 def chunk_filtered_ranks(
@@ -170,16 +198,14 @@ def chunk_filtered_ranks(
     true_scores: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
-    pool: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorised filtered ranks for one chunk of same-(relation, side) queries.
 
     ``scores`` is ``(b, k)``: row ``i`` scores the candidates of query
-    ``i``.  ``(rows, cols)`` are the flat entity ids to exclude per row
-    (known answers, truth included) from :func:`collect_known_answers`.
-    With ``pool`` None the candidate axis *is* the entity axis (full
-    evaluation); otherwise ``pool`` maps columns to sorted entity ids and
-    exclusions outside the pool are ignored.
+    ``i``.  ``(rows, cols)`` are the candidate columns to exclude per row
+    (known answers, truth included): entity ids when the candidate axis
+    is every entity, pool positions (:func:`pool_positions`) when it is a
+    pool.
 
     The rank is ``1 + better + ties/2`` over non-excluded candidates; the
     exclusion is applied as a vectorised correction (one fancy-indexed
@@ -190,11 +216,6 @@ def chunk_filtered_ranks(
     b = scores.shape[0]
     better = (scores > true_scores[:, None]).sum(axis=1)
     ties = (scores == true_scores[:, None]).sum(axis=1)
-    if pool is not None:
-        positions = np.searchsorted(pool, cols)
-        np.minimum(positions, pool.size - 1, out=positions)
-        inside = pool[positions] == cols
-        rows, cols = rows[inside], positions[inside]
     if rows.size:
         values = scores[rows, cols]
         reference = true_scores[rows]

@@ -5,11 +5,14 @@ evaluation protocols: the full filtered ranking
 (:func:`repro.core.ranking.evaluate_full`) and the sampled estimators
 (:func:`repro.core.estimators.evaluate_sampled`).  One ``run()`` call
 
-1. builds the deterministic chunk schedule
+1. looks up the graph's cached evaluation plan — grouped queries and
+   known answers already mapped onto each query's candidate axis, built
+   once per ``(graph, split, sides, pools)`` (:func:`repro.engine.worker.
+   evaluation_plan`) — and cuts it into the deterministic chunk schedule
    (:func:`repro.engine.chunking.plan_chunks`);
 2. scores the chunks — in-process for ``workers=1``, or on a persistent
-   worker pool that reads the model / filter index / pools from shared
-   memory, published once per distinct state (:mod:`repro.engine.pool`);
+   worker pool that reads the model and the plan from shared memory,
+   published once per distinct state (:mod:`repro.engine.pool`);
 3. folds the per-chunk ranks into metrics, either retaining every rank
    (the legacy API surface) or streaming them through the online
    :class:`~repro.engine.aggregator.RankAccumulator` so memory stays flat
@@ -153,26 +156,26 @@ class EvaluationEngine:
         ).set(self.chunk_size)
         with tracer.span("engine.run"):
             state = build_state(model, graph, split, sides=sides, pools=pools)
-            tasks = plan_chunks(
-                [((g.relation, g.side), g.queries) for g in state.groups],
-                self.chunk_size,
-            )
+            plan = state.plan
+            tasks = plan_chunks(plan.groups, plan.starts, self.chunk_size)
             accumulator = RankAccumulator(hits_at)
-            ranks: dict[Query, float] | None = {} if keep_ranks else None
+            kept: list[np.ndarray] = []
             num_scored = 0
             num_queries = 0
 
-            for task, (chunk_ranks, chunk_scored) in self._scored_chunks(state, tasks):
+            for chunk_ranks, chunk_scored in self._scored_chunks(state, tasks):
                 num_scored += chunk_scored
                 num_queries += chunk_ranks.size
-                if ranks is None:
-                    accumulator.update(chunk_ranks)
+                if keep_ranks:
+                    kept.append(chunk_ranks)
                 else:
-                    group = state.groups[task.group]
-                    for (anchor, truth, h, t), rank in zip(
-                        group.queries[task.start : task.stop], chunk_ranks
-                    ):
-                        ranks[(h, task.relation, t, task.side)] = float(rank)
+                    accumulator.update(chunk_ranks)
+            # The schedule covers the plan's rows in order, so the kept
+            # ranks line up with the plan's keys; a duplicate query keeps
+            # its last rank, at its first position.
+            ranks: dict[Query, float] | None = None
+            if keep_ranks:
+                ranks = dict(zip(plan.keys, np.concatenate([np.empty(0), *kept]).tolist()))
             tracer.add("chunks", len(tasks))
             tracer.add("queries", num_queries)
             tracer.add("scored", num_scored)
@@ -210,8 +213,8 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     def _scored_chunks(
         self, state: EvaluationState, tasks: list[ChunkTask]
-    ) -> Iterator[tuple[ChunkTask, tuple[np.ndarray, int]]]:
-        """Yield ``(task, (ranks, scored))`` in deterministic schedule order."""
+    ) -> Iterator[tuple[np.ndarray, int]]:
+        """Yield each task's ``(ranks, scored)`` in deterministic schedule order."""
         tracer = get_tracer()
         if self.workers <= 1 or len(tasks) <= 1:
             for task in tasks:
@@ -220,7 +223,7 @@ class EvaluationEngine:
                 chunk_start = time.perf_counter()
                 result = score_chunk(state, task)
                 tracer.record("engine.chunk", time.perf_counter() - chunk_start)
-                yield task, result
+                yield result
             return
         # Always the pool at ``self.workers``: round-robin dispatch leaves
         # surplus workers idle when there are fewer chunks than workers,
@@ -233,7 +236,7 @@ class EvaluationEngine:
         # The pool returns every chunk at once; one record covers the
         # whole merge-side wait (serial runs keep per-chunk records).
         tracer.record("engine.chunk", time.perf_counter() - wait_start)
-        yield from zip(tasks, results)
+        yield from results
 
     def __repr__(self) -> str:
         return (

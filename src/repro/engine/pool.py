@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.engine.chunking import group_offsets
 from repro.engine.shm import PublishedState, publish_state
 from repro.obs import get_registry, get_tracer
 from repro.obs.context import current_trace_id
@@ -205,8 +204,8 @@ class PersistentWorkerPool:
     def ensure_state(self, state: "EvaluationState") -> PublishedState:
         """Publish ``state`` unless the live published state already matches.
 
-        Matching is content-aware (model parameter digest, filter index /
-        pools identity, split, sides; see :meth:`PublishedState.matches`);
+        Matching is content-aware (model parameter digest and plan
+        identity; see :meth:`PublishedState.matches`);
         wrapper models that travel by pickle are never considered reusable
         because their bytes cannot be cheaply fingerprinted.
         """
@@ -300,9 +299,7 @@ class PersistentWorkerPool:
             try:
                 published = self.ensure_state(state)
                 manifest = published.manifest
-                group_starts = group_offsets(
-                    [length for _, _, length in manifest.groups]
-                )
+                group_starts = published.plan.starts
                 for index, task in enumerate(tasks):
                     offset = int(group_starts[task.group] + task.start)
                     meta = (

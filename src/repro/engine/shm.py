@@ -13,22 +13,22 @@ workers write ranks into a shared buffer.  This module is that plane:
 * :func:`publish_state` — flattens an
   :class:`~repro.engine.worker.EvaluationState` into shared memory:
   embedding tables (zero-copy through
-  :meth:`~repro.models.base.KGEModel.parameter_arrays`), the CSR filter
-  index (:class:`~repro.kg.graph.FilterIndexCSR`), the grouped query
-  table, the negative pools
-  (:meth:`~repro.core.sampling.NegativePools.export_arrays`) and a
+  :meth:`~repro.models.base.KGEModel.parameter_arrays`), the arrays of
+  its :class:`~repro.engine.worker.EvaluationPlan` (query table and
+  per-query exclusions, already in candidate coordinates), the negative
+  pools (:meth:`~repro.core.sampling.NegativePools.export_arrays`) and a
   per-query **result buffer** workers write ranks into directly —
   nothing heavier than a :class:`StateManifest` ever crosses a queue.
 * :func:`attach_state` — the worker-side inverse: attach every segment
   by name and rebuild a view-backed ``EvaluationState`` whose arrays
-  alias the parent's bytes; its filter index is the published
-  :class:`~repro.kg.graph.FilterIndexCSR` itself, rebuilt over the
-  attached views, so workers never see a graph.
+  alias the parent's bytes; its plan is rebuilt over the attached views,
+  so workers never see a graph and never gather known answers.
 
 Models that do not expose ``parameter_arrays`` (wrapper scorers such as
-:class:`repro.bench.LatencyBoundScorer`) fall back to travelling as one
-pickle inside the manifest; everything else still goes through shared
-memory, and exactness is unaffected either way.
+:class:`repro.bench.LatencyBoundScorer`) or that a worker cannot rebuild
+from the model registry (the hash scorers, subclasses) fall back to
+travelling as one pickle inside the manifest; everything else still goes
+through shared memory, and exactness is unaffected either way.
 
 Memory-mapped models (:func:`repro.models.io.open_mmap`) take a third
 route: their parameter bytes already live in files every process can map,
@@ -48,12 +48,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.kg.graph import FilterIndexCSR, Side
+from repro.kg.graph import Side
 from repro.obs import get_registry
 
 if TYPE_CHECKING:
-    from repro.core.sampling import NegativePools
-    from repro.engine.worker import EvaluationState
+    from repro.engine.worker import EvaluationPlan, EvaluationState
 
 #: Gauge names (documented in docs/observability.md).
 SHM_BYTES_GAUGE = "repro_engine_shm_bytes"
@@ -180,9 +179,7 @@ class StateManifest:
 
     state_id: str
     arrays: dict[str, tuple[str, tuple[int, ...], str]]
-    groups: list[tuple[int, Side, int]]  # (relation, side, num queries)
-    num_entities: int
-    num_relations: int
+    groups: list[tuple[int, Side]]  # the plan's (relation, side) groups
     split: str
     sides: tuple[Side, ...]
     model_spec: dict | None = None  # registry model: rebuild + attach arrays
@@ -196,16 +193,15 @@ class StateManifest:
 class PublishedState:
     """Parent-side handle: the arena plus its manifest and result view.
 
-    It holds the published filter index and pools objects themselves,
-    not their ids: while the handle lives they cannot be freed, so a new
-    graph or pool set can never reuse their ids and be mistaken for them.
+    It holds the published plan itself, not its id: while the handle
+    lives the plan (and the pools it holds) cannot be freed, so a new
+    plan can never reuse its id and be mistaken for it.
     """
 
     manifest: StateManifest
     arena: ShmArena
     fingerprint: tuple
-    filter_index: FilterIndexCSR = field(repr=False)
-    pools: "NegativePools | None" = field(repr=False)
+    plan: "EvaluationPlan" = field(repr=False)
 
     @property
     def result_view(self) -> np.ndarray:
@@ -213,11 +209,7 @@ class PublishedState:
 
     def matches(self, state: "EvaluationState") -> bool:
         """Whether ``state`` is the one already published."""
-        return (
-            self.filter_index is state.filter_index
-            and self.pools is state.pools
-            and self.fingerprint == state_fingerprint(state)
-        )
+        return self.plan is state.plan and self.fingerprint == state_fingerprint(state)
 
     def close(self) -> None:
         self.arena.close()
@@ -229,10 +221,9 @@ def state_fingerprint(state: "EvaluationState") -> tuple:
 
     Object ids alone would go stale when a training loop mutates model
     parameters in place between evaluations, so the model contributes a
-    digest of its parameter bytes.  The filter index and pools are
-    immutable after construction, so object identity suffices for them;
-    :meth:`PublishedState.matches` compares them with ``is``.  (The
-    index is cached on its graph, so its identity stands for the graph's.)
+    digest of its parameter bytes.  The plan is immutable after
+    construction, so object identity suffices for it;
+    :meth:`PublishedState.matches` compares it with ``is``.
     """
     import hashlib
 
@@ -250,18 +241,26 @@ def state_fingerprint(state: "EvaluationState") -> tuple:
         model_key = (id(model), digest.hexdigest())
     else:
         model_key = (id(model), None)
-    return (model_key, state.split, state.sides)
+    return (model_key, state.plan.split, state.plan.sides)
+
+
+def _rebuildable(model) -> bool:
+    """Whether a worker can rebuild ``model`` from its init spec: only an
+    exact registry class can (hash scorers and subclasses pickle instead)."""
+    from repro.models import MODEL_REGISTRY
+
+    return hasattr(model, "init_spec") and MODEL_REGISTRY.get(model.name) is type(model)
 
 
 def publish_state(state: "EvaluationState") -> PublishedState:
     """Flatten one parent-built state into shared memory.
 
     Exports, each as its own segment: every model parameter table, the
-    six CSR filter-index arrays, the concatenated ``(N, 4)`` query table
-    with its group offsets, the flattened negative pools (sampled path
-    only) and the ``(N,)`` float64 result buffer workers write ranks
-    into.  Raises nothing halfway: on failure the partial arena is
-    unlinked before the error propagates.
+    plan's arrays (:meth:`~repro.engine.worker.EvaluationPlan.arrays`),
+    the flattened negative pools (sampled path only) and the ``(N,)``
+    float64 result buffer workers write ranks into.  Raises nothing
+    halfway: on failure the partial arena is unlinked before the error
+    propagates.
     """
     state_id = secrets.token_hex(8)
     arena = ShmArena(tag=f"repro_{state_id[:8]}")
@@ -281,51 +280,35 @@ def publish_state(state: "EvaluationState") -> PublishedState:
                 "digest": source.digest,
                 "nbytes": source.nbytes,
             }
-        elif hasattr(model, "parameter_arrays") and hasattr(model, "init_spec"):
+        elif hasattr(model, "parameter_arrays") and _rebuildable(model):
             model_spec = model.init_spec()
             for name, array in model.parameter_arrays().items():
                 arena.put(f"param_{name}", array)
         else:
             model_pickle = pickle.dumps(model)
 
-        csr = state.filter_index
-        for name, array in csr.arrays().items():
+        plan = state.plan
+        for name, array in plan.arrays().items():
             arena.put(name, array)
-
-        groups_meta: list[tuple[int, Side, int]] = []
-        query_blocks: list[np.ndarray] = []
-        for group in state.groups:
-            block = np.asarray(group.queries, dtype=np.int64).reshape(-1, 4)
-            query_blocks.append(block)
-            groups_meta.append((group.relation, group.side, block.shape[0]))
-        queries = (
-            np.concatenate(query_blocks, axis=0)
-            if query_blocks
-            else np.empty((0, 4), dtype=np.int64)
-        )
-        arena.put("queries", queries)
-        num_queries = int(queries.shape[0])
-        arena.put("result", np.zeros(num_queries, dtype=np.float64))
+        arena.put("result", np.zeros(plan.num_queries, dtype=np.float64))
 
         pools_meta = None
-        if state.pools is not None:
-            pools_meta, pool_arrays = state.pools.export_arrays()
+        if plan.pools is not None:
+            pools_meta, pool_arrays = plan.pools.export_arrays()
             for name, array in pool_arrays.items():
                 arena.put(name, array)
 
         manifest = StateManifest(
             state_id=state_id,
             arrays=arena.specs,
-            groups=groups_meta,
-            num_entities=csr.num_entities,
-            num_relations=csr.num_relations,
-            split=state.split,
-            sides=state.sides,
+            groups=list(plan.groups),
+            split=plan.split,
+            sides=plan.sides,
             model_spec=model_spec,
             model_pickle=model_pickle,
             model_shards=model_shards,
             pools_meta=pools_meta,
-            num_queries=num_queries,
+            num_queries=plan.num_queries,
         )
     except BaseException:
         arena.close()
@@ -334,8 +317,7 @@ def publish_state(state: "EvaluationState") -> PublishedState:
         manifest=manifest,
         arena=arena,
         fingerprint=state_fingerprint(state),
-        filter_index=state.filter_index,
-        pools=state.pools,
+        plan=state.plan,
     )
 
 
@@ -363,7 +345,7 @@ class AttachedState:
 def attach_state(manifest: StateManifest) -> AttachedState:
     """Rebuild a view-backed evaluation state inside a worker process."""
     from repro.core.sampling import pools_from_arrays
-    from repro.engine.worker import EvaluationState, GroupState
+    from repro.engine.worker import EvaluationPlan, EvaluationState
 
     arrays: dict[str, np.ndarray] = {}
     segments: list[shared_memory.SharedMemory] = []
@@ -398,36 +380,13 @@ def attach_state(manifest: StateManifest) -> AttachedState:
             }
         )
 
-    queries = arrays["queries"]
-    groups: list[GroupState] = []
-    offset = 0
-    for relation, side, length in manifest.groups:
-        block = queries[offset : offset + length]
-        groups.append(
-            GroupState(
-                relation=relation,
-                side=side,
-                queries=block,
-                anchors=block[:, 0],
-                truths=block[:, 1],
-            )
-        )
-        offset += length
-
     pools = None
     if manifest.pools_meta is not None:
         pools = pools_from_arrays(manifest.pools_meta, arrays)
-
-    state = EvaluationState(
-        model=model,
-        filter_index=FilterIndexCSR.from_arrays(
-            manifest.num_entities, manifest.num_relations, arrays
-        ),
-        groups=groups,
-        split=manifest.split,
-        sides=manifest.sides,
-        pools=pools,
+    plan = EvaluationPlan.from_arrays(
+        manifest.split, manifest.sides, pools, manifest.groups, arrays
     )
+    state = EvaluationState(model=model, plan=plan)
     return AttachedState(
         state_id=manifest.state_id,
         state=state,

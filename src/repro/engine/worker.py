@@ -1,12 +1,17 @@
-"""Per-worker evaluation state and the chunk-scoring kernel.
+"""The evaluation plan, per-worker evaluation state and the chunk-scoring kernel.
+
+Everything about an evaluation that does not depend on the model — the
+grouped query table, and each query's known answers already mapped onto
+its candidate axis — is an :class:`EvaluationPlan`.  It is built once
+per ``(graph, split, sides, pools)`` by :func:`evaluation_plan`, cached
+on the graph, and reused by every model evaluated afterwards: only the
+scores change between checkpoints.
 
 The engine's parallel path fans :class:`~repro.engine.chunking.ChunkTask`
-objects across a persistent worker pool (:mod:`repro.engine.pool`).
-Everything heavy — the model parameters, the graph's CSR filter index,
-the candidate pools and the grouped query arrays — is built **once in the
-parent** (:func:`build_state`) and published into shared memory
-(:mod:`repro.engine.shm`); each long-lived worker (:func:`worker_main`)
-attaches it once per distinct state, so each task only carries four
+objects across a persistent worker pool (:mod:`repro.engine.pool`).  The
+model parameters and the plan's arrays are published into shared memory
+once per distinct state (:mod:`repro.engine.shm`); each long-lived worker
+(:func:`worker_main`) attaches them, so each task only carries four
 integers and each chunk's ranks go straight into a shared result buffer.
 
 :func:`score_chunk` is the single scoring kernel both evaluation paths
@@ -17,45 +22,234 @@ between ``workers=1`` and ``workers=N``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+import threading
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from repro.engine.chunking import (
     ChunkTask,
+    Query,
     chunk_filtered_ranks,
     collect_known_answers,
-    ordered_groups,
+    pool_positions,
+    query_table,
 )
-from repro.kg.graph import SIDES, FilterIndexCSR, KnowledgeGraph, Side
+from repro.kg.graph import SIDES, KnowledgeGraph, Side, id_dtype
 from repro.models.base import KGEModel
+from repro.obs import get_registry, get_tracer
 
 if TYPE_CHECKING:
     from repro.core.sampling import NegativePools
 
+#: Counter of cache-missing plan builds (documented in docs/observability.md).
+PLAN_BUILDS_COUNTER = "repro_engine_plan_builds_total"
 
-@dataclass
-class GroupState:
-    """One ``(relation, side)`` query group with its precomputed id arrays."""
+#: Plans kept per graph, most recently used first.  Each distinct pools
+#: object (e.g. every ``EvaluationProtocol.resample``) needs its own plan;
+#: the bound keeps a resampling loop from pinning every old draw.
+MAX_CACHED_PLANS = 4
 
-    relation: int
-    side: Side
-    queries: list[tuple[int, int, int, int]]
-    anchors: np.ndarray
-    truths: np.ndarray
+#: Guards every graph's ``evaluation_plans`` list: engine runs on one
+#: graph may come from several threads (serve requests).
+_PLANS_LOCK = threading.Lock()
+
+#: Plan array names, as exported into shared memory.
+PLAN_ARRAYS = ("starts", "queries", "excluded_starts", "excluded_rows", "excluded_cols")
+
+
+@dataclass(frozen=True, eq=False)
+class EvaluationPlan:
+    """The model-independent part of one evaluation, immutable once built.
+
+    * ``groups[g] = (relation, side)`` owns rows ``starts[g]:starts[g + 1]``
+      of ``queries``, the ``(N, 4)`` int64 ``(anchor, truth, head, tail)``
+      table of :func:`~repro.engine.chunking.query_table`;
+    * query ``i``'s excluded candidates (its known answers, truth
+      included) are the pairs ``excluded_starts[i]:excluded_starts[i + 1]``
+      of ``excluded_rows`` (always ``i``) and ``excluded_cols``, already
+      in candidate coordinates: entity ids on the full path, pool
+      positions on the sampled path (answers outside the pool are
+      dropped, since they never compete).  Both are stored in the narrow
+      id dtype (:func:`~repro.kg.graph.id_dtype`).
+
+    The pairs are kept per query, not per chunk, so one plan serves every
+    chunk size.  Plans compare by identity: the engine's caches and the
+    shared-memory state ask whether a plan *is* the one they hold.
+    """
+
+    split: str
+    sides: tuple[Side, ...]
+    pools: "NegativePools | None"
+    groups: list[tuple[int, Side]]
+    starts: np.ndarray
+    queries: np.ndarray
+    excluded_starts: np.ndarray
+    excluded_rows: np.ndarray
+    excluded_cols: np.ndarray
+
+    @property
+    def num_queries(self) -> int:
+        return int(self.queries.shape[0])
+
+    @cached_property
+    def keys(self) -> list[Query]:
+        """The ``(head, relation, tail, side)`` rank key of every row, in order."""
+        sizes = np.diff(self.starts).tolist()
+        relations = chain.from_iterable(
+            repeat(relation, size) for (relation, _), size in zip(self.groups, sizes)
+        )
+        sides = chain.from_iterable(
+            repeat(side, size) for (_, side), size in zip(self.groups, sizes)
+        )
+        return list(
+            zip(self.queries[:, 2].tolist(), relations, self.queries[:, 3].tolist(), sides)
+        )
+
+    def chunk(
+        self, task: ChunkTask
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(anchors, truths, rows, cols)`` of one chunk; ``rows`` are chunk-local."""
+        first = int(self.starts[task.group]) + task.start
+        last = first + task.num_queries
+        block = self.queries[first:last]
+        lo, hi = self.excluded_starts[first], self.excluded_starts[last]
+        return (
+            block[:, 0],
+            block[:, 1],
+            self.excluded_rows[lo:hi] - first,
+            self.excluded_cols[lo:hi],
+        )
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The plan's flat arrays, named for shared-memory export."""
+        return {f"plan_{name}": getattr(self, name) for name in PLAN_ARRAYS}
+
+    @classmethod
+    def from_arrays(
+        cls,
+        split: str,
+        sides: tuple[Side, ...],
+        pools: "NegativePools | None",
+        groups: list[tuple[int, Side]],
+        arrays: Mapping[str, np.ndarray],
+    ) -> "EvaluationPlan":
+        """Rebuild a view-backed plan from :meth:`arrays` output."""
+        return cls(
+            split=split,
+            sides=sides,
+            pools=pools,
+            groups=groups,
+            **{name: arrays[f"plan_{name}"] for name in PLAN_ARRAYS},
+        )
+
+
+def _build_plan(
+    graph: KnowledgeGraph,
+    split: str,
+    sides: tuple[Side, ...],
+    pools: "NegativePools | None",
+) -> EvaluationPlan:
+    """Group the split's queries and map each one's known answers onto its
+    candidate axis: one CSR gather, plus one pool lookup on the sampled
+    path, per group."""
+    index = graph.filter_index
+    queries, groups, starts = query_table(graph, split, sides)
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    for g, (relation, side) in enumerate(groups):
+        block = queries[starts[g] : starts[g + 1]]
+        group_rows, group_cols = collect_known_answers(
+            index, block[:, 0], block[:, 1], relation, side
+        )
+        if pools is not None:
+            inside, positions = pool_positions(pools.pool(relation, side), group_cols)
+            group_rows, group_cols = group_rows[inside], positions[inside]
+        rows.append(group_rows + starts[g])
+        cols.append(group_cols)
+    # Rows index queries, columns index entities or pool positions: both
+    # fit the narrow id dtype, which halves the plan next to int64 pairs.
+    excluded_rows = np.concatenate([np.empty(0, dtype=np.int64), *rows]).astype(
+        id_dtype(queries.shape[0])
+    )
+    excluded_cols = np.concatenate([np.empty(0, dtype=np.int64), *cols]).astype(
+        id_dtype(graph.num_entities)
+    )
+    counts = np.bincount(excluded_rows, minlength=queries.shape[0])
+    excluded_starts = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
+    for array in (starts, queries, excluded_starts, excluded_rows, excluded_cols):
+        array.setflags(write=False)
+    return EvaluationPlan(
+        split=split,
+        sides=sides,
+        pools=pools,
+        groups=groups,
+        starts=starts,
+        queries=queries,
+        excluded_starts=excluded_starts,
+        excluded_rows=excluded_rows,
+        excluded_cols=excluded_cols,
+    )
+
+
+def _cached_plan(
+    graph: KnowledgeGraph,
+    split: str,
+    sides: tuple[Side, ...],
+    pools: "NegativePools | None",
+    insert: EvaluationPlan | None = None,
+) -> EvaluationPlan | None:
+    """The graph's cached plan for the key, moved to the front; on a miss,
+    ``insert`` (when given) is cached and returned instead."""
+    with _PLANS_LOCK:
+        cached = graph.evaluation_plans
+        for position, plan in enumerate(cached):
+            if plan.pools is pools and plan.split == split and plan.sides == sides:
+                cached.insert(0, cached.pop(position))
+                return plan
+        if insert is not None:
+            cached.insert(0, insert)
+            del cached[MAX_CACHED_PLANS:]
+        return insert
+
+
+def evaluation_plan(
+    graph: KnowledgeGraph,
+    split: str,
+    sides: tuple[Side, ...] = SIDES,
+    pools: "NegativePools | None" = None,
+) -> EvaluationPlan:
+    """The graph's cached plan for ``(split, sides, pools)``, built on a miss.
+
+    Plans live in ``graph.evaluation_plans``, so they share the graph's
+    lifetime (and, through it, its filter index's).  A cached plan holds
+    its pools object and matches only that very object (``is``), never
+    an id that a later pools object could reuse.  A miss is traced as an
+    ``engine.plan`` span and counted in ``repro_engine_plan_builds_total``;
+    when two threads miss together, both build and the first to finish
+    is the plan both get.
+    """
+    sides = tuple(sides)
+    plan = _cached_plan(graph, split, sides, pools)
+    if plan is None:
+        with get_tracer().span("engine.plan"):
+            built = _build_plan(graph, split, sides, pools)
+        get_registry().counter(
+            PLAN_BUILDS_COUNTER, "Evaluation plans built (cache misses)"
+        ).inc()
+        plan = _cached_plan(graph, split, sides, pools, insert=built)
+    return plan
 
 
 @dataclass
 class EvaluationState:
-    """Everything a chunk needs to score: model, filter index, groups, pools."""
+    """Everything a chunk needs to score: the model and the plan."""
 
     model: KGEModel
-    filter_index: FilterIndexCSR
-    groups: list[GroupState]
-    split: str = "test"
-    sides: tuple[Side, ...] = SIDES
-    pools: "NegativePools | None" = None
+    plan: EvaluationPlan = field(repr=False)
 
 
 def build_state(
@@ -65,73 +259,41 @@ def build_state(
     sides: tuple[Side, ...] = SIDES,
     pools: "NegativePools | None" = None,
 ) -> EvaluationState:
-    """Materialise the evaluation state for one (model, split) run.
-
-    The group order is deterministic (split iteration order), and workers
-    attach the published copy of this very state, so parent and workers
-    agree on every ``ChunkTask.group`` index.  Reading
-    ``graph.filter_index`` here builds the graph's cached index before
-    any timed chunk.
-    """
-    groups = [
-        GroupState(
-            relation=relation,
-            side=side,
-            queries=queries,
-            anchors=np.asarray([q[0] for q in queries], dtype=np.int64),
-            truths=np.asarray([q[1] for q in queries], dtype=np.int64),
-        )
-        for (relation, side), queries in ordered_groups(graph, split, sides)
-    ]
-    return EvaluationState(
-        model=model,
-        filter_index=graph.filter_index,
-        groups=groups,
-        split=split,
-        sides=sides,
-        pools=pools,
-    )
+    """The evaluation state for one (model, split) run: the model plus the
+    graph's cached plan (:func:`evaluation_plan`), built on first use."""
+    return EvaluationState(model=model, plan=evaluation_plan(graph, split, sides, pools))
 
 
 def score_chunk(state: EvaluationState, task: ChunkTask) -> tuple[np.ndarray, int]:
     """Rank one chunk of queries; returns ``(ranks, entities_scored)``.
 
-    With pools attached the chunk is the sampled path: the truths' scores
-    come from the diagonal of the anchor x truth score matrix and the
-    candidates are the chunk's relation-side pool.  Without pools it is
-    the full path: the candidate axis is the whole entity vocabulary.
+    With pools in the plan the chunk is the sampled path: the truths'
+    scores come from the diagonal of the anchor x truth score matrix and
+    the candidates are the chunk's relation-side pool.  Without pools it
+    is the full path: the candidate axis is the whole entity vocabulary.
+    Either way the plan already holds the chunk's exclusions in candidate
+    coordinates, so this is score, compare, one gather, two bincounts.
     """
-    group = state.groups[task.group]
-    chunk = slice(task.start, task.stop)
-    anchors = group.anchors[chunk]
-    truths = group.truths[chunk]
+    plan = state.plan
+    anchors, truths, rows, cols = plan.chunk(task)
     model = state.model
+    relation, side = task.relation, task.side
     b = task.num_queries
 
-    if state.pools is None:
-        scores = model.score_candidates_batch(anchors, group.relation, group.side)
+    if plan.pools is None:
+        scores = model.score_candidates_batch(anchors, relation, side)
         true_scores = scores[np.arange(b), truths]
-        rows, cols = collect_known_answers(
-            state.filter_index, anchors, truths, group.relation, group.side
-        )
         return chunk_filtered_ranks(scores, true_scores, rows, cols), int(scores.size)
 
-    pool = state.pools.pool(group.relation, group.side)
+    pool = plan.pools.pool(relation, side)
     if pool.size == 0:
         # Nothing competes with the truth: every query ranks first.
         return np.ones(b, dtype=np.float64), b
     # One batched call scores every query's truth: the diagonal of the
     # (b, b) anchor x truth score matrix.
-    true_scores = np.diagonal(
-        model.score_candidates_batch(anchors, group.relation, group.side, truths)
-    )
-    pool_scores = model.score_candidates_batch(
-        anchors, group.relation, group.side, pool
-    )
-    rows, cols = collect_known_answers(
-        state.filter_index, anchors, truths, group.relation, group.side
-    )
-    ranks = chunk_filtered_ranks(pool_scores, true_scores, rows, cols, pool=pool)
+    true_scores = np.diagonal(model.score_candidates_batch(anchors, relation, side, truths))
+    pool_scores = model.score_candidates_batch(anchors, relation, side, pool)
+    ranks = chunk_filtered_ranks(pool_scores, true_scores, rows, cols)
     return ranks, int(pool_scores.size) + b
 
 

@@ -154,6 +154,10 @@ class KnowledgeGraph:
 
     def __post_init__(self) -> None:
         self._filter_index: FilterIndexCSR | None = None
+        #: Evaluation plans over this graph, most recently used first —
+        #: built and read by :func:`repro.engine.worker.evaluation_plan`,
+        #: and freed with the graph, like the filter index they derive from.
+        self.evaluation_plans: list = []
         self._observed: dict[Side, dict[int, np.ndarray]] | None = None
         self._validate()
 
@@ -289,10 +293,9 @@ class FilterIndexCSR:
       :func:`id_dtype` (int32 unless the vocabulary needs int64).
 
     For ``side == "tail"`` the anchor is the head (true tails of
-    ``(h, r, ?)``); for ``side == "head"`` it is the tail.  The six
-    contiguous buffers live in ``multiprocessing.shared_memory`` as they
-    are, so worker processes attach them zero-copy
-    (:mod:`repro.engine.shm`).  Build one with :func:`build_filter_csr`.
+    ``(h, r, ?)``); for ``side == "head"`` it is the tail.  Build one
+    with :func:`build_filter_csr`; the evaluation engine reads it once
+    per evaluation plan (:func:`repro.engine.worker.evaluation_plan`).
     """
 
     num_entities: int
@@ -329,28 +332,6 @@ class FilterIndexCSR:
         # Slot j of the output reads values[starts[row] + j - first slot of row].
         shift = starts - (np.cumsum(lengths) - lengths)
         return rows, self.values[side][np.arange(rows.size) + shift[rows]]
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The six flat arrays, named for shared-memory export."""
-        out: dict[str, np.ndarray] = {}
-        for side in SIDES:
-            out[f"filter_{side}_keys"] = self.keys[side]
-            out[f"filter_{side}_offsets"] = self.offsets[side]
-            out[f"filter_{side}_values"] = self.values[side]
-        return out
-
-    @classmethod
-    def from_arrays(
-        cls, num_entities: int, num_relations: int, arrays: Mapping[str, np.ndarray]
-    ) -> "FilterIndexCSR":
-        """Rebuild a view-backed index from :meth:`arrays` output."""
-        return cls(
-            num_entities=num_entities,
-            num_relations=num_relations,
-            keys={side: arrays[f"filter_{side}_keys"] for side in SIDES},
-            offsets={side: arrays[f"filter_{side}_offsets"] for side in SIDES},
-            values={side: arrays[f"filter_{side}_values"] for side in SIDES},
-        )
 
 
 def build_filter_csr(

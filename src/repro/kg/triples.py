@@ -80,7 +80,8 @@ class CompactGraph:
     Duck-types the slice of the :class:`~repro.kg.graph.KnowledgeGraph`
     interface the evaluation engine touches — ``num_entities`` /
     ``num_relations`` / ``name``, the split :class:`TripleSet` properties,
-    ``filter_index`` and ``true_answers`` — while keeping memory flat in
+    ``filter_index``, ``true_answers`` and the ``evaluation_plans``
+    cache — while keeping memory flat in
     the vocabulary size: split arrays are int32 memory maps, the filter
     index is built from them without an int64 copy of the triples, and
     label files are read lazily.
@@ -106,6 +107,8 @@ class CompactGraph:
         self._splits: dict[str, np.ndarray] = {}
         self._triple_sets: dict[str, TripleSet] = {}
         self._filter_index: FilterIndexCSR | None = None
+        #: Evaluation plans over this graph (see ``KnowledgeGraph``).
+        self.evaluation_plans: list = []
         self._entity_labels: list[str] | None = None
         self._relation_labels: list[str] | None = None
 

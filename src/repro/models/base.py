@@ -48,6 +48,10 @@ DTYPES: dict[str, np.dtype] = {
     "float64": np.dtype(np.float64),
 }
 
+#: Triples per kernel call in :meth:`KGEModel.score_triples_numpy`; each
+#: call computes a ``TRIPLE_CHUNK``-square block to keep its diagonal.
+TRIPLE_CHUNK = 64
+
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
     """Xavier/Glorot uniform initialisation used by all embedding tables."""
@@ -311,12 +315,24 @@ class KGEModel(abc.ABC):
         )[0]
 
     def score_triples_numpy(self, heads: Array, relations: Array, tails: Array) -> Array:
-        """Inference-path float64 scores of a batch of triples (no graph)."""
+        """Inference-path float64 scores of a batch of triples (no graph).
+
+        Same-relation triples are scored together: each chunk of up to
+        :data:`TRIPLE_CHUNK` is the diagonal of one head x tail kernel
+        call, instead of one call per triple.
+        """
+        heads = np.asarray(heads, dtype=np.int64)
+        relations = np.asarray(relations, dtype=np.int64)
+        tails = np.asarray(tails, dtype=np.int64)
         scores = np.empty(len(heads))
-        for i, (h, r, t) in enumerate(zip(heads, relations, tails)):
-            scores[i] = self.score_candidates(
-                int(h), int(r), "tail", np.asarray([int(t)], dtype=np.int64)
-            )[0]
+        for relation in np.unique(relations).tolist():
+            rows = np.flatnonzero(relations == relation)
+            for start in range(0, rows.size, TRIPLE_CHUNK):
+                chunk = rows[start : start + TRIPLE_CHUNK]
+                block = self._score_batch(
+                    *self._validate_query(heads[chunk], relation, "tail", tails[chunk])
+                )
+                scores[chunk] = np.diagonal(block)
         return scores
 
     # ------------------------------------------------------------------

@@ -9,7 +9,8 @@ and an LRU result cache:
   true answers optionally filtered out;
 * :meth:`score` — triple scores *and filtered ranks* computed by exactly
   the offline engine's kernel (`score_candidates_batch` +
-  `collect_known_answers` + `chunk_filtered_ranks`), so a served rank is
+  `collect_known_answers` + `pool_positions` + `chunk_filtered_ranks`),
+  so a served rank is
   bitwise-identical to the same query's rank in
   :func:`repro.core.ranking.evaluate_full`;
 * :meth:`evaluate_model` — a full offline evaluation of one registered
@@ -32,7 +33,7 @@ import time
 
 import numpy as np
 
-from repro.engine.chunking import chunk_filtered_ranks, collect_known_answers
+from repro.engine.chunking import chunk_filtered_ranks, collect_known_answers, pool_positions
 from repro.engine.engine import EvaluationEngine
 from repro.engine.pool import PersistentWorkerPool
 from repro.kg.graph import SIDES, Side
@@ -506,10 +507,11 @@ class LinkPredictionService:
     ) -> None:
         """Filtered ranks for the batch's ``kind="rank"`` rows, vectorized.
 
-        This is line-for-line the offline engine's kernel
-        (:func:`repro.engine.worker.score_chunk`): same score call, same
-        known-answer collection, same rank correction — which is what
-        makes served ranks bitwise-equal to ``evaluate_full``'s.
+        This is the offline engine's computation done per request: the
+        same score call as :func:`repro.engine.worker.score_chunk`, the
+        same known-answer gather and pool mapping its evaluation plan
+        caches, and the same rank kernel — which is what makes served
+        ranks bitwise-equal to ``evaluate_full``'s.
         """
         rows = [i for i, query in enumerate(queries) if query.kind == "rank"]
         if not rows:
@@ -525,7 +527,10 @@ class LinkPredictionService:
         known_rows, known_cols = collect_known_answers(
             self.graph.filter_index, anchors[rows], truths, relation, side
         )
-        ranks = chunk_filtered_ranks(sub, true_scores, known_rows, known_cols, pool=pool)
+        if pool is not None:
+            inside, positions = pool_positions(pool, known_cols)
+            known_rows, known_cols = known_rows[inside], positions[inside]
+        ranks = chunk_filtered_ranks(sub, true_scores, known_rows, known_cols)
         for j, i in enumerate(rows):
             results[i] = {
                 "score": float(true_scores[j]),
@@ -551,9 +556,7 @@ class LinkPredictionService:
                 if pool is None:
                     row[exclude] = -np.inf
                 else:
-                    positions = np.searchsorted(pool, exclude)
-                    np.minimum(positions, pool.size - 1, out=positions)
-                    inside = pool[positions] == exclude
+                    inside, positions = pool_positions(pool, exclude)
                     row[positions[inside]] = -np.inf
             order = np.lexsort((entity_ids, -row))
             top: list[tuple[int, float]] = []

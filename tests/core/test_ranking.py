@@ -7,8 +7,9 @@ from repro.core import evaluate_full, filtered_rank
 from repro.engine.chunking import (
     chunk_filtered_ranks,
     collect_known_answers,
-    grouped_queries,
+    pool_positions,
     query_chunks,
+    query_table,
     split_triples,
 )
 from repro.kg import build_filter_csr
@@ -86,7 +87,10 @@ class TestChunkFilteredRanks:
                 index, anchors, truths, rows, cols = _chunk_exclusions(anchors, truths)
                 scores = rng.integers(0, 4, size=(truths.size, 12)).astype(np.float64)
                 true_scores = scores[np.arange(truths.size), truths]
-                ranks = chunk_filtered_ranks(scores[:, pool], true_scores, rows, cols, pool=pool)
+                inside, positions = pool_positions(pool, cols)
+                ranks = chunk_filtered_ranks(
+                    scores[:, pool], true_scores, rows[inside], positions[inside]
+                )
                 for i in range(truths.size):
                     # Out-of-pool entities never compete: score them -inf.
                     masked = np.full(12, -np.inf)
@@ -101,7 +105,9 @@ class TestChunkFilteredRanks:
         true_scores = np.array([10.0, -10.0])  # truth not in pool
         # Row 0 excludes {5, 100}, row 1 excludes {3}: 100 and 3 are not in the pool.
         rows, cols = np.array([0, 0, 1]), np.array([5, 100, 3])
-        ranks = chunk_filtered_ranks(scores, true_scores, rows, cols, pool=pool)
+        inside, positions = pool_positions(pool, cols)
+        assert inside.tolist() == [True, False, False]
+        ranks = chunk_filtered_ranks(scores, true_scores, rows[inside], positions[inside])
         # Query 0: truth outranks everything -> rank 1.
         assert ranks[0] == 1.0
         # Query 1: all four pool scores beat -10 -> rank 5.
@@ -116,15 +122,17 @@ class TestChunkFilteredRanks:
 
 class TestGrouping:
     def test_groups_cover_both_sides(self, tiny_graph):
-        groups = grouped_queries(tiny_graph, "test")
+        table, groups, starts = query_table(tiny_graph, "test")
         assert (0, HEAD) in groups and (0, TAIL) in groups
-        assert len(groups[(0, TAIL)]) == 1
-        anchor, truth, h, t = groups[(0, TAIL)][0]
+        g = groups.index((0, TAIL))
+        assert starts[g + 1] - starts[g] == 1
+        anchor, truth, h, t = table[starts[g]].tolist()
         assert (anchor, truth, h, t) == (0, 3, 0, 3)
 
     def test_single_side(self, tiny_graph):
-        groups = grouped_queries(tiny_graph, "test", sides=(TAIL,))
+        table, groups, starts = query_table(tiny_graph, "test", sides=(TAIL,))
         assert all(side == TAIL for (_, side) in groups)
+        assert starts[-1] == table.shape[0] == len(tiny_graph.test)
 
     def test_chunks_partition(self):
         slices = list(query_chunks(10, chunk_size=4))

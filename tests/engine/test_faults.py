@@ -113,9 +113,7 @@ def pool():
 class TestWorkerDeath:
     def test_killed_worker_raises_instead_of_hanging(self, tiny_graph, pool):
         state = build_state(KillerModel(tiny_graph.num_entities), tiny_graph, "test")
-        tasks = plan_chunks(
-            [((g.relation, g.side), g.queries) for g in state.groups], 1
-        )
+        tasks = plan_chunks(state.plan.groups, state.plan.starts, 1)
         started = time.perf_counter()
         with pytest.raises(EngineWorkerError, match="died|exit"):
             pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
@@ -125,9 +123,7 @@ class TestWorkerDeath:
     def test_shm_unlinked_after_worker_death(self, tiny_graph):
         pool = PersistentWorkerPool(2)
         state = build_state(SlowModel(tiny_graph.num_entities), tiny_graph, "test")
-        tasks = plan_chunks(
-            [((g.relation, g.side), g.queries) for g in state.groups], 128
-        )
+        tasks = plan_chunks(state.plan.groups, state.plan.starts, 128)
         pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)  # publish + one clean run
         specs = _published_specs(pool)
         killer_state = build_state(
@@ -142,9 +138,7 @@ class TestWorkerDeath:
 
         first = get_engine_pool(2)
         state = build_state(KillerModel(tiny_graph.num_entities), tiny_graph, "test")
-        tasks = plan_chunks(
-            [((g.relation, g.side), g.queries) for g in state.groups], 1
-        )
+        tasks = plan_chunks(state.plan.groups, state.plan.starts, 1)
         with pytest.raises(EngineWorkerError):
             first.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
         replacement = get_engine_pool(2)
@@ -162,9 +156,7 @@ class TestWorkerException:
 
     def test_shm_unlinked_after_exception(self, tiny_graph, pool):
         state = build_state(FailingModel(tiny_graph.num_entities), tiny_graph, "test")
-        tasks = plan_chunks(
-            [((g.relation, g.side), g.queries) for g in state.groups], 128
-        )
+        tasks = plan_chunks(state.plan.groups, state.plan.starts, 128)
         with pytest.raises(EngineWorkerError):
             pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
         # The failed run marked the pool broken and closed its arena:
@@ -178,9 +170,7 @@ class TestTimeout:
         state = build_state(
             SlowModel(tiny_graph.num_entities, delay=1.0), tiny_graph, "test"
         )
-        tasks = plan_chunks(
-            [((g.relation, g.side), g.queries) for g in state.groups], 1
-        )
+        tasks = plan_chunks(state.plan.groups, state.plan.starts, 1)
         started = time.perf_counter()
         with pytest.raises(EngineWorkerError, match="timed out"):
             pool.run_tasks(state, tasks, timeout=0.5)
@@ -193,9 +183,7 @@ class TestInterrupt:
         state = build_state(
             SlowModel(tiny_graph.num_entities, delay=1.0), tiny_graph, "test"
         )
-        tasks = plan_chunks(
-            [((g.relation, g.side), g.queries) for g in state.groups], 1
-        )
+        tasks = plan_chunks(state.plan.groups, state.plan.starts, 1)
         pool.ensure_state(state)
         specs = _published_specs(pool)
         timer = threading.Timer(0.3, signal.raise_signal, args=(signal.SIGINT,))
@@ -216,9 +204,7 @@ class TestNormalShutdown:
             "distmult", tiny_graph.num_entities, tiny_graph.num_relations, dim=4
         )
         state = build_state(model, tiny_graph, "test")
-        tasks = plan_chunks(
-            [((g.relation, g.side), g.queries) for g in state.groups], 128
-        )
+        tasks = plan_chunks(state.plan.groups, state.plan.starts, 128)
         pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
         specs = _published_specs(pool)
         pids = pool.worker_pids()

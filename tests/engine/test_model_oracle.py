@@ -1,9 +1,17 @@
-"""Per-model engine oracle: every registered model ranks as the scalar reference.
+"""Per-model engine oracle: every model ranks as the scalar reference.
 
-For each of the seven registered models in float32 and float64, the
-engine's full and sampled paths must give bitwise-identical ranks at one
-and two workers, and those ranks must equal the scalar ``filtered_rank``
-over ``score_all`` (full) or the pool's ``score_candidates`` (sampled).
+For each of the seven registered models in float32 and float64, plus the
+hash scorers (``RandomModel``, ``OracleModel`` and a tie-forcing
+``RandomModel``), the engine's full and sampled paths must give
+bitwise-identical ranks at one and two workers, and those ranks must
+equal the scalar ``filtered_rank`` over ``score_all`` (full) or the
+pool's ``score_candidates`` (sampled).
+
+Every model runs every edge case of the evaluation plan: a split with
+duplicate triples next to a clean one, and on the sampled path random
+pools next to hand-built pools with an empty pool, a missing pool,
+truths outside their pool, pools made of known answers and a pool that
+is the whole vocabulary.
 
 The engine scores chunks of queries with one many-row product while the
 reference scores one query at a time, and BLAS may round those two
@@ -19,20 +27,40 @@ import pytest
 
 from repro.core.estimators import evaluate_sampled
 from repro.core.ranking import evaluate_full, filtered_rank
-from repro.core.sampling import build_pools
+from repro.core.sampling import NegativePools, build_pools
 from repro.datasets import SyntheticConfig, generate
-from repro.kg.graph import HEAD
-from repro.models import MODEL_REGISTRY, build_model
+from repro.engine import EvaluationEngine
+from repro.kg import KnowledgeGraph, TripleSet
+from repro.kg.graph import HEAD, SIDES
+from repro.metrics.ranking import aggregate_ranks
+from repro.models import MODEL_REGISTRY, OracleModel, RandomModel, build_model
 
 DTYPES = ("float32", "float64")
 #: Small enough that every model's test split spans several chunks.
 CHUNK_SIZE = 8
 #: How many ulp (relative to the truth's magnitude) count as a near-tie.
 NEAR_TIE_ULP = 16
+WORKERS = (1, 2)
+
+
+class TiedModel(RandomModel):
+    """A hash scorer rounded to whole numbers, so most scores tie."""
+
+    def _score_batch(self, anchors, relation, side, candidates):
+        return np.floor(super()._score_batch(anchors, relation, side, candidates))
+
+
+#: Scorers without embeddings; they ignore the dtype parameter.
+HASH_MODELS = {
+    "random": lambda graph: RandomModel(graph.num_entities, graph.num_relations, seed=1),
+    "oracle": lambda graph: OracleModel(graph, skill=1.0, seed=1),
+    "tied": lambda graph: TiedModel(graph.num_entities, graph.num_relations, seed=1),
+}
+MODELS = sorted(MODEL_REGISTRY) + sorted(HASH_MODELS)
 
 
 @pytest.fixture(scope="module")
-def graph():
+def graphs():
     config = SyntheticConfig(
         num_entities=80,
         num_relations=4,
@@ -43,12 +71,65 @@ def graph():
         seed=7,
         name="oracle-tiny",
     )
-    return generate(config).graph
+    graph = generate(config).graph
+    test = graph.test.array
+    duplicated = KnowledgeGraph(
+        entities=graph.entities,
+        relations=graph.relations,
+        train=graph.train,
+        valid=graph.valid,
+        test=TripleSet(np.concatenate([test, test[:5], test[3:4]])),
+        name="oracle-tiny-duplicates",
+    )
+    return {"plain": graph, "duplicates": duplicated}
 
 
-@pytest.fixture(scope="module")
-def pools(graph):
-    return build_pools(graph, "random", np.random.default_rng(0), num_samples=12)
+def _edge_pools(graph) -> NegativePools:
+    """Pools that hit every exclusion-mapping case of the plan.
+
+    Relation 0: an empty head pool and no tail pool at all.  Relation 1:
+    every known answer of the split's queries, truths included.
+    Relation 2: random entities plus the queries' known answers, minus
+    every truth.  Relation 3: the whole vocabulary.
+    """
+    rng = np.random.default_rng(3)
+    test = graph.test.array
+    pools: dict = {side: {} for side in SIDES}
+    pools[HEAD][0] = np.empty(0, dtype=np.int64)
+    for side in SIDES:
+        anchors = test[:, 2] if side == HEAD else test[:, 0]
+        truths = test[:, 0] if side == HEAD else test[:, 2]
+        known = {
+            relation: np.unique(
+                np.concatenate(
+                    [graph.true_answers(int(a), relation, side)
+                     for a in anchors[test[:, 1] == relation]] or [np.empty(0)]
+                )
+            ).astype(np.int64)
+            for relation in (1, 2)
+        }
+        pools[side][1] = known[1]
+        drawn = np.union1d(rng.choice(graph.num_entities, size=20, replace=False), known[2])
+        pools[side][2] = np.setdiff1d(drawn, truths[test[:, 1] == 2]).astype(np.int64)
+        pools[side][3] = np.arange(graph.num_entities, dtype=np.int64)
+    return NegativePools(
+        strategy="random", pools=pools, num_entities=graph.num_entities, sample_size=20
+    )
+
+
+def _pool_cases(graph) -> dict[str, NegativePools]:
+    return {
+        "random": build_pools(graph, "random", np.random.default_rng(0), num_samples=12),
+        "edge": _edge_pools(graph),
+    }
+
+
+def _model(name: str, graph, dtype: str):
+    if name in HASH_MODELS:
+        return HASH_MODELS[name](graph)
+    return build_model(
+        name, graph.num_entities, graph.num_relations, dim=8, seed=1, dtype=dtype
+    )
 
 
 def _query(key):
@@ -73,39 +154,65 @@ def _assert_rank_matches(rank: float, scores: np.ndarray, truth: int, known: np.
     )
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
-class TestModelOracle:
-    def test_full_ranks(self, graph, name, dtype):
-        model = build_model(
-            name, graph.num_entities, graph.num_relations, dim=8, seed=1, dtype=dtype
+def _assert_duplicate_semantics(model, graph, pools, ranks) -> None:
+    """``keep_ranks=True`` collapses duplicate queries; streaming counts them."""
+    test = graph.test.array
+    distinct = np.unique(test, axis=0).shape[0]
+    assert len(ranks) == len(SIDES) * distinct
+    every_row = [
+        ranks[(int(h), int(r), int(t), side)] for h, r, t in test.tolist() for side in SIDES
+    ]
+    for workers in WORKERS:
+        streamed = EvaluationEngine(workers=workers, chunk_size=CHUNK_SIZE).run(
+            model, graph, pools=pools, keep_ranks=False
         )
-        serial = evaluate_full(model, graph, workers=1, chunk_size=CHUNK_SIZE)
-        parallel = evaluate_full(model, graph, workers=2, chunk_size=CHUNK_SIZE)
-        assert parallel.ranks == serial.ranks
-        for key, rank in serial.ranks.items():
-            anchor, truth, relation, side = _query(key)
-            _assert_rank_matches(
-                rank,
-                model.score_all(anchor, relation, side),
-                truth,
-                graph.true_answers(anchor, relation, side),
-            )
+        assert streamed.num_queries == streamed.metrics.num_queries == len(every_row)
+        expected = aggregate_ranks(every_row)
+        assert streamed.metrics.mrr == pytest.approx(expected.mrr, rel=1e-12)
+        assert streamed.metrics.mean_rank == pytest.approx(expected.mean_rank, rel=1e-12)
 
-    def test_sampled_ranks(self, graph, pools, name, dtype):
-        model = build_model(
-            name, graph.num_entities, graph.num_relations, dim=8, seed=1, dtype=dtype
-        )
-        serial = evaluate_sampled(model, graph, pools, workers=1, chunk_size=CHUNK_SIZE)
-        parallel = evaluate_sampled(model, graph, pools, workers=2, chunk_size=CHUNK_SIZE)
-        assert parallel.ranks == serial.ranks
-        for key, rank in serial.ranks.items():
-            anchor, truth, relation, side = _query(key)
-            pool = pools.pool(relation, side)
-            scores = np.full(graph.num_entities, -np.inf, dtype=model.np_dtype)
-            if pool.size:
-                scores[pool] = model.score_candidates(anchor, relation, side, pool)
-            scores[truth] = model.score_candidates(anchor, relation, side, [truth])[0]
-            _assert_rank_matches(
-                rank, scores, truth, graph.true_answers(anchor, relation, side)
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", MODELS)
+class TestModelOracle:
+    def test_full_ranks(self, graphs, name, dtype):
+        for graph in graphs.values():
+            model = _model(name, graph, dtype)
+            serial, parallel = (
+                evaluate_full(model, graph, workers=workers, chunk_size=CHUNK_SIZE)
+                for workers in WORKERS
             )
+            assert parallel.ranks == serial.ranks
+            _assert_duplicate_semantics(model, graph, None, serial.ranks)
+            for key, rank in serial.ranks.items():
+                anchor, truth, relation, side = _query(key)
+                _assert_rank_matches(
+                    rank,
+                    model.score_all(anchor, relation, side),
+                    truth,
+                    graph.true_answers(anchor, relation, side),
+                )
+
+    def test_sampled_ranks(self, graphs, name, dtype):
+        for graph in graphs.values():
+            model = _model(name, graph, dtype)
+            for pools in _pool_cases(graph).values():
+                serial, parallel = (
+                    evaluate_sampled(
+                        model, graph, pools, workers=workers, chunk_size=CHUNK_SIZE
+                    )
+                    for workers in WORKERS
+                )
+                assert parallel.ranks == serial.ranks
+                _assert_duplicate_semantics(model, graph, pools, serial.ranks)
+                for key, rank in serial.ranks.items():
+                    anchor, truth, relation, side = _query(key)
+                    pool = pools.pool(relation, side)
+                    true_score = model.score_candidates(anchor, relation, side, [truth])
+                    scores = np.full(graph.num_entities, -np.inf, dtype=true_score.dtype)
+                    if pool.size:
+                        scores[pool] = model.score_candidates(anchor, relation, side, pool)
+                    scores[truth] = true_score[0]
+                    _assert_rank_matches(
+                        rank, scores, truth, graph.true_answers(anchor, relation, side)
+                    )

@@ -102,9 +102,7 @@ class TestPublishAttach:
         attached = None
         try:
             attached = attach_state(published.manifest)
-            tasks = plan_chunks(
-                [((g.relation, g.side), g.queries) for g in tiny_state.groups], 128
-            )
+            tasks = plan_chunks(tiny_state.plan.groups, tiny_state.plan.starts, 128)
             for task in tasks:
                 direct, n1 = score_chunk(tiny_state, task)
                 via_shm, n2 = score_chunk(attached.state, task)
@@ -119,12 +117,9 @@ class TestPublishAttach:
         published = publish_state(tiny_state)
         try:
             manifest = published.manifest
-            assert manifest.num_queries == sum(
-                len(g.queries) for g in tiny_state.groups
-            )
-            assert [(g.relation, g.side) for g in tiny_state.groups] == [
-                (relation, side) for relation, side, _ in manifest.groups
-            ]
+            plan = tiny_state.plan
+            assert manifest.num_queries == plan.num_queries == plan.starts[-1]
+            assert manifest.groups == plan.groups
             assert published.result_view.shape == (manifest.num_queries,)
         finally:
             published.close()
@@ -163,18 +158,20 @@ class TestStateFingerprint:
 
 
 class TestPublishedStateIdentity:
-    """A freed graph's id can be reused by the next one; a live published
-    state must never mistake that new graph for the one it published."""
+    """A freed graph's plan id can be reused by the next one; a live
+    published state must never mistake that new plan for the one it
+    published."""
 
-    def test_published_state_pins_its_index(self):
+    def test_published_state_pins_its_plan(self):
         graph = _fresh_graph(0)
         model = build_model("distmult", 50, 3, dim=4, seed=0)
-        published = publish_state(build_state(model, graph, "test"))
+        state = build_state(model, graph, "test")
+        published = publish_state(state)
         try:
-            index = weakref.ref(graph.filter_index)
-            del graph
+            plan = weakref.ref(state.plan)
+            del graph, state
             gc.collect()
-            assert index() is not None  # its id cannot be recycled
+            assert plan() is not None  # its id cannot be recycled
             fresh = build_state(model, _fresh_graph(1), "test")
             assert not published.matches(fresh)
         finally:
