@@ -39,7 +39,7 @@ def main() -> None:
     print(f"Registered 'prod' -> {registry.checkpoint_dir / 'prod.npz'}")
 
     # 2. Online: the service plus an HTTP server on an ephemeral port.
-    service = LinkPredictionService(registry, max_batch_size=64, max_wait=0.002)
+    service = LinkPredictionService(registry, max_batch_size=64)
     server = ServeHTTPServer(service, port=0)
     server.start_background()
     client = ServeClient(base_url=server.url)

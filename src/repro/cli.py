@@ -435,13 +435,12 @@ def _serve_from_spec(
     service = LinkPredictionService(
         registry,
         max_batch_size=serve.max_batch,
-        max_wait=serve.max_wait_ms / 1000.0,
         cache_size=serve.cache_size,
         engine_workers=serve.engine_workers,
     )
     print(
         f"Serving on http://{serve.host}:{serve.port} "
-        f"(max batch {serve.max_batch}, max wait {serve.max_wait_ms} ms) — Ctrl-C stops."
+        f"(max batch {serve.max_batch}) — Ctrl-C stops."
     )
     run_server(service, host=serve.host, port=serve.port)
     return 0
@@ -460,7 +459,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             cache_size=args.cache_size,
             engine_workers=args.engine_workers,
             recommender=args.recommender,
@@ -947,12 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="most concurrent requests coalesced into one scoring call",
-    )
-    serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch deadline: the latency ceiling batching may add",
     )
     serve.add_argument(
         "--cache-size",

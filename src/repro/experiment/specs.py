@@ -320,7 +320,6 @@ class ServeSpec:
     host: str = "127.0.0.1"
     port: int = 8080
     max_batch: int = 64
-    max_wait_ms: float = 2.0
     cache_size: int = 1024
     engine_workers: int = 1
     recommender: str = "l-wd"
@@ -334,11 +333,6 @@ class ServeSpec:
         _check_type("serve.max_batch", self.max_batch, (int,), "a positive int")
         if self.max_batch <= 0:
             raise SpecError(f"serve.max_batch: must be positive, got {self.max_batch}")
-        _check_type("serve.max_wait_ms", self.max_wait_ms, (int, float), "a number")
-        if self.max_wait_ms < 0:
-            raise SpecError(
-                f"serve.max_wait_ms: must be non-negative, got {self.max_wait_ms}"
-            )
         _check_type("serve.cache_size", self.cache_size, (int,), "a non-negative int")
         if self.cache_size < 0:
             raise SpecError(f"serve.cache_size: must be >= 0, got {self.cache_size}")

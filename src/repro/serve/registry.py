@@ -48,13 +48,15 @@ def parse_model_path(spec: str) -> tuple[str | None, str]:
     return name or None, path
 
 
-@dataclass
+@dataclass(eq=False)
 class ServingEntry:
     """One named model in the registry.
 
     ``model`` is populated lazily from ``path`` on first access; a
     ``None`` path means the model only lives in this process (it was
-    registered with ``persist=False``).
+    registered with ``persist=False``).  Entries compare and hash by
+    identity, so the service's result cache can key on the entry: a
+    re-registered name is a new entry and never hits the old answers.
     """
 
     name: str

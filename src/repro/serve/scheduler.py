@@ -7,8 +7,14 @@ and in the serving regime (large score slabs, accelerator or remote
 scorers) the per-call cost dominates the per-row cost.  The scheduler
 closes that gap: concurrent requests queue per *batch key* —
 ``(model, relation, side, candidate mode)`` — and a single dispatcher
-thread drains each queue in micro-batches bounded by ``max_batch_size``
-and a ``max_wait`` deadline measured from the oldest queued request.
+thread drains each queue in micro-batches bounded by ``max_batch_size``.
+
+Dispatch is continuous: whenever the dispatcher is free it takes the
+key whose oldest request arrived first and scores up to
+``max_batch_size`` of its queued requests at once.  Nothing waits for
+company — a lone request is scored immediately, and requests arriving
+while a batch is in flight queue up to form the next one, so load (not
+a timer) sets the batch size.
 
 The contract mirrors the evaluation engine's: batching is purely an
 execution knob.  Scoring is row-local, so a request's result is
@@ -117,9 +123,6 @@ class BatchScheduler:
     max_batch_size:
         Most queries scored per call; ``1`` disables coalescing (the
         sequential baseline the load test compares against).
-    max_wait:
-        Seconds a queued request may wait for company before its batch
-        is dispatched anyway — the latency ceiling batching may add.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` the
         scheduler publishes its queue-depth gauge, batch-size histogram
@@ -130,16 +133,12 @@ class BatchScheduler:
         self,
         score_batch: Callable[[BatchKey, list[RankQuery]], list],
         max_batch_size: int = 64,
-        max_wait: float = 0.002,
         metrics: MetricsRegistry | None = None,
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait < 0:
-            raise ValueError(f"max_wait must be >= 0, got {max_wait}")
         self._score_batch = score_batch
         self.max_batch_size = max_batch_size
-        self.max_wait = max_wait
         self._queue_depth = self._batch_hist = self._batches_total = None
         if metrics is not None:
             self._queue_depth = metrics.gauge(
@@ -184,44 +183,20 @@ class BatchScheduler:
             self._cond.notify_all()
         return pending
 
-    def _oldest_key(self) -> tuple[BatchKey | None, float]:
-        key, arrival = None, float("inf")
-        for candidate, queue in self._queues.items():
-            if queue and queue[0][2] < arrival:
-                key, arrival = candidate, queue[0][2]
-        return key, arrival
-
-    def _full_key(self) -> BatchKey | None:
-        for candidate, queue in self._queues.items():
-            if len(queue) >= self.max_batch_size:
-                return candidate
-        return None
+    def _oldest_key(self) -> BatchKey:
+        """The key whose first queued request arrived earliest."""
+        return min(self._queues, key=lambda key: self._queues[key][0][2])
 
     def _loop(self) -> None:
         while True:
             with self._cond:
-                while True:
-                    key, arrival = self._oldest_key()
-                    if key is not None:
-                        break
+                # Empty queues are deleted, so any key left has work;
+                # close() only stops the loop once every queue drained.
+                while not self._queues:
                     if self._closed:
                         return
                     self._cond.wait()
-                # Let the oldest batch fill until its deadline — but an
-                # expired deadline dispatches first (latency bound), and
-                # a *different* key reaching a full batch jumps the queue
-                # rather than waiting out this one's deadline.  close()
-                # flushes immediately so shutdown drains every queue.
-                deadline = arrival + self.max_wait
-                while len(self._queues[key]) < self.max_batch_size and not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    full = self._full_key()
-                    if full is not None:
-                        key = full
-                        break
-                    self._cond.wait(timeout=remaining)
+                key = self._oldest_key()
                 queue = self._queues[key]
                 batch = [
                     queue.popleft()
@@ -288,6 +263,6 @@ class BatchScheduler:
     def __repr__(self) -> str:
         return (
             f"BatchScheduler(max_batch_size={self.max_batch_size}, "
-            f"max_wait={self.max_wait}, batches={self.num_batches}, "
+            f"batches={self.num_batches}, "
             f"mean={self.mean_batch_size:.1f})"
         )

@@ -6,7 +6,8 @@ and an LRU result cache:
 
 * :meth:`rank` — top-k entity completion for one query, scored against
   the model's static candidate set (or the full vocabulary) with known
-  true answers optionally filtered out;
+  true answers optionally filtered out, and cached as an immutable
+  :class:`TopK` record each response is rendered from;
 * :meth:`score` — triple scores *and filtered ranks* computed by exactly
   the offline engine's kernel (`score_candidates_batch` +
   `collect_known_answers` + `pool_positions` + `chunk_filtered_ranks`),
@@ -27,9 +28,9 @@ the in-process client expose byte-identical payloads.
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +45,6 @@ from repro.store.lru import LRUCache
 
 #: Default ceiling on requests coalesced into one scoring call.
 DEFAULT_MAX_BATCH = 64
-
-#: Default micro-batch deadline (seconds): the latency batching may add.
-DEFAULT_MAX_WAIT = 0.002
 
 #: Default top-k result cache capacity (entries, not bytes).
 DEFAULT_CACHE_SIZE = 1024
@@ -77,6 +75,43 @@ def _engine_metrics_text(exclude: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
+class TopK(NamedTuple):
+    """One top-k answer: what the result cache holds per key.
+
+    Immutable, so cache hits share it without copying; every response
+    dict is rendered fresh from it (:meth:`LinkPredictionService._render`).
+    """
+
+    results: tuple[tuple[int, float], ...]  # (entity id, score), best first
+    num_candidates: int
+
+
+def _best_k(negated: np.ndarray, entity_ids: np.ndarray, k: int) -> TopK:
+    """The ``k`` best finite candidates of one negated score row.
+
+    Ordered by ``(-score, entity id)`` — exactly the prefix a full
+    ``np.lexsort((entity_ids, negated))`` yields — without sorting the
+    row: a partition finds the k-th smallest negated score and only the
+    candidates not above it are sorted, so ties straddling the boundary
+    are all kept and broken by id.  ``~(negated > kth)`` also keeps NaN
+    scores (sorted last either way), so a row with fewer than ``k``
+    comparable scores still matches the full sort.  Excluded candidates
+    are ``+inf`` here; the answer stops at the first non-finite score.
+    """
+    if k < negated.size:
+        kth = np.partition(negated, k - 1)[k - 1]
+        keep = np.flatnonzero(~(negated > kth))
+    else:
+        keep = np.arange(negated.size)
+    best = keep[np.lexsort((entity_ids[keep], negated[keep]))[:k]]
+    values = negated[best]
+    finite = np.isfinite(values)
+    count = finite.size if finite.all() else int(np.argmin(finite))
+    ids = entity_ids[best[:count]].tolist()
+    scores = np.negative(values[:count]).tolist()
+    return TopK(tuple(zip(ids, scores)), int(negated.size))
+
+
 class LinkPredictionService:
     """Micro-batched online scoring over a model registry.
 
@@ -84,8 +119,9 @@ class LinkPredictionService:
     ----------
     registry:
         The models and candidate sets to serve.
-    max_batch_size / max_wait:
-        Micro-batching knobs (see :class:`BatchScheduler`).
+    max_batch_size:
+        Most requests coalesced into one scoring call (see
+        :class:`BatchScheduler`).
     cache_size:
         LRU capacity of the top-k result cache; ``0`` disables caching
         (every request is scored).
@@ -107,7 +143,6 @@ class LinkPredictionService:
         self,
         registry: ModelRegistry,
         max_batch_size: int = DEFAULT_MAX_BATCH,
-        max_wait: float = DEFAULT_MAX_WAIT,
         cache_size: int = DEFAULT_CACHE_SIZE,
         timeout: float = DEFAULT_TIMEOUT,
         metrics: MetricsRegistry | None = None,
@@ -126,7 +161,6 @@ class LinkPredictionService:
         self.scheduler = BatchScheduler(
             self._score_batch,
             max_batch_size=max_batch_size,
-            max_wait=max_wait,
             metrics=self.metrics,
         )
         self._cache = LRUCache(cache_size)
@@ -193,17 +227,15 @@ class LinkPredictionService:
         anchor_id = self._entity_id(anchor)
         relation_id = self._relation_id(relation)
         self._check_side(side)
-        key = (model, anchor_id, relation_id, side, k, filter_known, candidates)
+        # Keyed on the entry, not the name: re-registering a name makes a
+        # new entry, so the old model's answers are never hit again.
+        entry = self.registry.entry(model)
+        key = (entry, anchor_id, relation_id, side, k, filter_known, candidates)
         with self._cache_lock:
-            cached = self._cache.get(key)
-        if cached is not None:
-            # Deep-copied both into and out of the cache: in-process
-            # callers may freely mutate their response without poisoning
-            # later hits.
+            record = self._cache.get(key)
+        if record is not None:
             self._cache_hits.inc()
-            response = copy.deepcopy(cached)
-            response["cached"] = True
-            return response
+            return self._render(key, record, cached=True)
         self._cache_misses.inc()
         query = RankQuery(
             model=model,
@@ -215,33 +247,37 @@ class LinkPredictionService:
             filter_known=filter_known,
             candidates=candidates,
         )
-        payload = self.scheduler.submit(query).result(self.timeout)
-        entities = self.graph.entities
-        response = {
-            "model": model,
-            "anchor": entities.label_of(anchor_id),
+        record = self.scheduler.submit(query).result(self.timeout)
+        with self._cache_lock:
+            self._cache.put(key, record)
+        return self._render(key, record, cached=False)
+
+    def _render(self, key: tuple, record: TopK, cached: bool) -> dict:
+        """A fresh ``rank`` response dict (callers may mutate it freely)."""
+        entry, anchor_id, relation_id, side, k, filter_known, candidates = key
+        label_of = self.graph.entities.label_of
+        return {
+            "model": entry.name,
+            "anchor": label_of(anchor_id),
             "anchor_id": anchor_id,
             "relation": self.graph.relations.label_of(relation_id),
             "relation_id": relation_id,
             "side": side,
             "k": k,
             "candidates": candidates,
-            "num_candidates": payload["num_candidates"],
+            "num_candidates": record.num_candidates,
             "filter_known": filter_known,
             "results": [
                 {
                     "rank": position + 1,
-                    "entity": entities.label_of(entity_id),
+                    "entity": label_of(entity_id),
                     "entity_id": entity_id,
                     "score": score,
                 }
-                for position, (entity_id, score) in enumerate(payload["topk"])
+                for position, (entity_id, score) in enumerate(record.results)
             ],
-            "cached": False,
+            "cached": cached,
         }
-        with self._cache_lock:
-            self._cache.put(key, copy.deepcopy(response))
-        return response
 
     def score(
         self,
@@ -544,27 +580,24 @@ class LinkPredictionService:
         Ordering is ``(-score, entity id)`` — fully deterministic under
         ties — with known answers and the anchor itself removed when the
         query asks for filtering (a self-loop is never a *new* link).
+        Each row then takes its :func:`_best_k`, with exclusions as ``+inf``
+        in its negated scores.
         """
         entity_ids = pool if pool is not None else np.arange(scores.shape[1])
         for i, query in enumerate(queries):
             if query.kind != "topk":
                 continue
-            row = scores[i].astype(np.float64, copy=True)
+            negated = np.negative(scores[i], dtype=np.float64)
             if query.filter_known:
                 known = self.graph.true_answers(query.anchor, relation, side)
-                exclude = np.unique(np.append(known, query.anchor))
                 if pool is None:
-                    row[exclude] = -np.inf
+                    negated[known] = np.inf
+                    negated[query.anchor] = np.inf
                 else:
-                    inside, positions = pool_positions(pool, exclude)
-                    row[positions[inside]] = -np.inf
-            order = np.lexsort((entity_ids, -row))
-            top: list[tuple[int, float]] = []
-            for position in order[: query.k]:
-                if not np.isfinite(row[position]):
-                    break  # only excluded entities remain
-                top.append((int(entity_ids[position]), float(row[position])))
-            results[i] = {"topk": top, "num_candidates": int(scores.shape[1])}
+                    excluded = np.append(known, query.anchor)
+                    inside, positions = pool_positions(pool, excluded)
+                    negated[positions[inside]] = np.inf
+            results[i] = _best_k(negated, entity_ids, query.k)
 
     def __repr__(self) -> str:
         return (

@@ -168,6 +168,11 @@ class TestValidation:
         with pytest.raises(SpecError, match="serve.port"):
             ServeSpec(port=70000)
 
+    def test_removed_serve_max_wait_ms_is_an_unknown_key(self):
+        # The scheduler dispatches when idle; the batching deadline is gone.
+        with pytest.raises(SpecError, match="unknown key 'max_wait_ms'"):
+            ExperimentSpec.from_dict({"serve": {"max_wait_ms": 2.0}})
+
     def test_invalid_json_text(self):
         with pytest.raises(SpecError, match="not valid JSON"):
             ExperimentSpec.from_json("{nope")

@@ -33,9 +33,7 @@ def stack(tmp_path_factory, dataset):
     registry.register(
         "dm", build_model("distmult", graph.num_entities, graph.num_relations, dim=8)
     )
-    # A generous batching window keeps the concurrency test deterministic:
-    # requests trickling in over HTTP still land in shared batches.
-    service = LinkPredictionService(registry, max_wait=0.02)
+    service = LinkPredictionService(registry)
     server = ServeHTTPServer(service, port=0)
     server.start_background()
     yield service, server
@@ -79,11 +77,26 @@ class TestEndpoints:
         triples = dataset.graph.test.as_tuples()[:4]
         assert http_client.score("dm", triples) == local_client.score("dm", triples)
 
-    def test_concurrent_http_requests_micro_batch(self, stack, http_client, dataset):
+    def test_concurrent_http_requests_micro_batch(
+        self, stack, http_client, dataset, monkeypatch
+    ):
         import threading
+        import time
 
         service, _ = stack
-        batches_before = service.scheduler.num_batches
+        scheduler = service.scheduler
+        # Hold the first scoring call until every request is queued, so the
+        # rest arrive while a batch is in flight and must form the next one.
+        gate = threading.Event()
+        score_batch = scheduler._score_batch
+
+        def gated(key, queries):
+            gate.wait(10.0)
+            return score_batch(key, queries)
+
+        monkeypatch.setattr(scheduler, "_score_batch", gated)
+        requests_before = scheduler.num_requests
+        batches_before = scheduler.num_batches
         anchors = [int(h) for h, _, _ in dataset.graph.test.as_tuples()[:16]]
         results = [None] * len(anchors)
 
@@ -98,11 +111,17 @@ class TestEndpoints:
         ]
         for t in threads:
             t.start()
+        # Nothing is cached while the gate is shut, so every request submits.
+        deadline = time.monotonic() + 10.0
+        while scheduler.num_requests - requests_before < len(anchors):
+            assert time.monotonic() < deadline, "requests never reached the queue"
+            time.sleep(0.005)
+        gate.set()
         for t in threads:
             t.join()
         assert all(r is not None and len(r["results"]) == 3 for r in results)
-        # 16 concurrent same-key requests must not cost 16 scoring calls.
-        assert service.scheduler.num_batches - batches_before < 16
+        # 16 concurrent same-key requests: the in-flight batch, then the rest.
+        assert scheduler.num_batches - batches_before <= 2
 
 
 class TestErrors:

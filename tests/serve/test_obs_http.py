@@ -37,7 +37,7 @@ def stack(tmp_path_factory, dataset):
     registry.register(
         "dm", build_model("distmult", graph.num_entities, graph.num_relations, dim=8)
     )
-    service = LinkPredictionService(registry, max_wait=0.001)
+    service = LinkPredictionService(registry)
     server = ServeHTTPServer(service, port=0)
     server.start_background()
     yield service, server
@@ -280,7 +280,7 @@ class TestCrossProcessCorrelation:
             "dm",
             build_model("distmult", graph.num_entities, graph.num_relations, dim=8),
         )
-        service = LinkPredictionService(registry, max_wait=0.001, engine_workers=2)
+        service = LinkPredictionService(registry, engine_workers=2)
         server = ServeHTTPServer(service, port=0)
         server.start_background()
         yield service, server

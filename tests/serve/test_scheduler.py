@@ -1,4 +1,4 @@
-"""BatchScheduler: coalescing, deadlines, exactness of the contract."""
+"""BatchScheduler: dispatch when idle, coalescing, exactness of the contract."""
 
 import threading
 import time
@@ -31,6 +31,24 @@ class _Recorder:
         return [query.anchor for query in queries]
 
 
+class _Gated(_Recorder):
+    """A recorder whose scoring calls block until ``gate`` is set.
+
+    ``entered`` fires when the first call starts, i.e. once a batch is
+    in flight, so a test can queue requests behind it deterministically.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+
+    def __call__(self, key, queries):
+        self.entered.set()
+        assert self.gate.wait(5.0), "test never opened the gate"
+        return super().__call__(key, queries)
+
+
 class TestQueryValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
@@ -59,7 +77,7 @@ class TestQueryValidation:
 class TestCoalescing:
     def test_concurrent_submits_share_batches(self):
         recorder = _Recorder(delay=0.01)
-        with BatchScheduler(recorder, max_batch_size=64, max_wait=0.05) as scheduler:
+        with BatchScheduler(recorder, max_batch_size=64) as scheduler:
             pendings = [scheduler.submit(_query(anchor=i)) for i in range(32)]
             results = [p.result(5.0) for p in pendings]
         assert results == list(range(32))
@@ -71,7 +89,7 @@ class TestCoalescing:
 
     def test_max_batch_size_bounds_every_batch(self):
         recorder = _Recorder(delay=0.005)
-        with BatchScheduler(recorder, max_batch_size=4, max_wait=0.05) as scheduler:
+        with BatchScheduler(recorder, max_batch_size=4) as scheduler:
             pendings = [scheduler.submit(_query(anchor=i)) for i in range(10)]
             for p in pendings:
                 p.result(5.0)
@@ -80,7 +98,7 @@ class TestCoalescing:
 
     def test_sequential_mode_scores_one_at_a_time(self):
         recorder = _Recorder()
-        with BatchScheduler(recorder, max_batch_size=1, max_wait=0.0) as scheduler:
+        with BatchScheduler(recorder, max_batch_size=1) as scheduler:
             pendings = [scheduler.submit(_query(anchor=i)) for i in range(5)]
             for p in pendings:
                 p.result(5.0)
@@ -89,7 +107,7 @@ class TestCoalescing:
 
     def test_different_keys_never_mix(self):
         recorder = _Recorder(delay=0.005)
-        with BatchScheduler(recorder, max_batch_size=64, max_wait=0.05) as scheduler:
+        with BatchScheduler(recorder, max_batch_size=64) as scheduler:
             pendings = [
                 scheduler.submit(_query(anchor=i, relation=i % 3)) for i in range(12)
             ]
@@ -98,33 +116,66 @@ class TestCoalescing:
         for (_, relation, _, _), anchors in recorder.batches:
             assert all(anchor % 3 == relation for anchor in anchors)
 
-    def test_full_batch_jumps_a_stragglers_deadline(self):
-        """A key reaching max_batch_size dispatches immediately, even
-        while the dispatcher sits on another key's long max_wait."""
-        recorder = _Recorder()
-        with BatchScheduler(recorder, max_batch_size=4, max_wait=5.0) as scheduler:
-            scheduler.submit(_query(anchor=99, relation=0))  # the straggler
-            time.sleep(0.05)  # let the dispatcher park on its deadline
-            full = [scheduler.submit(_query(anchor=i, relation=1)) for i in range(4)]
-            start = time.monotonic()
-            assert [p.result(5.0) for p in full] == [0, 1, 2, 3]
-            # The full batch must not have waited out the 5 s deadline.
-            assert time.monotonic() - start < 2.0
-        # close() flushed the straggler too.
-        assert sorted(anchors for _, anchors in recorder.batches) == [
-            [0, 1, 2, 3],
-            [99],
+    def test_lone_request_dispatches_without_company(self):
+        gated = _Gated()
+        with BatchScheduler(gated, max_batch_size=1024) as scheduler:
+            pending = scheduler.submit(_query(anchor=7))
+            # Scoring starts with nothing else queued: no window to fill.
+            assert gated.entered.wait(5.0)
+            gated.gate.set()
+            assert pending.result(5.0) == 7
+        assert pending.batch_size == 1
+        assert gated.batches == [(_query().batch_key, [7])]
+
+    def test_requests_queued_behind_an_in_flight_batch_form_the_next(self):
+        gated = _Gated()
+        with BatchScheduler(gated, max_batch_size=64) as scheduler:
+            first = scheduler.submit(_query(anchor=0))
+            assert gated.entered.wait(5.0)  # batch [0] is in flight
+            queued = [scheduler.submit(_query(anchor=i)) for i in range(1, 9)]
+            gated.gate.set()
+            assert [p.result(5.0) for p in [first, *queued]] == list(range(9))
+        assert [anchors for _, anchors in gated.batches] == [[0], list(range(1, 9))]
+        assert [p.batch_size for p in queued] == [8] * 8
+
+    def test_queued_burst_splits_at_max_batch_size(self):
+        gated = _Gated()
+        with BatchScheduler(gated, max_batch_size=4) as scheduler:
+            scheduler.submit(_query(anchor=0))
+            assert gated.entered.wait(5.0)
+            queued = [scheduler.submit(_query(anchor=i)) for i in range(1, 11)]
+            gated.gate.set()
+            for p in queued:
+                p.result(5.0)
+        assert [anchors for _, anchors in gated.batches] == [
+            [0],
+            [1, 2, 3, 4],
+            [5, 6, 7, 8],
+            [9, 10],
         ]
 
-    def test_deadline_flushes_a_lonely_request(self):
-        with BatchScheduler(_echo_batch, max_batch_size=1024, max_wait=0.01) as scheduler:
-            start = time.monotonic()
-            assert scheduler.submit(_query(anchor=7)).result(5.0) == 7
-            # A solitary request must not wait for a full batch.
-            assert time.monotonic() - start < 2.0
+    def test_oldest_key_dispatches_first(self):
+        gated = _Gated()
+        with BatchScheduler(gated, max_batch_size=64) as scheduler:
+            scheduler.submit(_query(anchor=0, relation=0))
+            assert gated.entered.wait(5.0)
+            later = [
+                scheduler.submit(_query(anchor=anchor, relation=relation))
+                for anchor, relation in [(1, 1), (2, 0), (3, 1)]
+            ]
+            gated.gate.set()
+            for p in later:
+                p.result(5.0)
+        # Relation 1's queue holds the oldest waiting request, so it goes
+        # before relation 0's, and each key's requests share one batch.
+        assert [(key[1], anchors) for key, anchors in gated.batches] == [
+            (0, [0]),
+            (1, [1, 3]),
+            (0, [2]),
+        ]
 
     def test_batch_size_reported_on_the_result(self):
-        with BatchScheduler(_echo_batch, max_batch_size=1, max_wait=0.0) as scheduler:
+        with BatchScheduler(_echo_batch, max_batch_size=1) as scheduler:
             pending = scheduler.submit(_query())
             pending.result(5.0)
             assert pending.batch_size == 1
@@ -135,21 +186,27 @@ class TestLifecycle:
         def boom(key, queries):
             raise RuntimeError("scorer exploded")
 
-        with BatchScheduler(boom, max_batch_size=8, max_wait=0.01) as scheduler:
+        with BatchScheduler(boom, max_batch_size=8) as scheduler:
             pendings = [scheduler.submit(_query(anchor=i)) for i in range(3)]
             for pending in pendings:
                 with pytest.raises(RuntimeError, match="scorer exploded"):
                     pending.result(5.0)
 
     def test_result_count_mismatch_is_an_error(self):
-        with BatchScheduler(lambda k, q: [], max_batch_size=1, max_wait=0.0) as scheduler:
+        with BatchScheduler(lambda k, q: [], max_batch_size=1) as scheduler:
             with pytest.raises(RuntimeError, match="results"):
                 scheduler.submit(_query()).result(5.0)
 
     def test_close_flushes_queued_requests(self):
-        scheduler = BatchScheduler(_echo_batch, max_batch_size=64, max_wait=5.0)
-        pendings = [scheduler.submit(_query(anchor=i)) for i in range(8)]
-        scheduler.close()  # must not strand the long max_wait
+        gated = _Gated()
+        scheduler = BatchScheduler(gated, max_batch_size=64)
+        pendings = [scheduler.submit(_query(anchor=0))]
+        assert gated.entered.wait(5.0)
+        pendings += [scheduler.submit(_query(anchor=i)) for i in range(1, 8)]
+        closer = threading.Thread(target=scheduler.close)
+        closer.start()  # close while a batch is in flight and more are queued
+        gated.gate.set()
+        closer.join(5.0)
         assert [p.result(1.0) for p in pendings] == list(range(8))
 
     def test_submit_after_close_rejected(self):
@@ -159,7 +216,7 @@ class TestLifecycle:
             scheduler.submit(_query())
 
     def test_stats_shape(self):
-        with BatchScheduler(_echo_batch, max_batch_size=4, max_wait=0.0) as scheduler:
+        with BatchScheduler(_echo_batch, max_batch_size=4) as scheduler:
             scheduler.submit(_query()).result(5.0)
             stats = scheduler.stats()
         assert stats["requests"] == 1

@@ -7,6 +7,7 @@ from repro.core.ranking import evaluate_full
 from repro.datasets import load
 from repro.models import build_model
 from repro.serve import LinkPredictionService, ModelRegistry
+from repro.serve.service import _best_k
 from repro.store import ExperimentStore
 
 
@@ -27,7 +28,7 @@ def service(tmp_path, dataset, model):
         ExperimentStore(tmp_path / "store"), dataset.graph, types=dataset.types
     )
     registry.register("dm", model)
-    with LinkPredictionService(registry, max_wait=0.001) as svc:
+    with LinkPredictionService(registry) as svc:
         yield svc
 
 
@@ -149,9 +150,29 @@ class TestCache:
             ExperimentStore(tmp_path / "s2"), dataset.graph, types=dataset.types
         )
         registry.register("dm", model, persist=False)
-        with LinkPredictionService(registry, cache_size=0, max_wait=0.0) as svc:
+        with LinkPredictionService(registry, cache_size=0) as svc:
             svc.rank("dm", 1, 1)
             assert svc.rank("dm", 1, 1)["cached"] is False
+
+    def test_reregistering_a_name_drops_its_cached_answers(self, tmp_path, dataset, model):
+        graph = dataset.graph
+        other = build_model("distmult", graph.num_entities, graph.num_relations, dim=8, seed=1)
+        registry = ModelRegistry(ExperimentStore(tmp_path / "s3"), graph, types=dataset.types)
+        registry.register("m", model, persist=False)
+        with LinkPredictionService(registry) as svc:
+            first = svc.rank("m", 1, 1, k=5, candidates="all")
+            assert svc.rank("m", 1, 1, k=5, candidates="all")["cached"] is True
+            registry.register("m", other, persist=False)
+            after = svc.rank("m", 1, 1, k=5, candidates="all")
+        fresh_registry = ModelRegistry(
+            ExperimentStore(tmp_path / "s4"), graph, types=dataset.types
+        )
+        fresh_registry.register("m", other, persist=False)
+        with LinkPredictionService(fresh_registry) as fresh:
+            expected = fresh.rank("m", 1, 1, k=5, candidates="all")
+        assert after["results"] != first["results"]  # the models really differ
+        assert after["cached"] is False
+        assert after == expected
 
 
 class TestHealth:
@@ -164,3 +185,104 @@ class TestHealth:
         assert health["graph"] == dataset.graph.name
         assert health["scheduler"]["requests"] >= 2
         assert health["scheduler"]["batches"] >= 1
+
+
+def _reference_topk(row, entity_ids, k):
+    """The selection before partitioning: a full lexsort by (-score, id)."""
+    order = np.lexsort((entity_ids, -row))
+    top = []
+    for position in order[:k]:
+        if not np.isfinite(row[position]):
+            break  # only excluded entities remain
+        top.append((int(entity_ids[position]), float(row[position])))
+    return top
+
+
+class _Tied:
+    """``inner``'s scores rounded to 3 decimals: ~20 values over 400
+    entities, so ties straddle every top-k boundary."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.num_entities = inner.num_entities
+        self.num_relations = inner.num_relations
+
+    def score_candidates_batch(self, anchors, relation, side, candidates=None):
+        scores = self.inner.score_candidates_batch(anchors, relation, side, candidates)
+        return np.round(scores, 3)
+
+
+class TestTopKOracle:
+    """Partitioned top-k equals the full-sort reference, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 3, 24, 25, 26, 50, 1000])
+    @pytest.mark.parametrize("excluded_fraction", [0.0, 0.3, 0.9, 1.0])
+    def test_best_k_matches_full_sort(self, k, excluded_fraction):
+        rng = np.random.default_rng(k)
+        for _ in range(25):
+            size = 50
+            row = rng.integers(-3, 4, size=size).astype(np.float64)  # ties everywhere
+            # 1.0 excludes every candidate: rng.random() is always < 1.
+            row[rng.random(size) < excluded_fraction] = -np.inf
+            entity_ids = np.sort(rng.choice(1000, size=size, replace=False))
+            got = _best_k(np.negative(row), entity_ids, k)
+            assert list(got.results) == _reference_topk(row, entity_ids, k)
+            assert got.num_candidates == size
+
+    def test_nan_and_positive_infinity_follow_the_full_sort(self):
+        entity_ids = np.arange(6)
+        for row in (
+            np.array([1.0, np.nan, 2.0, np.nan, 0.5, -np.inf]),
+            np.array([1.0, np.inf, 2.0, 0.0, 0.5, 3.0]),
+        ):
+            for k in range(1, 8):
+                got = _best_k(np.negative(row), entity_ids, k)
+                assert list(got.results) == _reference_topk(row, entity_ids, k)
+
+    @pytest.fixture(scope="class")
+    def tied(self, tmp_path_factory, dataset, model):
+        registry = ModelRegistry(
+            ExperimentStore(tmp_path_factory.mktemp("tied")),
+            dataset.graph,
+            types=dataset.types,
+        )
+        scorer = _Tied(model)
+        registry.register("tied", scorer, persist=False)
+        with LinkPredictionService(registry, cache_size=0) as svc:
+            yield svc, scorer
+
+    @pytest.mark.parametrize("candidates", ["filtered", "all"])
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    @pytest.mark.parametrize("k", [1, 10, 10_000])  # 10_000 exceeds every pool
+    @pytest.mark.parametrize("filter_known", [True, False])
+    def test_served_topk_matches_full_sort(self, tied, dataset, candidates, side, k, filter_known):
+        service, scorer = tied
+        graph = dataset.graph
+        rng = np.random.default_rng(0)
+        triples = graph.train.as_tuples()
+        for index in rng.choice(len(triples), size=8, replace=False):
+            h, r, t = (int(v) for v in triples[index])
+            anchor = t if side == "head" else h
+            pool = None
+            if candidates == "filtered":
+                selected = service.registry.candidates("tied").candidates(r, side)
+                pool = selected if selected.size else None
+            entity_ids = pool if pool is not None else np.arange(graph.num_entities)
+            row = scorer.score_candidates_batch(np.array([anchor]), r, side, pool)[0]
+            row = row.astype(np.float64)
+            if filter_known:
+                # Known answers (-inf) and the anchor itself are excluded.
+                excluded = np.append(graph.true_answers(anchor, r, side), anchor)
+                row[np.isin(entity_ids, excluded)] = -np.inf
+            response = service.rank(
+                "tied",
+                anchor,
+                r,
+                side=side,
+                k=k,
+                filter_known=filter_known,
+                candidates=candidates,
+            )
+            got = [(item["entity_id"], item["score"]) for item in response["results"]]
+            assert got == _reference_topk(row, entity_ids, k)
+            assert response["num_candidates"] == entity_ids.size

@@ -91,7 +91,7 @@ def test_serve_guide_documents_the_api():
     serve = (DOCS_DIR / "serve.md").read_text(encoding="utf-8")
     for endpoint in ("/v1/rank", "/v1/score", "/v1/models", "/healthz"):
         assert endpoint in serve, f"serve.md misses endpoint {endpoint}"
-    for knob in ("--max-batch", "--max-wait-ms", "--model-path", "--save-model"):
+    for knob in ("--max-batch", "--model-path", "--save-model"):
         assert knob in serve, f"serve.md misses knob {knob}"
     assert "micro-batch" in serve.lower()
     assert "bitwise-identical" in serve
