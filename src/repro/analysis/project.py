@@ -56,6 +56,10 @@ class AnalysisConfig:
         "repro.core.ranking",
         "repro.core.estimators",
         "repro.metrics.ranking",
+        "repro.kg.graph",
+        "repro.core.candidates",
+        "repro.core.sampling",
+        "repro.core.easy_negatives",
     )
 
     #: Import-layering contracts (R004): the worker process must stay

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kg.graph import HEAD, SIDES, TAIL, KnowledgeGraph, Side, TripleSet
+from repro.kg.graph import SIDES, KeyedCSR, KnowledgeGraph, Side, entities_by_relation
 from repro.metrics.tradeoff import TradeoffPoint
 from repro.recommenders.base import FittedRecommender
 
@@ -64,13 +64,9 @@ class CandidateSets:
         )
 
 
-def _training_truths(graph: KnowledgeGraph, relation: int, side: Side) -> np.ndarray:
-    """Entities observed on ``side`` of ``relation`` in train + valid."""
-    seen = set(graph.observed(relation, side).tolist())
-    for h, r, t in graph.valid:
-        if r == relation:
-            seen.add(h if side == HEAD else t)
-    return np.asarray(sorted(seen), dtype=np.int64)
+def _truth_index(graph: KnowledgeGraph) -> dict[Side, KeyedCSR]:
+    """Per side, the entities of each relation in train + valid."""
+    return entities_by_relation(graph.num_entities, [graph.train.array, graph.valid.array])
 
 
 def choose_threshold(
@@ -92,25 +88,21 @@ def choose_threshold(
         np.quantile(positive, np.linspace(0.0, 1.0, num_thresholds))
     )
     num_entities = scores.shape[0]
-    truth_scores = scores[truths] if truths.size else np.empty(0)
-    best_threshold = float(quantiles[0])
-    best_point = None
-    best_distance = np.inf
-    for threshold in quantiles:
-        kept = int(np.count_nonzero(scores >= threshold))
-        recall = (
-            float(np.count_nonzero(truth_scores >= threshold)) / truths.size
-            if truths.size
-            else 1.0
-        )
+    # Entities (and truths) scoring >= each threshold: one sort, one search.
+    kept = num_entities - np.searchsorted(np.sort(scores), quantiles)
+    recalled = truths.size - np.searchsorted(np.sort(scores[truths]), quantiles)
+    best_threshold, best_point, best_distance = float(quantiles[0]), None, np.inf
+    for threshold, kept_count, recalled_count in zip(
+        quantiles.tolist(), kept.tolist(), recalled.tolist()
+    ):
         point = TradeoffPoint(
-            candidate_recall=recall,
-            reduction_rate=1.0 - kept / num_entities,
+            candidate_recall=recalled_count / truths.size if truths.size else 1.0,
+            reduction_rate=1.0 - kept_count / num_entities,
         )
         distance = point.distance_to_ideal()
         if distance < best_distance:
             best_distance = distance
-            best_threshold = float(threshold)
+            best_threshold = threshold
             best_point = point
     assert best_point is not None
     return best_threshold, best_point
@@ -130,11 +122,13 @@ def build_static_candidates(
     start = time.perf_counter()
     sets: dict[Side, dict[int, np.ndarray]] = {side: {} for side in SIDES}
     thresholds: dict[Side, dict[int, float]] = {side: {} for side in SIDES}
+    truths = _truth_index(graph)
     for side in SIDES:
         for relation in range(graph.num_relations):
             column = fitted.column(relation, side)
-            truths = _training_truths(graph, relation, side)
-            threshold, _ = choose_threshold(column, truths, num_thresholds)
+            threshold, _ = choose_threshold(
+                column, truths[side].segment(relation), num_thresholds
+            )
             selected = np.flatnonzero(column >= threshold).astype(np.int64)
             if include_observed:
                 observed = graph.observed(relation, side)
@@ -173,18 +167,6 @@ class TradeoffReport:
         }
 
 
-def _test_pairs(
-    graph: KnowledgeGraph, split: str
-) -> dict[Side, set[tuple[int, int]]]:
-    """Distinct (entity, relation) combinations per side in a split."""
-    triples: TripleSet = getattr(graph, split)
-    pairs: dict[Side, set[tuple[int, int]]] = {side: set() for side in SIDES}
-    for h, r, t in triples:
-        pairs[HEAD].add((h, r))
-        pairs[TAIL].add((t, r))
-    return pairs
-
-
 def evaluate_tradeoff(
     sets: CandidateSets,
     graph: KnowledgeGraph,
@@ -195,36 +177,35 @@ def evaluate_tradeoff(
 
     CR Test covers every distinct (entity, relation-side) combination the
     split contains; CR Unseen restricts to combinations absent from train
-    and valid.  RR is weighted by test queries: the average fraction of
-    entities a query's candidate set filters out, which is exactly the
-    scoring-work reduction the evaluation realises.
+    and valid.  RR is weighted by those distinct (answer entity,
+    relation) pairs per side: the average over them of the fraction of
+    entities the relation-side's candidate set filters out.
     """
-    pairs = _test_pairs(graph, split)
-    seen: dict[Side, set[tuple[int, int]]] = {side: set() for side in SIDES}
-    for source in ("train", "valid"):
-        for side, combos in _test_pairs(graph, source).items():
-            seen[side] |= combos
-
-    hits_test = 0
-    total_test = 0
-    hits_unseen = 0
-    total_unseen = 0
+    triples = getattr(graph, split)
+    truths = _truth_index(graph)
+    num_relations = graph.num_relations
+    covered: list[bool] = []
+    unseen: list[np.ndarray] = []
     rr_terms: list[float] = []
     for side in SIDES:
-        for entity, relation in sorted(pairs[side]):
-            covered = sets.contains(entity, relation, side)
-            total_test += 1
-            hits_test += int(covered)
-            if (entity, relation) not in seen[side]:
-                total_unseen += 1
-                hits_unseen += int(covered)
-            rr_terms.append(1.0 - sets.set_size(relation, side) / sets.num_entities)
+        # Sorted unique keys list the side's pairs in (entity, relation) order.
+        keys = np.unique(triples.entities(side) * num_relations + triples.relations)
+        entities, relations = np.divmod(keys, num_relations)
+        pairs = list(zip(entities.tolist(), relations.tolist()))
+        covered += [sets.contains(entity, relation, side) for entity, relation in pairs]
+        unseen.append(~truths[side].contains(relations, entities))
+        rr_terms += [1.0 - sets.set_size(r, side) / sets.num_entities for _, r in pairs]
+    hit = np.array(covered, dtype=bool)
+    fresh = np.concatenate(unseen)
+    total_unseen = int(np.count_nonzero(fresh))
     return TradeoffReport(
         recommender_name=sets.recommender_name,
-        candidate_recall_test=hits_test / total_test if total_test else 1.0,
-        candidate_recall_unseen=hits_unseen / total_unseen if total_unseen else 1.0,
+        candidate_recall_test=np.count_nonzero(hit) / hit.size if hit.size else 1.0,
+        candidate_recall_unseen=(
+            np.count_nonzero(hit & fresh) / total_unseen if total_unseen else 1.0
+        ),
         reduction_rate=float(np.mean(rr_terms)) if rr_terms else 0.0,
-        num_test_pairs=total_test,
+        num_test_pairs=int(hit.size),
         num_unseen_pairs=total_unseen,
         fit_seconds=fit_seconds,
     )

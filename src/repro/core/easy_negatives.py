@@ -84,33 +84,30 @@ def mine_easy_negatives(
 ) -> EasyNegativeReport:
     """Count zero-score slots and audit them against the dataset triples.
 
-    The easy-negative count is ``|E| * 2|R| - nnz(X)``; the audit walks
-    every triple of ``audit_splits`` and flags those whose head scores zero
-    in the relation's domain column or whose tail scores zero in its range
-    column.
+    The easy-negative count is ``|E| * 2|R| - nnz(X)``; the audit indexes
+    a ``(2|R|, |E|)`` zero mask with every triple of ``audit_splits`` and
+    flags, in split order, those whose head scores zero in the relation's
+    domain column or whose tail scores zero in its range column.
     """
     total_slots = graph.num_entities * 2 * graph.num_relations
     easy = total_slots - fitted.total_nonzero()
 
-    zero_head: dict[int, np.ndarray] = {}
-    zero_tail: dict[int, np.ndarray] = {}
-    for relation in range(graph.num_relations):
-        zero_head[relation] = fitted.zero_mask(relation, HEAD)
-        zero_tail[relation] = fitted.zero_mask(relation, TAIL)
+    # zero[col, e]: entity e has no stored score in column col (a slot).
+    stored = fitted.matrix.tocoo()
+    zero = np.ones((2 * graph.num_relations, graph.num_entities), dtype=bool)
+    zero[stored.col, stored.row] = False
 
     false_negatives: list[FalseEasyNegative] = []
     for split in audit_splits:
-        for h, r, t in getattr(graph, split):
-            head_zero = bool(zero_head[r][h])
-            tail_zero = bool(zero_tail[r][t])
-            if not head_zero and not tail_zero:
-                continue
-            zero_side = "both" if head_zero and tail_zero else ("head" if head_zero else "tail")
-            false_negatives.append(
-                FalseEasyNegative(
-                    head=h, relation=r, tail=t, split=split, zero_side=zero_side
-                )
-            )
+        triples = getattr(graph, split).array
+        head_zero = zero[triples[:, 1], triples[:, 0]]
+        tail_zero = zero[triples[:, 1] + graph.num_relations, triples[:, 2]]
+        flagged = np.flatnonzero(head_zero | tail_zero)
+        for (h, r, t), hz, tz in zip(
+            triples[flagged].tolist(), head_zero[flagged].tolist(), tail_zero[flagged].tolist()
+        ):
+            zero_side = "both" if hz and tz else ("head" if hz else "tail")
+            false_negatives.append(FalseEasyNegative(h, r, t, split, zero_side))
     return EasyNegativeReport(
         recommender_name=fitted.name,
         dataset_name=graph.name,
@@ -141,7 +138,13 @@ class EasyNegativeClassifier:
         triples = np.asarray(triples, dtype=np.int64)
         if triples.ndim != 2 or triples.shape[1] != 3:
             raise ValueError(f"expected (n, 3) triples, got {triples.shape}")
-        out = np.empty(triples.shape[0], dtype=bool)
-        for i, (h, r, t) in enumerate(triples):
-            out[i] = self.classify(int(h), int(r), int(t))
-        return out
+        heads, relations, tails = triples.T
+        num_relations = self.fitted.num_relations
+        if relations.size == 0:
+            return np.zeros(0, dtype=bool)
+        if relations.min() < 0 or relations.max() >= num_relations:
+            raise IndexError(f"relation outside [0, {num_relations})")
+        matrix = self.fitted.matrix
+        head_scores = np.asarray(matrix[heads, relations]).ravel()
+        tail_scores = np.asarray(matrix[tails, relations + num_relations]).ravel()
+        return (head_scores > 0.0) & (tail_scores > 0.0)

@@ -102,18 +102,11 @@ def unseen_candidate_exposure(graph: KnowledgeGraph) -> dict[str, float]:
     relations, which is why the paper calls PT's limitation "detrimental"
     exactly there.
     """
+    test = graph.test
     exposure = {}
     for side in (HEAD, TAIL):
-        total = 0
-        unseen = 0
-        for h, r, t in graph.test:
-            entity = h if side == HEAD else t
-            total += 1
-            observed = graph.observed(r, side)
-            index = int(np.searchsorted(observed, entity))
-            if index >= observed.size or int(observed[index]) != entity:
-                unseen += 1
-        exposure[side] = unseen / total if total else 0.0
+        seen = graph.observed_index[side].contains(test.relations, test.entities(side))
+        exposure[side] = int(np.count_nonzero(~seen)) / len(test) if len(test) else 0.0
     return exposure
 
 

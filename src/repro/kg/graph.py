@@ -4,14 +4,17 @@ A :class:`TripleSet` is an immutable ``(n, 3)`` integer array of
 ``(head, relation, tail)`` triples with convenience accessors.  A
 :class:`KnowledgeGraph` bundles the train/valid/test triple sets with the
 entity/relation vocabularies and the index structures the evaluation
-framework needs:
+framework needs.  Each index is a :class:`KeyedCSR` from the one
+:func:`build_keyed_csr`, and differs only in key and value:
 
-* *the filter index* — for each ``(h, r)`` the set of known true tails
-  across all splits (and symmetrically for heads), used by filtered
-  ranking; one :class:`FilterIndexCSR`, built by :func:`build_filter_csr`;
-* *observed domains & ranges* — for each relation the entities seen as its
-  head (domain) or tail (range) in the training split, used by the PT
-  recommender and by candidate-recall bookkeeping.
+* *the filter index* (:func:`build_filter_csr`) — keyed by
+  ``anchor * num_relations + relation`` over all splits: the known true
+  answers of each query, excluded by filtered ranking;
+* *observed domains & ranges* (:meth:`KnowledgeGraph.observed`) — keyed by
+  ``relation`` over train: the entities seen as its head / tail, used by
+  the PT recommender and candidate-recall bookkeeping;
+* *training truths* — :func:`entities_by_relation` over train and valid,
+  used to threshold static candidate sets.
 
 Heads and tails are handled uniformly through the ``side`` argument:
 ``"head"`` means we predict the head of ``(?, r, t)`` and ``"tail"`` means we
@@ -40,8 +43,8 @@ INT32_LIMIT = 2**31
 def id_dtype(num_entities: int) -> np.dtype:
     """The narrowest integer dtype that can hold every entity id.
 
-    Entity-valued index buffers (filter-index answers, observed-entity
-    sets, the compact triple store) are stored as int32 whenever the
+    Entity-valued index buffers (the values of every :class:`KeyedCSR`,
+    the compact triple store) are stored as int32 whenever the
     vocabulary allows it — halving their memory — and fall back to int64
     for vocabularies of ``2**31`` entities or more.
     """
@@ -158,7 +161,7 @@ class KnowledgeGraph:
         #: built and read by :func:`repro.engine.worker.evaluation_plan`,
         #: and freed with the graph, like the filter index they derive from.
         self.evaluation_plans: list = []
-        self._observed: dict[Side, dict[int, np.ndarray]] | None = None
+        self._observed_index: dict[Side, KeyedCSR] | None = None
         self._validate()
 
     # ------------------------------------------------------------------
@@ -212,27 +215,18 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
     # Observed domains & ranges (training split only)
     # ------------------------------------------------------------------
-    def _build_observed(self) -> dict[Side, dict[int, np.ndarray]]:
-        observed: dict[Side, dict[int, set[int]]] = {HEAD: {}, TAIL: {}}
-        for h, r, t in self.train:
-            observed[HEAD].setdefault(r, set()).add(h)
-            observed[TAIL].setdefault(r, set()).add(t)
-        dtype = id_dtype(self.num_entities)
-        return {
-            side: {r: np.asarray(sorted(vals), dtype=dtype) for r, vals in mapping.items()}
-            for side, mapping in observed.items()
-        }
-
     @property
-    def observed_entities(self) -> dict[Side, dict[int, np.ndarray]]:
-        """Per relation, entities seen in training as its head / tail."""
-        if self._observed is None:
-            self._observed = self._build_observed()
-        return self._observed
+    def observed_index(self) -> dict[Side, KeyedCSR]:
+        """Per side, the training entities of each relation, keyed by relation."""
+        if self._observed_index is None:
+            self._observed_index = entities_by_relation(
+                self.num_entities, [self.train.array]
+            )
+        return self._observed_index
 
     def observed(self, relation: int, side: Side) -> np.ndarray:
         """Entities observed in training on ``side`` of ``relation``."""
-        return self.observed_entities[side].get(relation, np.empty(0, dtype=np.int64))
+        return self.observed_index[side].segment(relation)
 
     # ------------------------------------------------------------------
     # Degree statistics
@@ -277,61 +271,122 @@ class KnowledgeGraph:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class KeyedCSR:
+    """Values grouped under int64 keys, in CSR form.
+
+    ``keys`` are sorted, unique and non-empty; ``offsets`` (``len(keys) +
+    1`` int64) delimit each key's segment of ``values``, which is sorted
+    and unique.  A missing key has ``left == right`` insertion points,
+    hence an empty segment, so lookups need no special case for misses.
+    """
+
+    keys: np.ndarray
+    offsets: np.ndarray
+    values: np.ndarray
+
+    def segment(self, key: int) -> np.ndarray:
+        """The values stored under ``key`` (empty when it has none)."""
+        start = self.offsets[np.searchsorted(self.keys, key)]
+        stop = self.offsets[np.searchsorted(self.keys, key, side="right")]
+        return self.values[start:stop]
+
+    def gather(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The batched :meth:`segment`: ``(rows, values)``, flattened, where
+        ``values[j]`` is stored under ``wanted[rows[j]]``."""
+        starts = self.offsets[np.searchsorted(self.keys, wanted)]
+        lengths = self.offsets[np.searchsorted(self.keys, wanted, side="right")] - starts
+        rows = np.repeat(np.arange(wanted.size), lengths)
+        # Slot j of the output reads values[starts[row] + j - first slot of row].
+        shift = starts - (np.cumsum(lengths) - lengths)
+        return rows, self.values[np.arange(rows.size) + shift[rows]]
+
+    def contains(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Per pair ``i``, whether ``values[i]`` is stored under ``keys[i]``."""
+        if self.values.size == 0:
+            return np.zeros(np.shape(keys), dtype=bool)
+        # Stored pairs ranked as key ordinal * bound + value (int64) are sorted.
+        bound = max(int(self.values.max()), int(np.max(values, initial=0))) + 1
+        ordinals = np.repeat(np.arange(self.keys.size), np.diff(self.offsets))
+        stored = ordinals * bound + self.values
+        slot = np.searchsorted(self.keys, keys)
+        probes = slot * bound + values
+        at = np.minimum(np.searchsorted(stored, probes), stored.size - 1)
+        known = self.keys[np.minimum(slot, self.keys.size - 1)] == keys
+        return known & (stored[at] == probes)
+
+
+def build_keyed_csr(
+    keys: np.ndarray, values: np.ndarray, value_dtype: np.dtype
+) -> KeyedCSR:
+    """Group ``values`` under int64 ``keys`` (values stored as ``value_dtype``).
+
+    Sort the pairs by ``(key, value)``, drop duplicates with one shifted
+    comparison, and read keys and offsets off ``np.unique`` — every step
+    a vectorised numpy pass.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    order = np.lexsort((values, keys))
+    keys, values = keys[order], values[order].astype(value_dtype, copy=False)
+    fresh = np.ones(keys.size, dtype=bool)
+    fresh[1:] = (keys[1:] != keys[:-1]) | (values[1:] != values[:-1])
+    keys, values = keys[fresh], values[fresh]
+    unique, starts = np.unique(keys, return_index=True)
+    offsets = np.append(starts, keys.size).astype(np.int64, copy=False)
+    return KeyedCSR(unique, offsets, np.ascontiguousarray(values))
+
+
+def _stacked(split_arrays: Sequence[np.ndarray]) -> np.ndarray:
+    arrays = [np.asarray(a) for a in split_arrays if np.asarray(a).shape[0]]
+    if not arrays:
+        return np.empty((0, 3), dtype=np.int64)
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=0)
+
+
+def entities_by_relation(
+    num_entities: int, split_arrays: Sequence[np.ndarray]
+) -> dict[Side, KeyedCSR]:
+    """Per side, keyed by relation, the entities seen on that side of it."""
+    triples = _stacked(split_arrays)
+    return {
+        side: build_keyed_csr(
+            triples[:, 1],
+            triples[:, 0] if side == HEAD else triples[:, 2],
+            id_dtype(num_entities),
+        )
+        for side in SIDES
+    }
+
+
 @dataclass
 class FilterIndexCSR:
-    """The filter index: every known true answer, in CSR form.
+    """The filter index: every known true answer, one :class:`KeyedCSR`
+    per side.
 
-    For each side, the answers of every ``(anchor, relation)`` query
-    across all splits — exactly what filtered ranking must exclude (minus
-    the query's own truth) — packed into three flat arrays:
-
-    * ``keys`` — sorted int64 ``anchor * num_relations + relation``
-      composite keys, one per non-empty ``(anchor, relation)`` pair;
-    * ``offsets`` — ``len(keys) + 1`` int64 prefix offsets into ``values``;
-    * ``values`` — the answers, sorted and unique within each key's
-      segment, concatenated in key order, stored as
-      :func:`id_dtype` (int32 unless the vocabulary needs int64).
-
-    For ``side == "tail"`` the anchor is the head (true tails of
-    ``(h, r, ?)``); for ``side == "head"`` it is the tail.  Build one
-    with :func:`build_filter_csr`; the evaluation engine reads it once
-    per evaluation plan (:func:`repro.engine.worker.evaluation_plan`).
+    Each side's segments are the answers of every ``(anchor, relation)``
+    query across all splits — exactly what filtered ranking must exclude
+    (minus the query's own truth) — keyed by ``anchor * num_relations +
+    relation`` and stored as :func:`id_dtype`.  For ``side == "tail"``
+    the anchor is the head (true tails of ``(h, r, ?)``); for ``side ==
+    "head"`` it is the tail.  The evaluation engine reads it once per
+    evaluation plan (:func:`repro.engine.worker.evaluation_plan`).
     """
 
     num_entities: int
     num_relations: int
-    keys: dict[Side, np.ndarray]
-    offsets: dict[Side, np.ndarray]
-    values: dict[Side, np.ndarray]
+    sides: dict[Side, KeyedCSR]
 
     def true_answers(self, anchor: int, relation: int, side: Side) -> np.ndarray:
         """Known true answers of one query (empty when it has none)."""
-        keys, offsets = self.keys[side], self.offsets[side]
-        key = anchor * self.num_relations + relation
-        start = offsets[np.searchsorted(keys, key)]
-        stop = offsets[np.searchsorted(keys, key, side="right")]
-        return self.values[side][start:stop]
+        return self.sides[side].segment(anchor * self.num_relations + relation)
 
     def gather(
         self, anchors: np.ndarray, relation: int, side: Side
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Known answers of a batch of same-relation queries, flattened.
-
-        Returns ``(rows, answers)``: ``answers[j]`` is a known answer of
-        query ``rows[j]`` (an index into ``anchors``), row-major in the
-        index's answer order — the batched :meth:`true_answers`, with one
-        pair of ``searchsorted`` calls for the whole batch.  A key the
-        index lacks has ``left == right`` insertion points, hence an empty
-        segment, so misses need no special case.
-        """
-        keys, offsets = self.keys[side], self.offsets[side]
+        """Known answers of same-relation queries: ``(rows, answers)``,
+        ``rows`` indexing ``anchors`` (see :meth:`KeyedCSR.gather`)."""
         wanted = np.asarray(anchors, dtype=np.int64) * self.num_relations + relation
-        starts = offsets[np.searchsorted(keys, wanted)]
-        lengths = offsets[np.searchsorted(keys, wanted, side="right")] - starts
-        rows = np.repeat(np.arange(wanted.size), lengths)
-        # Slot j of the output reads values[starts[row] + j - first slot of row].
-        shift = starts - (np.cumsum(lengths) - lengths)
-        return rows, self.values[side][np.arange(rows.size) + shift[rows]]
+        return self.sides[side].gather(wanted)
 
 
 def build_filter_csr(
@@ -341,52 +396,17 @@ def build_filter_csr(
 ) -> FilterIndexCSR:
     """Build the filter index from raw ``(n, 3)`` triple arrays.
 
-    Per side, sort the triples by ``(anchor * num_relations + relation,
-    answer)``, drop duplicate (key, answer) pairs with one shifted
-    comparison, and read the key table and offsets off ``np.unique``.
-    Composite keys are int64 (they can exceed int32 even when ids fit);
-    answers use :func:`id_dtype`.  Every step is a vectorised numpy
-    pass, so memory stays flat in the number of keys.
+    The triples keep their dtype (int32 memory maps stay int32); only
+    the composite key is int64.
     """
-    arrays = [np.asarray(a) for a in split_arrays if np.asarray(a).shape[0]]
-    if arrays:
-        triples = (
-            arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=0)
-        )
-    else:
-        triples = np.empty((0, 3), dtype=np.int64)
-    value_dtype = id_dtype(num_entities)
-    keys: dict[Side, np.ndarray] = {}
-    offsets: dict[Side, np.ndarray] = {}
-    values: dict[Side, np.ndarray] = {}
+    triples = _stacked(split_arrays)
     relations = triples[:, 1].astype(np.int64, copy=False)
-    for side in SIDES:
-        anchor = triples[:, 2] if side == HEAD else triples[:, 0]
-        answer = triples[:, 0] if side == HEAD else triples[:, 2]
-        composite = anchor.astype(np.int64) * num_relations + relations
-        order = np.lexsort((answer, composite))
-        composite = composite[order]
-        answer = answer[order].astype(value_dtype, copy=False)
-        if composite.size:
-            fresh = np.ones(composite.size, dtype=bool)
-            fresh[1:] = (composite[1:] != composite[:-1]) | (
-                answer[1:] != answer[:-1]
-            )
-            composite = composite[fresh]
-            answer = answer[fresh]
-        side_keys, counts = np.unique(composite, return_counts=True)
-        keys[side] = side_keys
-        offsets[side] = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
-        )
-        values[side] = np.ascontiguousarray(answer)
-    return FilterIndexCSR(
-        num_entities=num_entities,
-        num_relations=num_relations,
-        keys=keys,
-        offsets=offsets,
-        values=values,
-    )
+    heads, tails, dtype = triples[:, 0], triples[:, 2], id_dtype(num_entities)
+    sides = {
+        HEAD: build_keyed_csr(tails.astype(np.int64) * num_relations + relations, heads, dtype),
+        TAIL: build_keyed_csr(heads.astype(np.int64) * num_relations + relations, tails, dtype),
+    }
+    return FilterIndexCSR(num_entities, num_relations, sides)
 
 
 def build_graph(

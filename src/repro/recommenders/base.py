@@ -59,14 +59,7 @@ def binary_incidence(graph: KnowledgeGraph) -> sp.csr_matrix:
            [0., 1.],
            [0., 1.]])
     """
-    train = graph.train.array
-    num_r = graph.num_relations
-    rows = np.concatenate([train[:, 0], train[:, 2]])
-    cols = np.concatenate([train[:, 1], train[:, 1] + num_r])
-    data = np.ones(rows.shape[0], dtype=np.float64)
-    matrix = sp.csr_matrix(
-        (data, (rows, cols)), shape=(graph.num_entities, 2 * num_r)
-    )
+    matrix = count_incidence(graph)
     matrix.data[:] = 1.0  # collapse duplicate (entity, slot) observations
     return matrix
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import EasyNegativeClassifier, mine_easy_negatives
+from repro.core.easy_negatives import FalseEasyNegative
 from repro.recommenders import build_recommender
 
 
@@ -64,6 +65,28 @@ class TestMining:
             )
             assert isinstance(head, str) and isinstance(relation, str)
 
+    @pytest.mark.parametrize("recommender", ["l-wd", "pt"])
+    def test_audit_matches_per_triple_zero_masks(self, recommender, codex_s_module):
+        """The vectorised audit flags the triples, sides and order that a
+        per-triple walk over the recommender's zero masks does (PT flags
+        valid/test triples on every zero side)."""
+        graph = codex_s_module.graph
+        fitted = build_recommender(recommender).fit(graph)
+        result = mine_easy_negatives(fitted, graph)
+        masks = {
+            (r, side): fitted.zero_mask(r, side)
+            for r in range(graph.num_relations)
+            for side in ("head", "tail")
+        }
+        expected = []
+        for split in ("train", "valid", "test"):
+            for h, r, t in getattr(graph, split):
+                head_zero, tail_zero = bool(masks[r, "head"][h]), bool(masks[r, "tail"][t])
+                if head_zero or tail_zero:
+                    side = "both" if head_zero and tail_zero else ("head" if head_zero else "tail")
+                    expected.append(FalseEasyNegative(h, r, t, split, side))
+        assert result.false_easy_negatives == expected
+
     def test_as_row_columns(self, report):
         _, result = report
         row = result.as_row()
@@ -91,6 +114,26 @@ class TestClassifier:
         if dead_heads.size == 0:
             pytest.skip("no easy negatives for relation 0")
         assert not classifier.classify(int(dead_heads[0]), 0, 0)
+
+    def test_batch_matches_scalar_classify(self, report, codex_s_module):
+        fitted, _ = report
+        graph = codex_s_module.graph
+        classifier = EasyNegativeClassifier(fitted)
+        rng = np.random.default_rng(7)
+        random_triples = np.stack(
+            [
+                rng.integers(graph.num_entities, size=400),
+                rng.integers(graph.num_relations, size=400),
+                rng.integers(graph.num_entities, size=400),
+            ],
+            axis=1,
+        )
+        triples = np.concatenate([random_triples, graph.test.array])
+        expected = [classifier.classify(int(h), int(r), int(t)) for h, r, t in triples]
+        assert classifier.classify_batch(triples).tolist() == expected
+        assert classifier.classify_batch(np.empty((0, 3), dtype=np.int64)).tolist() == []
+        with pytest.raises(IndexError):
+            classifier.classify_batch(np.array([[0, graph.num_relations, 0]]))
 
     def test_batch_shape_validation(self, report):
         fitted, _ = report

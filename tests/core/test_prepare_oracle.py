@@ -1,0 +1,286 @@
+"""Differential oracle for the preparation indexes.
+
+The observed (PT) sets, the training truths, the static-candidate
+thresholds and the split pairs of :func:`evaluate_tradeoff` are all read
+off keyed CSR indexes (:func:`repro.kg.graph.build_keyed_csr`).  The
+reference functions below are the set-based builders those indexes
+replaced, kept here as the oracle: on seeded small graphs with duplicate
+triples, self-loops, relations absent from train, an empty valid split
+and zero-score columns, every output must be bitwise-equal to theirs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from repro.core.candidates import (
+    CandidateSets,
+    build_static_candidates,
+    choose_threshold,
+    evaluate_tradeoff,
+)
+from repro.kg import KnowledgeGraph, TripleSet, Vocabulary
+from repro.kg.graph import HEAD, SIDES, TAIL, build_keyed_csr, entities_by_relation, id_dtype
+from repro.metrics.tradeoff import TradeoffPoint
+from repro.recommenders import build_recommender
+
+RECOMMENDERS = ("pt", "dbh", "l-wd")
+SEEDS = tuple(range(6))
+
+
+# ----------------------------------------------------------------------
+# Reference builders (the set-based implementations the CSR replaced)
+# ----------------------------------------------------------------------
+def reference_observed(graph):
+    observed = {HEAD: {}, TAIL: {}}
+    for h, r, t in graph.train:
+        observed[HEAD].setdefault(r, set()).add(h)
+        observed[TAIL].setdefault(r, set()).add(t)
+    dtype = id_dtype(graph.num_entities)
+    return {
+        side: {r: np.asarray(sorted(vals), dtype=dtype) for r, vals in mapping.items()}
+        for side, mapping in observed.items()
+    }
+
+
+def reference_training_truths(graph, relation, side):
+    seen = set(reference_observed(graph)[side].get(relation, np.empty(0)).tolist())
+    for h, r, t in graph.valid:
+        if r == relation:
+            seen.add(h if side == HEAD else t)
+    return np.asarray(sorted(seen), dtype=np.int64)
+
+
+def reference_choose_threshold(scores, truths, num_thresholds=32):
+    positive = scores[scores > 0]
+    if positive.size == 0:
+        return np.inf, TradeoffPoint(
+            candidate_recall=1.0 if truths.size == 0 else 0.0, reduction_rate=1.0
+        )
+    quantiles = np.unique(np.quantile(positive, np.linspace(0.0, 1.0, num_thresholds)))
+    num_entities = scores.shape[0]
+    truth_scores = scores[truths] if truths.size else np.empty(0)
+    best_threshold = float(quantiles[0])
+    best_point = None
+    best_distance = np.inf
+    for threshold in quantiles:
+        kept = int(np.count_nonzero(scores >= threshold))
+        recall = (
+            float(np.count_nonzero(truth_scores >= threshold)) / truths.size
+            if truths.size
+            else 1.0
+        )
+        point = TradeoffPoint(candidate_recall=recall, reduction_rate=1.0 - kept / num_entities)
+        distance = point.distance_to_ideal()
+        if distance < best_distance:
+            best_distance = distance
+            best_threshold = float(threshold)
+            best_point = point
+    return best_threshold, best_point
+
+
+def reference_static_candidates(fitted, graph, include_observed):
+    observed = reference_observed(graph)
+    sets = {side: {} for side in SIDES}
+    thresholds = {side: {} for side in SIDES}
+    for side in SIDES:
+        for relation in range(graph.num_relations):
+            column = fitted.column(relation, side)
+            truths = reference_training_truths(graph, relation, side)
+            threshold, _ = reference_choose_threshold(column, truths)
+            selected = np.flatnonzero(column >= threshold).astype(np.int64)
+            seen = observed[side].get(relation, np.empty(0, dtype=np.int64))
+            if include_observed and seen.size:
+                selected = np.union1d(selected, seen)
+            sets[side][relation] = np.sort(selected)
+            thresholds[side][relation] = threshold
+    return CandidateSets(sets, thresholds, graph.num_entities, fitted.name)
+
+
+def reference_test_pairs(graph, split):
+    pairs = {side: set() for side in SIDES}
+    for h, r, t in getattr(graph, split):
+        pairs[HEAD].add((h, r))
+        pairs[TAIL].add((t, r))
+    return pairs
+
+
+def reference_tradeoff(sets, graph, split="test"):
+    pairs = reference_test_pairs(graph, split)
+    seen = {side: set() for side in SIDES}
+    for source in ("train", "valid"):
+        for side, combos in reference_test_pairs(graph, source).items():
+            seen[side] |= combos
+    hits_test = total_test = hits_unseen = total_unseen = 0
+    rr_terms = []
+    for side in SIDES:
+        for entity, relation in sorted(pairs[side]):
+            covered = sets.contains(entity, relation, side)
+            total_test += 1
+            hits_test += int(covered)
+            if (entity, relation) not in seen[side]:
+                total_unseen += 1
+                hits_unseen += int(covered)
+            rr_terms.append(1.0 - sets.set_size(relation, side) / sets.num_entities)
+    return {
+        "recommender_name": sets.recommender_name,
+        "candidate_recall_test": hits_test / total_test if total_test else 1.0,
+        "candidate_recall_unseen": hits_unseen / total_unseen if total_unseen else 1.0,
+        "reduction_rate": float(np.mean(rr_terms)) if rr_terms else 0.0,
+        "num_test_pairs": total_test,
+        "num_unseen_pairs": total_unseen,
+        "fit_seconds": 0.0,
+    }
+
+
+# ----------------------------------------------------------------------
+# Seeded graphs with every edge case the indexes must agree on
+# ----------------------------------------------------------------------
+def make_graph(seed: int) -> KnowledgeGraph:
+    """Small random graph: duplicates, self-loops, a test-only relation,
+    and (on even seeds) an empty valid split."""
+    rng = np.random.default_rng(seed)
+    num_entities = int(rng.integers(8, 30))
+    num_relations = int(rng.integers(3, 6))
+    absent = num_relations - 1  # never in train: its columns score zero
+
+    def draw(size, relations):
+        return np.stack(
+            [
+                rng.integers(num_entities, size=size),
+                rng.choice(relations, size=size),
+                rng.integers(num_entities, size=size),
+            ],
+            axis=1,
+        )
+
+    present = np.arange(num_relations - 1)
+    train = draw(int(rng.integers(20, 60)), present)
+    loops = rng.integers(num_entities, size=4)
+    train = np.concatenate(
+        [train, train[: train.shape[0] // 3], np.stack([loops, rng.choice(present, 4), loops], 1)]
+    )
+    valid = np.empty((0, 3), dtype=np.int64) if seed % 2 == 0 else draw(10, np.arange(num_relations))
+    test = draw(15, np.arange(num_relations))
+    test = np.concatenate([test, test[:3], [[0, absent, 0]]])
+    return KnowledgeGraph(
+        entities=Vocabulary([f"e{i}" for i in range(num_entities)]),
+        relations=Vocabulary([f"r{i}" for i in range(num_relations)]),
+        train=TripleSet(rng.permutation(train)),
+        valid=TripleSet(valid),
+        test=TripleSet(test),
+        name=f"oracle-{seed}",
+    )
+
+
+@pytest.fixture(scope="module", params=SEEDS)
+def graph(request):
+    return make_graph(request.param)
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestIndexes:
+    def test_observed_sets(self, graph):
+        reference = reference_observed(graph)
+        for side in SIDES:
+            for relation in range(graph.num_relations):
+                want = reference[side].get(relation, np.empty(0, dtype=id_dtype(graph.num_entities)))
+                assert_same_array(graph.observed(relation, side), want)
+
+    def test_observed_dtype_for_missing_and_present_relations(self, graph):
+        dtype = id_dtype(graph.num_entities)
+        missing = graph.num_relations - 1
+        assert graph.observed(missing, TAIL).size == 0
+        assert graph.observed(missing, TAIL).dtype == dtype
+        present = int(graph.train.relations[0])
+        assert graph.observed(present, HEAD).size > 0
+        assert graph.observed(present, HEAD).dtype == dtype
+
+    def test_training_truths(self, graph):
+        truths = entities_by_relation(graph.num_entities, [graph.train.array, graph.valid.array])
+        for side in SIDES:
+            for relation in range(graph.num_relations):
+                want = reference_training_truths(graph, relation, side)
+                got = truths[side].segment(relation)
+                assert got.dtype == id_dtype(graph.num_entities)
+                assert_same_array(got.astype(np.int64), want)
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_columns_with_ties_and_zeros(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            size = int(rng.integers(1, 60))
+            scores = rng.choice([0.0, 0.25, 0.5, 1.0, 3.0], size=size) * (rng.random(size) > 0.4)
+            if rng.random() < 0.5:
+                scores = scores + rng.random(size) * (scores > 0)
+            truths = np.unique(rng.integers(size, size=int(rng.integers(0, size + 1))))
+            threshold, point = choose_threshold(scores, truths)
+            want_threshold, want_point = reference_choose_threshold(scores, truths)
+            assert float(threshold).hex() == float(want_threshold).hex()
+            assert point == want_point
+
+    def test_zero_column(self):
+        for truths in (np.empty(0, dtype=np.int64), np.array([1, 3])):
+            assert choose_threshold(np.zeros(5), truths) == reference_choose_threshold(
+                np.zeros(5), truths
+            )
+
+
+@pytest.mark.parametrize("recommender", RECOMMENDERS)
+@pytest.mark.parametrize("include_observed", [True, False])
+class TestCandidates:
+    def test_sets_thresholds_and_report(self, graph, recommender, include_observed):
+        fitted = build_recommender(recommender).fit(graph)
+        got = build_static_candidates(fitted, graph, include_observed=include_observed)
+        want = reference_static_candidates(fitted, graph, include_observed)
+        for side in SIDES:
+            assert got.sets[side].keys() == want.sets[side].keys()
+            for relation, expected in want.sets[side].items():
+                assert_same_array(got.sets[side][relation], expected)
+            assert {r: float(v).hex() for r, v in got.thresholds[side].items()} == {
+                r: float(v).hex() for r, v in want.thresholds[side].items()
+            }
+        for split in ("test", "valid", "train"):
+            report = asdict(evaluate_tradeoff(got, graph, split=split))
+            expected = reference_tradeoff(want, graph, split=split)
+            assert report.keys() == expected.keys()
+            for name, value in expected.items():
+                if isinstance(value, float):
+                    assert float(report[name]).hex() == value.hex(), (split, name)
+                else:
+                    assert report[name] == value, (split, name)
+
+
+class TestKeyedCSR:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_segments_and_membership_match_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, 12, size=80) * 7  # sparse keys, many repeats
+        values = rng.integers(0, 20, size=80)
+        csr = build_keyed_csr(keys, values, np.dtype(np.int32))
+        oracle: dict[int, set[int]] = {}
+        for key, value in zip(keys.tolist(), values.tolist()):
+            oracle.setdefault(key, set()).add(value)
+        assert csr.keys.tolist() == sorted(oracle)
+        assert csr.values.dtype == np.int32
+        for key in range(-1, 90):
+            assert csr.segment(key).tolist() == sorted(oracle.get(key, ()))
+        probe_keys = rng.integers(-1, 90, size=200)
+        probe_values = rng.integers(0, 25, size=200)
+        want = [v in oracle.get(k, ()) for k, v in zip(probe_keys.tolist(), probe_values.tolist())]
+        assert csr.contains(probe_keys, probe_values).tolist() == want
+
+    def test_empty(self):
+        csr = build_keyed_csr(np.empty(0, np.int64), np.empty(0, np.int64), np.dtype(np.int32))
+        assert csr.offsets.tolist() == [0]
+        assert csr.segment(3).dtype == np.int32 and csr.segment(3).size == 0
+        assert csr.contains(np.array([1, 2]), np.array([0, 0])).tolist() == [False, False]

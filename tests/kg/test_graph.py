@@ -90,7 +90,7 @@ class TestFilterIndex:
     def test_answers_are_sorted_unique(self, tiny_graph):
         index = tiny_graph.filter_index
         for side in (HEAD, TAIL):
-            offsets, values = index.offsets[side], index.values[side]
+            offsets, values = index.sides[side].offsets, index.sides[side].values
             for start, stop in zip(offsets[:-1], offsets[1:]):
                 assert stop > start  # only non-empty keys are stored
                 assert np.all(np.diff(values[start:stop]) > 0)

@@ -62,7 +62,7 @@ class TestIdDtype:
     def test_filter_index_buffers_downcast(self, graph):
         index = graph.filter_index
         for side in ("head", "tail"):
-            assert index.values[side].dtype == np.int32
+            assert index.sides[side].values.dtype == np.int32
             assert graph.true_answers(0, 0, side).dtype == np.int32
 
     def test_observed_buffers_downcast(self, graph):
@@ -127,7 +127,7 @@ class TestBuildFilterCSR:
             assert index is graph.filter_index  # built once, cached
             anchors = np.arange(num_entities)
             for side in ("head", "tail"):
-                assert index.values[side].dtype == id_dtype(num_entities)
+                assert index.sides[side].values.dtype == id_dtype(num_entities)
                 for relation in range(num_relations):
                     rows, cols = index.gather(anchors, relation, side)
                     for anchor in range(num_entities):
@@ -140,8 +140,8 @@ class TestBuildFilterCSR:
             compact = open_compact(tmp_path / name).filter_index
             for array_name in ("keys", "offsets", "values"):
                 for side in ("head", "tail"):
-                    array = getattr(index, array_name)[side]
-                    other = getattr(compact, array_name)[side]
+                    array = getattr(index.sides[side], array_name)
+                    other = getattr(compact.sides[side], array_name)
                     assert other.dtype == array.dtype, array_name
                     np.testing.assert_array_equal(other, array)
 
