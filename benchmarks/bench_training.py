@@ -1,15 +1,16 @@
-"""Fused analytic training kernels: speed-up, exactness, and float32.
+"""Fused training: speed-up, exactness, and float32.
 
 Four claims, all asserted:
 
-1. **Gradient exactness** — for *every* (kernel model, loss) pair, the
-   fused analytic gradients match the autodiff engine's to 1e-9 in
-   float64 (they agree to ~1e-16; the bound absorbs accumulation-order
-   rounding).
+1. **Gradient exactness** — for *every* (fused model, loss) pair, the
+   fused gradients (the inference forward plus hand-written VJPs) match
+   the autodiff engine's to 1e-9 in float64 (they agree to ~1e-15; the
+   bound absorbs accumulation-order rounding).
 2. **Throughput** — on a 5k-entity synthetic graph, a fused float64
    training epoch (ComplEx, the paper's headline model, with its
    canonical softplus loss and the trainer's default Adam) sustains
-   >= 4x the epoch throughput of the autodiff path.
+   >= 4x the epoch throughput of the autodiff path (the same model with
+   its query-vector VJP withheld, which is what routes it to autodiff).
 3. **Same destination** — fused and autodiff SGD runs from identical
    seeds land on the same final MRR (sparse SGD *is* dense SGD when the
    gradients agree; only ~1e-16 rounding separates the trajectories).
@@ -29,8 +30,8 @@ import numpy as np
 from repro.bench import render_table
 from repro.core.ranking import evaluate_full
 from repro.datasets import SyntheticConfig, generate
-from repro.models import Trainer, TrainingConfig, build_model
-from repro.models.kernels import autodiff_gradients, available_kernels, fused_gradients
+from repro.models import ComplEx, Trainer, TrainingConfig, available_models, build_model
+from repro.models.fused import autodiff_gradients, fused_gradients, trains_fused
 
 #: Acceptance floor: fused vs autodiff epoch throughput (float64, Adam).
 MIN_SPEEDUP = 4.0
@@ -53,6 +54,14 @@ EPOCHS = 2
 _GRAPH = None
 
 
+class AutodiffComplEx(ComplEx):
+    """ComplEx re-declaring ``query_vectors`` without its VJP: the same
+    model and initial parameters, trained through the autodiff engine."""
+
+    def query_vectors(self, anchors, relation, side):
+        return super().query_vectors(anchors, relation, side)
+
+
 def _graph():
     """The 5k-entity synthetic benchmark graph (built once per process)."""
     global _GRAPH
@@ -65,10 +74,10 @@ def _graph():
     return _GRAPH
 
 
-def _train(graph, use_fused, optimizer="adam", dtype="float64", loss="softplus"):
-    model = build_model(
-        MODEL, graph.num_entities, graph.num_relations, dim=DIM, seed=0, dtype=dtype
-    )
+def _train(graph, fused, optimizer="adam", dtype="float64", loss="softplus"):
+    model_cls = ComplEx if fused else AutodiffComplEx
+    model = model_cls(graph.num_entities, graph.num_relations, dim=DIM, seed=0, dtype=dtype)
+    assert trains_fused(model) == fused
     config = TrainingConfig(
         epochs=EPOCHS,
         batch_size=BATCH_SIZE,
@@ -77,9 +86,8 @@ def _train(graph, use_fused, optimizer="adam", dtype="float64", loss="softplus")
         loss=loss,
         optimizer=optimizer,
         seed=0,
-        use_fused=use_fused,
         # Collision filtering is an orthogonal (and identical) cost on
-        # both paths; keep the measurement about the training kernels.
+        # both paths; keep the measurement about the training step.
         filter_false_negatives=False,
     )
     start = time.perf_counter()
@@ -101,7 +109,10 @@ def test_gradient_equivalence_every_model_and_loss():
     )
     worst = 0.0
     pairs = 0
-    for name in available_kernels():
+    fused_models = [
+        name for name in available_models() if trains_fused(build_model(name, 10, 2, dim=8))
+    ]
+    for name in fused_models:
         variants = [{"norm": 1}, {"norm": 2}] if name == "transe" else [{}]
         for extra in variants:
             model = build_model(name, num_entities, num_relations, dim=8, seed=1, **extra)
@@ -114,7 +125,7 @@ def test_gradient_equivalence_every_model_and_loss():
                     worst = max(worst, diff)
                     assert diff <= GRAD_TOL, f"{name}/{loss}/{key}: {diff:.3e}"
                 pairs += 1
-    assert pairs >= len(available_kernels()) * len(LOSSES)
+    assert pairs >= len(fused_models) * len(LOSSES)
     print(f"\n{pairs} (model, loss) pairs; worst gradient difference {worst:.2e}")
 
 
@@ -124,8 +135,8 @@ def test_training_speedup_and_metric_parity(emit, emit_json):
     triples_per_epoch = len(graph.train)
 
     # -- Throughput: the trainer's default Adam, float64. ---------------
-    _, _, fused_epoch = _train(graph, use_fused=True)
-    _, _, auto_epoch = _train(graph, use_fused=False)
+    _, _, fused_epoch = _train(graph, fused=True)
+    _, _, auto_epoch = _train(graph, fused=False)
     speedup = auto_epoch / fused_epoch
 
     # -- Destination parity: SGD, where sparse == dense exactly. --------
@@ -148,13 +159,13 @@ def test_training_speedup_and_metric_parity(emit, emit_json):
             "Speed-up": 1.0,
         },
         {
-            "Path": "fused kernels (sparse rows)",
+            "Path": "fused (sparse rows)",
             "s/epoch": round(fused_epoch, 3),
             "Triples/s": round(triples_per_epoch / fused_epoch),
             "Speed-up": round(speedup, 2),
         },
         {
-            "Path": "fused kernels, float32",
+            "Path": "fused, float32",
             "s/epoch": round(f32_epoch, 3),
             "Triples/s": round(triples_per_epoch / f32_epoch),
             "Speed-up": round(auto_epoch / f32_epoch, 2),
@@ -165,7 +176,7 @@ def test_training_speedup_and_metric_parity(emit, emit_json):
         render_table(
             rows,
             title=(
-                f"Fused training kernels: {MODEL} dim={DIM} on {graph.name} "
+                f"Fused training: {MODEL} dim={DIM} on {graph.name} "
                 f"(|E|={graph.num_entities}, {triples_per_epoch} train triples, "
                 f"batch {BATCH_SIZE}, {NUM_NEGATIVES} negatives, adam)"
             ),
@@ -227,14 +238,14 @@ def test_tracing_overhead_under_five_percent():
     graph = _graph()
 
     def epochs(samples=3):
-        return sorted(_train(graph, use_fused=True)[2] for _ in range(samples))[1]
+        return sorted(_train(graph, fused=True)[2] for _ in range(samples))[1]
 
     set_tracing(False)
-    _, baseline_history, _ = _train(graph, use_fused=True)
+    _, baseline_history, _ = _train(graph, fused=True)
     baseline = epochs()
     try:
         set_tracing(True)
-        _, traced_history, _ = _train(graph, use_fused=True)
+        _, traced_history, _ = _train(graph, fused=True)
         traced = epochs()
     finally:
         set_tracing(False)
@@ -253,16 +264,15 @@ def test_tracing_overhead_under_five_percent():
 
 
 def test_fallback_models_unchanged():
-    """ConvE (no kernel) trains bit-identically with use_fused on or off."""
+    """ConvE (no VJPs) trains through autodiff, bit-identically run to run."""
     graph = generate(
         SyntheticConfig(num_entities=300, num_relations=6, num_triples=1500, seed=1)
     ).graph
 
-    def run(use_fused):
+    def run():
         model = build_model("conve", graph.num_entities, graph.num_relations, dim=16, seed=0)
-        Trainer(
-            TrainingConfig(epochs=1, loss="bce", seed=0, use_fused=use_fused)
-        ).fit(model, graph)
+        assert not trains_fused(model)
+        Trainer(TrainingConfig(epochs=1, loss="bce", seed=0)).fit(model, graph)
         return model.entity.data
 
-    np.testing.assert_array_equal(run(True), run(False))
+    np.testing.assert_array_equal(run(), run())

@@ -50,7 +50,7 @@ class AnalysisConfig:
     #: Hot-path modules where wall-clock reads and set-order iteration
     #: are forbidden (R005).
     hot_modules: tuple[str, ...] = (
-        "repro.models.kernels",
+        "repro.models.fused",
         "repro.engine.chunking",
         "repro.engine.aggregator",
         "repro.core.ranking",

@@ -1,11 +1,11 @@
 """Finite-difference gradient checking for the autodiff substrate.
 
-:func:`gradcheck` is the ground truth the analytic training kernels are
-validated against: the kernel equivalence tests first confirm (here) that
-the autodiff gradients agree with central finite differences, then assert
-that the fused kernels agree with autodiff to ~1e-9.  The chain
-``finite differences -> autodiff -> fused kernels`` is what "correct by
-construction" means for :mod:`repro.models.kernels`.
+:func:`gradcheck` is the ground truth fused training is validated
+against: the gradient equivalence tests first confirm (here) that the
+autodiff gradients agree with central finite differences, then assert
+that the fused backwards agree with autodiff to ~1e-9.  The chain
+``finite differences -> autodiff -> fused`` is what "correct by
+construction" means for :mod:`repro.models.fused`.
 """
 
 from __future__ import annotations

@@ -204,12 +204,6 @@ def _add_training_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", type=int, default=32)
     parser.add_argument("--lr", type=float, default=0.05)
     parser.add_argument("--loss", default="softplus")
-    parser.add_argument(
-        "--no-fused",
-        action="store_true",
-        help="train through the autodiff engine even when the model has "
-        "an analytic kernel (debugging / A-B timing)",
-    )
 
 
 def _required_store(args: argparse.Namespace) -> ExperimentStore:
@@ -328,7 +322,6 @@ def _spec_from_training_args(
         lr=args.lr,
         loss=args.loss,
         optimizer=getattr(args, "optimizer", TrainingSpec.optimizer),
-        use_fused=not args.no_fused,
         seed=args.seed,
     )
     evaluation = EvaluationSpec(
@@ -867,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = commands.add_parser(
         "train",
         parents=[seed_parent, dtype_parent, store_parent, trace_parent],
-        help="train a model (fused kernels) and save its checkpoint",
+        help="train a model and save its checkpoint",
     )
     _add_dataset_argument(train)
     train.add_argument("--model", default="complex", choices=available_models())

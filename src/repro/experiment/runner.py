@@ -151,10 +151,9 @@ def _train(
         **spec.model.options,
     )
     config = spec.training.to_config()
-    path_note = "" if config.use_fused else " (autodiff path)"
     say(
         f"Training {spec.model.name} ({spec.model.dtype}) on {graph.name} "
-        f"for {config.epochs} epochs{path_note} ..."
+        f"for {config.epochs} epochs ..."
     )
     start = time.perf_counter()
     history = Trainer(config).fit(model, graph)

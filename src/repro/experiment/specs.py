@@ -195,7 +195,6 @@ class TrainingSpec:
     optimizer: str = "adam"
     weight_decay: float = 0.0
     filter_false_negatives: bool = True
-    use_fused: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -232,7 +231,6 @@ class TrainingSpec:
             optimizer=self.optimizer,
             weight_decay=self.weight_decay,
             filter_false_negatives=self.filter_false_negatives,
-            use_fused=self.use_fused,
             seed=self.seed,
         )
 

@@ -10,7 +10,7 @@ from repro.models.base import DTYPES, KGEModel, xavier_uniform
 from repro.models.complex_ import ComplEx
 from repro.models.conve import ConvE
 from repro.models.distmult import DistMult
-from repro.models.kernels import available_kernels, get_kernel, has_kernel
+from repro.models.fused import trains_fused
 from repro.models.losses import available_losses, get_loss
 from repro.models.optim import SGD, Adagrad, Adam, build_optimizer, coalesce_rows
 from repro.models.oracle import OracleModel
@@ -79,16 +79,14 @@ __all__ = [
     "TransE",
     "TuckER",
     "UniformNegativeSampler",
-    "available_kernels",
     "available_losses",
     "available_models",
     "build_model",
     "build_optimizer",
     "coalesce_rows",
-    "get_kernel",
     "get_loss",
-    "has_kernel",
     "load_model",
     "save_model",
+    "trains_fused",
     "xavier_uniform",
 ]

@@ -4,9 +4,10 @@ A :class:`KGEModel` owns embedding parameters (as autodiff
 :class:`~repro.autodiff.engine.Tensor` leaves) and exposes two scoring
 surfaces:
 
-* a *training* surface — :meth:`score_triples` returns a differentiable
-  Tensor of scores for a batch of ``(h, r, t)`` triples, so losses can
-  backpropagate into the embeddings;
+* an *autodiff* surface — :meth:`score_triples` returns a differentiable
+  Tensor of scores for a batch of ``(h, r, t)`` triples.  It is the
+  training path of models without hand-written gradients and the
+  gradient oracle for those with them;
 * an *inference* surface — :meth:`score_candidates_batch` returns plain
   numpy ``(b, k)`` scores computed outside the autodiff graph, because
   evaluation scores millions of candidates and must not build graphs.
@@ -26,6 +27,14 @@ surfaces must agree: ``score_all(anchor, r, side)[e]`` equals
 ``score_triples`` of the corresponding triple.  The evaluation framework is
 agnostic to everything else about the model, which is the property the
 paper's "model-agnostic" claim rests on.
+
+The same two pieces are also the fused *training* forward
+(:mod:`repro.models.fused`): a batch's corruptions of one side share a
+query row, so :meth:`query_vectors` takes an ``(b,)`` relation array and
+:meth:`score_rows` a ``(b, k)`` candidate array (one candidate set per
+row).  A model trains on it when it supplies the backward of each piece
+next to its forward: :meth:`score_rows_vjp` once per score family (the
+inner product lives here) and :meth:`query_vectors_vjp` per model.
 """
 
 from __future__ import annotations
@@ -40,9 +49,14 @@ from repro.kg.graph import HEAD, SIDES, Side
 
 Array = np.ndarray
 
+#: One gradient contribution of a VJP: (parameter name, row ids, row
+#: grads).  Row ids may repeat; accumulation is the optimizer's job
+#: (:func:`repro.models.optim.coalesce_rows`).
+RowGrad = tuple[str, Array, Array]
+
 #: Parameter dtypes a model may be built with.  float64 is the substrate
-#: default (and the precision the kernel-equivalence tests run at);
-#: float32 halves memory traffic for the fused training kernels.
+#: default (and the precision the gradient-equivalence tests run at);
+#: float32 halves memory traffic for fused training.
 DTYPES: dict[str, np.dtype] = {
     "float32": np.dtype(np.float32),
     "float64": np.dtype(np.float64),
@@ -231,21 +245,68 @@ class KGEModel(abc.ABC):
     def score_triples(self, heads: Array, relations: Array, tails: Array) -> Tensor:
         """Differentiable scores for a batch of triples (shape ``(b,)``)."""
 
-    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
-        """``(b, q)`` query rows for validated ``anchors`` of one (relation, side).
+    def query_vectors(self, anchors: Array, relation: int | Array, side: Side) -> Array:
+        """``(b, q)`` query rows for validated ``anchors`` of one side.
 
         Row ``i`` is what :meth:`score_rows` compares every candidate
         entity row against for the query anchored at ``anchors[i]``.
+        ``relation`` is one id shared by every row, or an ``(b,)`` array
+        aligned with ``anchors``; row ``i`` is then bitwise the row a
+        scalar call over the anchors of ``relation[i]`` returns.
         """
         raise NotImplementedError(f"{type(self).__name__} has no query vectors")
+
+    def query_vectors_vjp(
+        self, anchors: Array, relations: Array, side: Side, d_queries: Array
+    ) -> list[RowGrad]:
+        """Row gradients of ``sum(d_queries * query_vectors(anchors, relations, side))``.
+
+        Supplied next to a model's :meth:`query_vectors`; without it the
+        model trains through :meth:`score_triples` instead.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no query-vector VJP")
+
+    def _query_vectors_by_relation(
+        self, anchors: Array, relations: Array, side: Side
+    ) -> Array:
+        """:meth:`query_vectors` of an ``(b,)`` relation array, one scalar call
+        per distinct relation — for models whose query is a matrix product,
+        whose rounding depends on the batch it is computed in."""
+        if not len(relations):  # nothing to group: an empty scalar call
+            return self.query_vectors(anchors, 0, side)
+        out = None
+        for relation in np.unique(relations).tolist():
+            rows = np.flatnonzero(relations == relation)
+            queries = self.query_vectors(anchors[rows], relation, side)
+            if out is None:
+                out = np.empty((len(anchors),) + queries.shape[1:], queries.dtype)
+            out[rows] = queries
+        return out
 
     def score_rows(self, queries: Array, candidates: Array | None = None) -> Array:
         """``(b, k)`` scores of ``queries`` against candidate entity rows.
 
-        ``candidates`` is a validated id array, or None for every entity.
-        The default is the inner product every factorisation model ends in.
+        ``candidates`` is a validated id array — ``(k,)`` shared by every
+        query or ``(b, k)`` with one set per query — or None for every
+        entity.  The default is the inner product every factorisation
+        model ends in.
         """
-        return queries @ self._entity_rows(candidates).T
+        rows = self._entity_rows(candidates)
+        if rows.ndim == 3:
+            return np.einsum("bkd,bd->bk", rows, queries)
+        return queries @ rows.T
+
+    def score_rows_vjp(
+        self, queries: Array, candidates: Array, d_scores: Array
+    ) -> tuple[Array, list[RowGrad]]:
+        """Backward of :meth:`score_rows` for ``(b, k)`` ``candidates``.
+
+        Returns ``d_queries`` and the candidates' row gradients of
+        ``sum(d_scores * score_rows(queries, candidates))``.
+        """
+        rows = self._entity_rows(candidates)
+        d_queries = np.einsum("bk,bkd->bd", d_scores, rows)
+        return d_queries, [("entity", candidates, d_scores[..., None] * queries[:, None, :])]
 
     def _entity_rows(self, candidates: Array | None) -> Array:
         entities = self.entity.data

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.autodiff.engine import Tensor, gather, mul, sub, sum_
 from repro.kg.graph import HEAD, Side
-from repro.models.base import Array, KGEModel, check_ids, xavier_uniform
+from repro.models.base import Array, KGEModel, RowGrad, check_ids, xavier_uniform
 
 
 def _split(data: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -58,7 +58,7 @@ class ComplEx(KGEModel):
         hr_im = mul(h_re, r_im) + mul(h_im, r_re)
         return sum_(mul(hr_re, t_re) + mul(hr_im, t_im), axis=-1)
 
-    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
+    def query_vectors(self, anchors: Array, relation: int | Array, side: Side) -> Array:
         # Returned as [q_re | q_im] so the product is one full-width GEMM
         # against the contiguous (N, 2*dim) entity table.
         r_re, r_im = _split(self.relation.data[relation], self.dim)
@@ -72,3 +72,19 @@ class ComplEx(KGEModel):
             q_re = a_re * r_re - a_im * r_im
             q_im = a_re * r_im + a_im * r_re
         return np.concatenate([q_re, q_im], axis=1)
+
+    def query_vectors_vjp(
+        self, anchors: Array, relations: Array, side: Side, d_queries: Array
+    ) -> list[RowGrad]:
+        # q = a * w with w = r (tail) or conj(r) (head), so d a = g * conj(w)
+        # and d w = g * conj(a); w's imaginary part carries the side's sign.
+        sign = -1.0 if side == HEAD else 1.0
+        r_re, r_im = _split(self.relation.data[relations], self.dim)
+        a_re, a_im = _split(self.entity.data[anchors], self.dim)
+        g_re, g_im = _split(d_queries, self.dim)
+        w_im = sign * r_im
+        d_anchor = np.concatenate([g_re * r_re + g_im * w_im, g_im * r_re - g_re * w_im], axis=1)
+        d_relation = np.concatenate(
+            [g_re * a_re + g_im * a_im, sign * (g_im * a_re - g_re * a_im)], axis=1
+        )
+        return [("entity", anchors, d_anchor), ("relation", relations, d_relation)]

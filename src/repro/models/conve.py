@@ -163,7 +163,9 @@ class ConvE(KGEModel):
         b = gather(self.bias, tail_ids)
         return sum_(mul(features, t), axis=-1) + b
 
-    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
+    def query_vectors(self, anchors: Array, relation: int | Array, side: Side) -> Array:
+        if np.ndim(relation):
+            return self._query_vectors_by_relation(anchors, relation, side)
         relation_id = relation + self.inverse_offset if side == HEAD else relation
         relation_rows = np.broadcast_to(
             self.relation.data[relation_id], (anchors.shape[0], self.dim)

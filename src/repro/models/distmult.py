@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.autodiff.engine import Tensor, gather, mul, sum_
 from repro.kg.graph import Side
-from repro.models.base import Array, KGEModel, check_ids, xavier_uniform
+from repro.models.base import Array, KGEModel, RowGrad, check_ids, xavier_uniform
 
 
 class DistMult(KGEModel):
@@ -33,6 +33,15 @@ class DistMult(KGEModel):
         t = gather(self.entity, check_ids(tails, self.num_entities, "tail"))
         return sum_(mul(mul(h, r), t), axis=-1)
 
-    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
+    def query_vectors(self, anchors: Array, relation: int | Array, side: Side) -> Array:
         del side  # DistMult is head/tail symmetric
         return self.entity.data[anchors] * self.relation.data[relation]
+
+    def query_vectors_vjp(
+        self, anchors: Array, relations: Array, side: Side, d_queries: Array
+    ) -> list[RowGrad]:
+        del side
+        return [
+            ("entity", anchors, d_queries * self.relation.data[relations]),
+            ("relation", relations, d_queries * self.entity.data[anchors]),
+        ]

@@ -8,8 +8,8 @@ Every optimizer exposes two update surfaces:
 
 * :meth:`Optimizer.step` — the classic dense step over ``param.grad``,
   used by the autodiff training path;
-* :meth:`Optimizer.step_rows` — sparse row-indexed updates for the fused
-  analytic kernels (:mod:`repro.models.kernels`): gradients arrive as
+* :meth:`Optimizer.step_rows` — sparse row-indexed updates for fused
+  training (:mod:`repro.models.fused`): gradients arrive as
   ``(param, rows, row_grads)`` triples touching only the embedding rows of
   one batch.  Duplicate row indices are accumulated first
   (:func:`coalesce_rows`), then state and parameters are updated for the

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.autodiff.engine import Tensor, einsum, gather, sum_, mul
 from repro.kg.graph import HEAD, Side
-from repro.models.base import Array, KGEModel, check_ids, xavier_uniform
+from repro.models.base import Array, KGEModel, RowGrad, check_ids, xavier_uniform
 
 
 class RESCAL(KGEModel):
@@ -34,8 +34,26 @@ class RESCAL(KGEModel):
         hw = einsum("bi,bij->bj", h, w)
         return sum_(mul(hw, t), axis=-1)
 
-    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
+    def query_vectors(self, anchors: Array, relation: int | Array, side: Side) -> Array:
+        if np.ndim(relation):
+            return self._query_vectors_by_relation(anchors, relation, side)
         w = self.relation.data[relation]
         anchor_emb = self.entity.data[anchors]
         # score(h) = h . (W_r t); score(t) = (h W_r) . t
         return anchor_emb @ w.T if side == HEAD else anchor_emb @ w
+
+    def query_vectors_vjp(
+        self, anchors: Array, relations: Array, side: Side, d_queries: Array
+    ) -> list[RowGrad]:
+        w = self.relation.data[relations]  # (b, dim, dim)
+        a = self.entity.data[anchors]
+        if side == HEAD:  # q = W a: d a = W^T g, d W = g a^T
+            return [
+                ("entity", anchors, np.einsum("bij,bi->bj", w, d_queries)),
+                ("relation", relations, d_queries[:, :, None] * a[:, None, :]),
+            ]
+        # q = a W: d a = W g, d W = a g^T
+        return [
+            ("entity", anchors, np.einsum("bij,bj->bi", w, d_queries)),
+            ("relation", relations, a[:, :, None] * d_queries[:, None, :]),
+        ]

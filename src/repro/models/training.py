@@ -28,7 +28,7 @@ from repro.autodiff.engine import reshape
 from repro.kg.graph import KnowledgeGraph
 from repro.obs import get_tracer
 from repro.models.base import KGEModel
-from repro.models.kernels import fused_step, get_fused_loss, get_kernel
+from repro.models.fused import LossGrad, fused_step, get_fused_loss, trains_fused
 from repro.models.losses import get_loss, loss_value
 from repro.models.optim import build_optimizer
 
@@ -52,17 +52,51 @@ class NegativeSampler(Protocol):
         ...
 
 
+class KnownTriples:
+    """A triple set as sorted packed int64 keys: one vectorized membership
+    pass per batch, for both false-negative filters (the trainer's default
+    one-redraw filter and :meth:`UniformNegativeSampler.resample_collisions`).
+
+    ``triples`` is an ``(n, 3)`` integer array; keys are collision-free for
+    entity ids below ``num_entities`` and relations up to the largest known.
+    """
+
+    def __init__(self, triples: np.ndarray, num_entities: int):
+        triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        self.num_entities = num_entities
+        self.relation_factor = int(triples[:, 1].max()) + 1 if len(triples) else 1
+        self.keys = np.unique(self._pack(triples[:, 0], triples[:, 1], triples[:, 2]))
+
+    def _pack(self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        return (
+            np.asarray(heads, dtype=np.int64) * self.relation_factor
+            + np.asarray(relations, dtype=np.int64)
+        ) * self.num_entities + np.asarray(tails, dtype=np.int64)
+
+    def contains(
+        self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray
+    ) -> np.ndarray:
+        """Elementwise: whether ``(heads, relations, tails)`` is a known triple."""
+        if not self.keys.size:
+            return np.zeros(np.shape(heads), dtype=bool)
+        keys = self._pack(heads, relations, tails)
+        at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        # Relations beyond the known range cannot collide by construction;
+        # mask them out of the packed-key lookup.
+        return (np.asarray(relations) < self.relation_factor) & (self.keys[at] == keys)
+
+
 class UniformNegativeSampler:
     """Uniform corruption over the full entity vocabulary.
 
-    ``filter_positives=True`` opts into vectorized false-negative
+    ``filter_positives=True`` opts into bounded-round false-negative
     rejection: corruptions that collide with a known true triple are
     redrawn (uniformly, in bounded rounds) until the batch is collision
     free.  ``known_triples`` accepts a :class:`~repro.kg.graph.
-    KnowledgeGraph` (all splits, via its filter structures) or an
-    ``(n, 3)`` integer array / iterable of ``(h, r, t)`` triples.  The
-    trainer calls :meth:`resample_collisions` in place of its legacy
-    per-triple Python loop whenever the sampler was built this way.
+    KnowledgeGraph` (all splits) or an ``(n, 3)`` integer array /
+    iterable of ``(h, r, t)`` triples.  The trainer calls
+    :meth:`resample_collisions` in place of its own one-redraw filter
+    whenever the sampler was built this way.
     """
 
     def __init__(
@@ -79,23 +113,14 @@ class UniformNegativeSampler:
         self.num_entities = num_entities
         self.filter_positives = filter_positives
         self.max_rounds = max_rounds
-        self._known_keys: np.ndarray | None = None
-        self._relation_factor = 0
+        self._known: KnownTriples | None = None
         if known_triples is not None:
             triples = (
                 known_triples.all_triples.array
                 if isinstance(known_triples, KnowledgeGraph)
-                else np.asarray(list(known_triples), dtype=np.int64).reshape(-1, 3)
+                else np.asarray(list(known_triples), dtype=np.int64)
             )
-            self._relation_factor = int(triples[:, 1].max()) + 1 if len(triples) else 1
-            self._known_keys = np.unique(self._pack(triples[:, 0], triples[:, 1], triples[:, 2]))
-
-    def _pack(self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        """Collision-free int64 key per triple (within the known id ranges)."""
-        return (
-            np.asarray(heads, dtype=np.int64) * self._relation_factor
-            + np.asarray(relations, dtype=np.int64)
-        ) * self.num_entities + np.asarray(tails, dtype=np.int64)
+            self._known = KnownTriples(triples, num_entities)
 
     def corrupt(
         self,
@@ -123,19 +148,11 @@ class UniformNegativeSampler:
         (0 in practice: each round redraws uniformly, so survivors decay
         geometrically with the true-triple density).
         """
-        if self._known_keys is None:
+        if self._known is None:
             raise ValueError("sampler was built without known_triples")
         head_slots = np.broadcast_to(corrupt_head[:, None], neg_heads.shape)
-
-        def collisions() -> np.ndarray:
-            # Relations beyond the known range cannot collide by
-            # construction; mask them out of the packed-key lookup.
-            in_range = neg_relations < self._relation_factor
-            keys = self._pack(neg_heads, neg_relations, neg_tails)
-            return in_range & np.isin(keys, self._known_keys)
-
         for _ in range(self.max_rounds):
-            colliding = collisions()
+            colliding = self._known.contains(neg_heads, neg_relations, neg_tails)
             if not colliding.any():
                 return 0
             redraw_heads = colliding & head_slots
@@ -148,7 +165,7 @@ class UniformNegativeSampler:
                 neg_tails[redraw_tails] = rng.integers(
                     self.num_entities, size=int(redraw_tails.sum())
                 )
-        return int(collisions().sum())
+        return int(self._known.contains(neg_heads, neg_relations, neg_tails).sum())
 
 
 class RecommenderNegativeSampler:
@@ -229,11 +246,10 @@ class TrainingConfig:
     would otherwise push *true* triples down — the classic hard-negative
     false-negative trap.
 
-    ``use_fused`` (default True) routes models with an analytic kernel
-    (:mod:`repro.models.kernels`) through the fused score+gradient fast
-    path with sparse row-indexed optimizer updates; models without a
-    kernel — or ``use_fused=False`` (CLI ``--no-fused``) — train through
-    the autodiff engine exactly as before.
+    There is no training-path knob: a model trains through
+    :mod:`repro.models.fused` exactly when
+    :func:`~repro.models.fused.trains_fused` holds for it (and the loss
+    has a fused gradient), and through the autodiff engine otherwise.
     """
 
     epochs: int = 20
@@ -245,7 +261,6 @@ class TrainingConfig:
     optimizer: str = "adam"
     weight_decay: float = 0.0
     filter_false_negatives: bool = True
-    use_fused: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -346,17 +361,12 @@ class Trainer:
         if inverse_offset is not None:
             triples = self._augment_inverse(triples, inverse_offset)
         known_triples = (
-            {(int(h), int(r), int(t)) for h, r, t in triples}
+            KnownTriples(triples, graph.num_entities)
             if config.filter_false_negatives
             and not getattr(sampler, "filter_positives", False)
             else None
         )
-        fused = None
-        if config.use_fused:
-            kernel = get_kernel(model)
-            loss_grad = get_fused_loss(config.loss)
-            if kernel is not None and loss_grad is not None:
-                fused = (kernel, loss_grad)
+        fused = get_fused_loss(config.loss) if trains_fused(model) else None
 
         history = TrainingHistory()
         callbacks = callbacks or []
@@ -399,27 +409,23 @@ class Trainer:
         neg_relations: np.ndarray,
         neg_tails: np.ndarray,
         corrupt_head: np.ndarray,
-        known_triples: set[tuple[int, int, int]],
+        known_triples: KnownTriples,
         rng: np.random.Generator,
         num_entities: int,
     ) -> None:
         """Redraw corruptions that collide with known true triples.
 
-        The corrupted side of a colliding negative is replaced with one
-        uniform redraw (in place); a second collision is left alone —
-        vanishingly rare and harmless.
+        The corrupted side of each colliding negative, in row-major order,
+        is replaced with one scalar uniform redraw (in place); a second
+        collision is left alone — vanishingly rare and harmless.
         """
-        rows, cols = neg_heads.shape
-        for i in range(rows):
-            replace_head = bool(corrupt_head[i])
-            for j in range(cols):
-                triple = (int(neg_heads[i, j]), int(neg_relations[i, j]), int(neg_tails[i, j]))
-                if triple in known_triples:
-                    replacement = int(rng.integers(num_entities))
-                    if replace_head:
-                        neg_heads[i, j] = replacement
-                    else:
-                        neg_tails[i, j] = replacement
+        colliding = known_triples.contains(neg_heads, neg_relations, neg_tails)
+        for i, j in zip(*np.nonzero(colliding)):
+            replacement = int(rng.integers(num_entities))
+            if corrupt_head[i]:
+                neg_heads[i, j] = replacement
+            else:
+                neg_tails[i, j] = replacement
 
     def _step(
         self,
@@ -429,8 +435,8 @@ class Trainer:
         loss_fn,
         optimizer,
         rng: np.random.Generator,
-        known_triples: set[tuple[int, int, int]] | None = None,
-        fused: tuple | None = None,
+        known_triples: KnownTriples | None = None,
+        fused: LossGrad | None = None,
     ) -> float:
         config = self.config
         heads, relations, tails = batch[:, 0], batch[:, 1], batch[:, 2]
@@ -459,13 +465,11 @@ class Trainer:
             )
 
         if fused is not None:
-            kernel, loss_grad = fused
             # The post-filtering corrupted side, back in (b, k) form.
             corrupted = np.where(corrupt_head[:, None], neg_heads, neg_tails)
             loss, row_grads = fused_step(
                 model,
-                kernel,
-                loss_grad,
+                fused,
                 heads,
                 relations,
                 tails,

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.autodiff.engine import Tensor, abs_, gather, neg, sqrt, square, sub, sum_
 from repro.kg.graph import HEAD, Side
-from repro.models.base import Array, KGEModel, check_ids, xavier_uniform
+from repro.models.base import Array, KGEModel, RowGrad, check_ids, xavier_uniform
 
 
 class TransE(KGEModel):
@@ -51,15 +51,33 @@ class TransE(KGEModel):
             return neg(sum_(abs_(diff), axis=-1))
         return neg(sqrt(sum_(square(diff), axis=-1)))
 
-    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
+    def query_vectors(self, anchors: Array, relation: int | Array, side: Side) -> Array:
         # The best candidate sits at q: t = h + r on the tail side, h = t - r
         # on the head side.
         r = self.relation.data[relation]
         anchor_emb = self.entity.data[anchors]
         return anchor_emb - r if side == HEAD else anchor_emb + r
 
+    def query_vectors_vjp(
+        self, anchors: Array, relations: Array, side: Side, d_queries: Array
+    ) -> list[RowGrad]:
+        d_relation = -d_queries if side == HEAD else d_queries
+        return [("entity", anchors, d_queries), ("relation", relations, d_relation)]
+
     def score_rows(self, queries: Array, candidates: Array | None = None) -> Array:
-        diff = queries[:, None, :] - self._entity_rows(candidates)[None, :, :]
+        diff = queries[:, None, :] - self._entity_rows(candidates)
         if self.norm == 1:
             return -np.abs(diff).sum(axis=2)
         return -np.sqrt((diff**2).sum(axis=2) + 1e-12)
+
+    def score_rows_vjp(
+        self, queries: Array, candidates: Array, d_scores: Array
+    ) -> tuple[Array, list[RowGrad]]:
+        # score = -||q - c||: d score / d q = -direction, d score / d c = +direction.
+        diff = queries[:, None, :] - self._entity_rows(candidates)
+        if self.norm == 1:
+            direction = np.sign(diff)
+        else:
+            direction = diff / np.sqrt((diff**2).sum(axis=2, keepdims=True) + 1e-12)
+        g = d_scores[..., None] * direction
+        return -g.sum(axis=1), [("entity", candidates, g)]

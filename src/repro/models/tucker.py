@@ -42,7 +42,9 @@ class TuckER(KGEModel):
         hrw = einsum("bjk,bj->bk", hw, r)
         return sum_(mul(hrw, t), axis=-1)
 
-    def query_vectors(self, anchors: Array, relation: int, side: Side) -> Array:
+    def query_vectors(self, anchors: Array, relation: int | Array, side: Side) -> Array:
+        if np.ndim(relation):
+            return self._query_vectors_by_relation(anchors, relation, side)
         w = self.core.data
         r = self.relation.data[relation]
         anchor_emb = self.entity.data[anchors]

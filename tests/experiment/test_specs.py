@@ -173,6 +173,11 @@ class TestValidation:
         with pytest.raises(SpecError, match="unknown key 'max_wait_ms'"):
             ExperimentSpec.from_dict({"serve": {"max_wait_ms": 2.0}})
 
+    def test_removed_training_use_fused_is_an_unknown_key(self):
+        # The model's class decides the training path; the knob is gone.
+        with pytest.raises(SpecError, match="unknown key 'use_fused'"):
+            ExperimentSpec.from_dict({"training": {"use_fused": False}})
+
     def test_invalid_json_text(self):
         with pytest.raises(SpecError, match="not valid JSON"):
             ExperimentSpec.from_json("{nope")

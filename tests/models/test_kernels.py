@@ -1,141 +1,187 @@
-"""Analytic kernels: gradient equivalence, dispatch, dtype, trainer parity.
+"""Fused training: gradient equivalence, dispatch, dtype, trainer parity.
 
-The contract under test is "correct by construction": for every
-registered (kernel model, loss) pair, float64 analytic gradients must
-match the autodiff engine's to 1e-9 (they actually agree to ~1e-16 — the
-tolerance absorbs accumulation-order rounding), scores must match
-``score_triples`` exactly, and training through the fused path must land
-on the same parameters as the autodiff path.
+The contract under test is "correct by construction": for every model
+that trains fused (its inference ``query_vectors`` + ``score_rows`` with a
+backward for each) and every loss, float64 fused gradients must match the
+autodiff engine's to 1e-9 (they actually agree to ~1e-15 — the tolerance
+absorbs accumulation-order rounding), the training forward's scores must
+match ``score_triples``, and training through the fused path must land on
+the same parameters as the autodiff path.
 """
 
 import numpy as np
 import pytest
 
 from repro.autodiff import gradcheck
-from repro.models import Trainer, TrainingConfig, build_model
-from repro.models.kernels import (
+from repro.kg.graph import HEAD, TAIL
+from repro.models import MODEL_REGISTRY, DistMult, Trainer, TrainingConfig, build_model
+from repro.models.fused import (
     autodiff_gradients,
     available_fused_losses,
-    available_kernels,
+    expand_corruptions,
     fused_gradients,
     fused_step,
     get_fused_loss,
-    get_kernel,
-    has_kernel,
+    trains_fused,
 )
-from repro.models.kernels.base import expand_corruptions
 from repro.models.losses import get_loss
 
 GRAD_TOL = 1e-9
 
-KERNEL_MODELS = ("transe", "distmult", "complex", "rescal", "rotate")
+FUSED_MODELS = ("transe", "distmult", "complex", "rescal", "rotate")
 LOSSES = ("margin", "bce", "softplus")
+BATCH_KINDS = ("mixed", "all-head", "all-tail", "duplicate-row")
 
 #: Model variants exercised beyond defaults (TransE's L2 branch).
 VARIANTS = {"transe": [{"norm": 1}, {"norm": 2}]}
 
 
-def _batch(rng, num_entities, num_relations, b=24, k=5):
+class AutodiffDistMult(DistMult):
+    """DistMult re-declaring ``query_vectors`` without its VJP: the fused
+    backward no longer matches the forward it would train, so the model
+    trains through autodiff — same name, same initial parameters."""
+
+    def query_vectors(self, anchors, relation, side):
+        return super().query_vectors(anchors, relation, side)
+
+
+def _batch(rng, num_entities, num_relations, b=24, k=5, kind="mixed"):
     heads = rng.integers(num_entities, size=b)
     relations = rng.integers(num_relations, size=b)
     tails = rng.integers(num_entities, size=b)
     corrupted = rng.integers(num_entities, size=(b, k))
     corrupt_head = rng.random(b) < 0.5
+    if kind == "all-head":
+        corrupt_head[:] = True
+    elif kind == "all-tail":
+        corrupt_head[:] = False
+    elif kind == "duplicate-row":
+        # Every positive shares entity 0 and relation 0, every negative
+        # entity 7: row gradients must accumulate, not overwrite.
+        heads[:] = 0
+        relations[:] = 0
+        corrupted[:] = 7
     return heads, relations, tails, corrupted, corrupt_head
+
+
+def _assert_gradients_match(model, loss, batch, label):
+    loss_a, grads_a = autodiff_gradients(model, loss, *batch, margin=1.0)
+    loss_f, grads_f = fused_gradients(model, loss, *batch, margin=1.0)
+    assert abs(loss_a - loss_f) <= GRAD_TOL, label
+    assert set(grads_a) == set(grads_f), label
+    for key in grads_a:
+        diff = np.abs(grads_a[key] - grads_f[key]).max()
+        assert diff <= GRAD_TOL, f"{label}/{key}: {diff}"
+
+
+def _forward_scores(model, heads, relations, tails, corrupted, corrupt_head):
+    """The fused training forward: ``(b, 1 + k)`` scores of [truth | corruptions]."""
+    scores = np.empty((len(heads), 1 + corrupted.shape[1]))
+    for side, rows in ((HEAD, corrupt_head), (TAIL, ~corrupt_head)):
+        anchors, truths = (tails, heads) if side == HEAD else (heads, tails)
+        queries = model.query_vectors(anchors[rows], relations[rows], side)
+        candidates = np.concatenate([truths[rows, None], corrupted[rows]], axis=1)
+        scores[rows] = model.score_rows(queries, candidates)
+    return scores
 
 
 class TestRegistry:
     def test_kernel_family_is_complete(self):
-        assert set(available_kernels()) == set(KERNEL_MODELS)
+        fused = {name for name in MODEL_REGISTRY if trains_fused(build_model(name, 10, 2, dim=8))}
+        assert fused == set(FUSED_MODELS)
 
     def test_deep_models_have_no_kernel(self):
         for name in ("conve", "tucker"):
-            assert get_kernel(build_model(name, 10, 2, dim=8)) is None
-            assert not has_kernel(name)
+            assert not trains_fused(build_model(name, 10, 2, dim=8))
 
     def test_every_loss_has_a_fused_gradient(self):
         assert set(available_fused_losses()) == set(LOSSES)
         assert get_fused_loss("nope") is None
 
     def test_subclass_with_custom_scoring_falls_back(self):
-        """Overriding score_triples voids the inherited kernel: silently
-        training a modified model with the base analytic gradients would
-        be wrong, so dispatch returns None (-> autodiff path)."""
-        from repro.models import DistMult
+        """Overriding score_triples voids the inherited backward: silently
+        training a modified model with the base gradients would be wrong,
+        so it trains through autodiff."""
 
         class ScaledDistMult(DistMult):
             def score_triples(self, heads, relations, tails):
                 return super().score_triples(heads, relations, tails) * 2.0
 
-        assert get_kernel(ScaledDistMult(10, 2, dim=4)) is None
-        # A subclass that keeps the scoring rule keeps the kernel.
+        assert not trains_fused(ScaledDistMult(10, 2, dim=4))
 
+        # A subclass that keeps the scoring rule keeps the fused path.
         class RenamedOnly(DistMult):
             pass
 
-        assert get_kernel(RenamedOnly(10, 2, dim=4)) is not None
-        # Name-based lookups (no instance to inspect) still resolve.
-        assert get_kernel("distmult") is not None
+        assert trains_fused(RenamedOnly(10, 2, dim=4))
+
+    def test_query_vectors_without_its_vjp_falls_back(self):
+        assert not trains_fused(AutodiffDistMult(10, 2, dim=4))
+
+        # Supplying the VJP next to the override restores the fused path.
+        class WithVJP(DistMult):
+            def query_vectors(self, anchors, relation, side):
+                return super().query_vectors(anchors, relation, side)
+
+            def query_vectors_vjp(self, anchors, relations, side, d_queries):
+                return super().query_vectors_vjp(anchors, relations, side, d_queries)
+
+        assert trains_fused(WithVJP(10, 2, dim=4))
+
+    def test_score_rows_without_its_vjp_falls_back(self):
+        class ShiftedRows(DistMult):
+            def score_rows(self, queries, candidates=None):
+                return super().score_rows(queries, candidates) + 1.0
+
+        assert not trains_fused(ShiftedRows(10, 2, dim=4))
 
 
 class TestScoreParity:
-    @pytest.mark.parametrize("name", KERNEL_MODELS)
+    @pytest.mark.parametrize("name", FUSED_MODELS)
     def test_kernel_scores_equal_score_triples(self, name, rng):
-        model = build_model(name, 30, 4, dim=6, seed=1)
-        kernel = get_kernel(model)
-        heads = rng.integers(30, size=16)
-        relations = rng.integers(4, size=16)
-        tails = rng.integers(30, size=16)
-        scores, _ = kernel.score(model, heads, relations, tails)
-        expected = model.score_triples(heads, relations, tails).data
-        np.testing.assert_allclose(scores, expected, atol=1e-12)
+        """The training forward's truth column is score_triples, both sides."""
+        for extra in VARIANTS.get(name, [{}]):
+            model = build_model(name, 30, 4, dim=6, seed=1, **extra)
+            heads, relations, tails, corrupted, corrupt_head = _batch(rng, 30, 4, b=16)
+            scores = _forward_scores(model, heads, relations, tails, corrupted, corrupt_head)
+            expected = model.score_triples(heads, relations, tails).data
+            np.testing.assert_allclose(scores[:, 0], expected, atol=1e-12)
 
-    @pytest.mark.parametrize("name", KERNEL_MODELS)
+    @pytest.mark.parametrize("name", FUSED_MODELS)
     def test_structured_scores_equal_flat_scores(self, name, rng):
-        """score_corrupted agrees with scoring the expanded triples."""
-        model = build_model(name, 30, 4, dim=6, seed=1)
-        kernel = get_kernel(model)
-        heads, relations, tails, corrupted, corrupt_head = _batch(rng, 30, 4)
-        positive, negative, _ = kernel.score_corrupted(
-            model, heads, relations, tails, corrupted, corrupt_head
-        )
-        neg_h, neg_r, neg_t = expand_corruptions(
-            heads, relations, tails, corrupted, corrupt_head
-        )
-        expected_pos = model.score_triples(heads, relations, tails).data
-        expected_neg = model.score_triples(
-            neg_h.reshape(-1), neg_r.reshape(-1), neg_t.reshape(-1)
-        ).data.reshape(negative.shape)
-        np.testing.assert_allclose(positive, expected_pos, atol=1e-9)
-        np.testing.assert_allclose(negative, expected_neg, atol=1e-9)
+        """The corruption columns agree with scoring the expanded triples."""
+        for extra in VARIANTS.get(name, [{}]):
+            model = build_model(name, 30, 4, dim=6, seed=1, **extra)
+            heads, relations, tails, corrupted, corrupt_head = _batch(rng, 30, 4)
+            scores = _forward_scores(model, heads, relations, tails, corrupted, corrupt_head)
+            neg_h, neg_r, neg_t = expand_corruptions(
+                heads, relations, tails, corrupted, corrupt_head
+            )
+            expected = model.score_triples(
+                neg_h.reshape(-1), neg_r.reshape(-1), neg_t.reshape(-1)
+            ).data.reshape(corrupted.shape)
+            np.testing.assert_allclose(scores[:, 1:], expected, atol=1e-9)
 
 
 class TestGradientEquivalence:
     @pytest.mark.parametrize("loss", LOSSES)
-    @pytest.mark.parametrize("name", KERNEL_MODELS)
+    @pytest.mark.parametrize("name", FUSED_MODELS)
     def test_fused_matches_autodiff_to_1e9(self, name, loss, rng):
+        """Every variant x batch kind: mixed, one-sided and duplicate rows."""
         for extra in VARIANTS.get(name, [{}]):
             model = build_model(name, 40, 5, dim=8, seed=2, **extra)
-            batch = _batch(rng, 40, 5)
-            loss_a, grads_a = autodiff_gradients(model, loss, *batch, margin=1.0)
-            loss_f, grads_f = fused_gradients(model, loss, *batch, margin=1.0)
-            assert abs(loss_a - loss_f) <= GRAD_TOL
-            assert set(grads_a) == set(grads_f)
-            for key in grads_a:
-                diff = np.abs(grads_a[key] - grads_f[key]).max()
-                assert diff <= GRAD_TOL, f"{name}/{extra}/{loss}/{key}: {diff}"
+            for kind in BATCH_KINDS:
+                batch = _batch(rng, 40, 5, kind=kind)
+                _assert_gradients_match(model, loss, batch, f"{name}/{extra}/{loss}/{kind}")
 
-    @pytest.mark.parametrize("name", KERNEL_MODELS)
+    @pytest.mark.parametrize("name", FUSED_MODELS)
     def test_one_sided_corruption_batches(self, name, rng):
-        """All-head and all-tail corruption exercise both structured arms."""
+        """All-head and all-tail corruption run one side's forward only."""
         model = build_model(name, 40, 5, dim=8, seed=2)
         heads, relations, tails, corrupted, _ = _batch(rng, 40, 5)
         for corrupt_head in (np.zeros(len(heads), bool), np.ones(len(heads), bool)):
             batch = (heads, relations, tails, corrupted, corrupt_head)
-            _, grads_a = autodiff_gradients(model, "margin", *batch)
-            _, grads_f = fused_gradients(model, "margin", *batch)
-            for key in grads_a:
-                assert np.abs(grads_a[key] - grads_f[key]).max() <= GRAD_TOL
+            _assert_gradients_match(model, "margin", batch, name)
 
     def test_duplicate_rows_accumulate(self, rng):
         """A batch hammering one entity still matches autodiff exactly."""
@@ -147,10 +193,7 @@ class TestGradientEquivalence:
         corrupted = np.full((b, k), 7, dtype=np.int64)  # every negative too
         corrupt_head = np.zeros(b, dtype=bool)
         batch = (heads, relations, tails, corrupted, corrupt_head)
-        _, grads_a = autodiff_gradients(model, "softplus", *batch)
-        _, grads_f = fused_gradients(model, "softplus", *batch)
-        for key in grads_a:
-            assert np.abs(grads_a[key] - grads_f[key]).max() <= GRAD_TOL
+        _assert_gradients_match(model, "softplus", batch, "distmult")
 
     def test_autodiff_reference_passes_finite_differences(self, rng):
         """Anchor the chain: autodiff itself is checked against gradcheck."""
@@ -178,10 +221,8 @@ class TestGradientEquivalence:
 
 class TestTrainerDispatch:
     def _run_both_paths(self, graph, optimizer):
-        def run(use_fused):
-            model = build_model(
-                "distmult", graph.num_entities, graph.num_relations, dim=8, seed=0
-            )
+        def run(model_cls):
+            model = model_cls(graph.num_entities, graph.num_relations, dim=8, seed=0)
             config = TrainingConfig(
                 epochs=2,
                 batch_size=128,
@@ -190,12 +231,11 @@ class TestTrainerDispatch:
                 loss="softplus",
                 optimizer=optimizer,
                 seed=3,
-                use_fused=use_fused,
             )
             history = Trainer(config).fit(model, graph)
             return model, history
 
-        return run(True), run(False)
+        return run(DistMult), run(AutodiffDistMult)
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
     def test_fused_and_autodiff_training_agree(self, codex_s, optimizer):
@@ -224,9 +264,8 @@ class TestTrainerDispatch:
         )[0, 1]
         assert correlation > 0.95
 
-    def test_no_fused_flag_forces_autodiff(self, codex_s, monkeypatch):
+    def test_subclass_without_vjp_trains_through_autodiff(self, codex_s, monkeypatch):
         graph = codex_s.graph
-        model = build_model("distmult", graph.num_entities, graph.num_relations, dim=8)
         calls = []
         import repro.models.training as training_module
 
@@ -237,13 +276,13 @@ class TestTrainerDispatch:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(training_module, "fused_step", spy)
-        Trainer(TrainingConfig(epochs=1, use_fused=False)).fit(model, graph)
-        assert not calls
-        Trainer(TrainingConfig(epochs=1, use_fused=True)).fit(model, graph)
-        assert calls
+        for model_cls in (AutodiffDistMult, DistMult):
+            model = model_cls(graph.num_entities, graph.num_relations, dim=8)
+            Trainer(TrainingConfig(epochs=1)).fit(model, graph)
+            assert bool(calls) == (model_cls is DistMult), model_cls.__name__
 
     def test_models_without_kernel_fall_back(self, codex_s, monkeypatch):
-        """ConvE trains through autodiff even with use_fused=True."""
+        """ConvE trains through autodiff."""
         graph = codex_s.graph
         model = build_model("conve", graph.num_entities, graph.num_relations, dim=16)
         import repro.models.training as training_module
@@ -253,17 +292,15 @@ class TestTrainerDispatch:
             "fused_step",
             lambda *a, **k: (_ for _ in ()).throw(AssertionError("fused on ConvE")),
         )
-        history = Trainer(TrainingConfig(epochs=1, loss="bce", use_fused=True)).fit(
-            model, graph
-        )
+        history = Trainer(TrainingConfig(epochs=1, loss="bce")).fit(model, graph)
         assert len(history.losses) == 1
 
     def test_fused_loss_decreases(self, codex_s):
         graph = codex_s.graph
         model = build_model("complex", graph.num_entities, graph.num_relations, dim=16)
-        history = Trainer(
-            TrainingConfig(epochs=4, lr=0.1, loss="softplus", use_fused=True)
-        ).fit(model, graph)
+        history = Trainer(TrainingConfig(epochs=4, lr=0.1, loss="softplus")).fit(
+            model, graph
+        )
         assert history.losses[-1] < history.losses[0]
 
 
@@ -290,7 +327,7 @@ class TestDtype:
         assert model.score_all(0, 0, "tail").dtype == np.float32
 
     def test_float32_autodiff_fallback_trains(self, codex_s):
-        """Models without a kernel accept float32 too (upcast internally)."""
+        """Autodiff-trained models accept float32 too (upcast internally)."""
         graph = codex_s.graph
         model = build_model(
             "tucker", graph.num_entities, graph.num_relations, dim=8, dtype="float32"
@@ -302,12 +339,10 @@ class TestDtype:
 
 def test_fused_step_rejects_out_of_range_ids():
     model = build_model("distmult", 10, 2, dim=4)
-    kernel = get_kernel(model)
     loss_grad = get_fused_loss("margin")
     bad = np.asarray([99])
     ok = np.asarray([0])
     with pytest.raises(IndexError):
         fused_step(
-            model, kernel, loss_grad, bad, ok, ok,
-            np.asarray([[1]]), np.asarray([False]),
+            model, loss_grad, bad, ok, ok, np.asarray([[1]]), np.asarray([False])
         )

@@ -8,6 +8,9 @@ These are the invariants the evaluation framework relies on being true of
 * ``score_all`` and ``score_candidates`` are exactly row 0 of a one-query
   ``score_candidates_batch``, in the model's own dtype;
 * ``score_candidates_batch`` equals row-wise ``score_candidates``;
+* the training forward's generalisations agree with the inference calls:
+  an ``(b,)`` relation array in ``query_vectors`` and ``(b, k)`` per-row
+  candidates in ``score_rows``;
 * every inference call validates anchors, relations, sides and candidates;
 * no model re-implements the inference entry points;
 * scoring is deterministic;
@@ -195,6 +198,36 @@ class TestOneEntryPoint:
         }
         for cls in (RandomModel, OracleModel):
             assert "_score_batch" in vars(cls), cls.__name__
+
+
+class TestTrainingForward:
+    """``query_vectors`` / ``score_rows`` as the fused training forward."""
+
+    @pytest.mark.parametrize("side", [HEAD, TAIL])
+    def test_relation_array_matches_scalar_calls(self, model, side):
+        """Row i is bitwise the scalar call over the anchors sharing
+        relation i (a matrix-product query rounds per batch, so the
+        reference groups anchors by relation rather than calling one
+        anchor at a time)."""
+        anchors = np.array([1, 8, 23, 39, 8, 0, 17, 5])
+        relations = np.array([3, 0, 3, 5, 1, 0, 3, 2])
+        queries = model.query_vectors(anchors, relations, side)
+        for relation in np.unique(relations).tolist():
+            rows = np.flatnonzero(relations == relation)
+            np.testing.assert_array_equal(
+                queries[rows], model.query_vectors(anchors[rows], relation, side)
+            )
+
+    @pytest.mark.parametrize("side", [HEAD, TAIL])
+    def test_per_row_candidates_match_shared_candidates(self, model, side):
+        queries = model.query_vectors(np.array([1, 8, 23]), 2, side)
+        candidates = np.array([[2, 9, 15, 31], [0, 0, 39, 4], [8, 1, 2, 3]])
+        per_row = model.score_rows(queries, candidates)
+        assert per_row.shape == (3, 4)
+        for i in range(3):
+            np.testing.assert_allclose(
+                per_row[i], model.score_rows(queries[i : i + 1], candidates[i])[0], atol=1e-12
+            )
 
 
 class TestValidation:

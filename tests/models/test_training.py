@@ -10,7 +10,7 @@ from repro.models import (
     UniformNegativeSampler,
     build_model,
 )
-from repro.models.training import EpochRecord
+from repro.models.training import EpochRecord, KnownTriples
 from repro.recommenders import build_recommender
 
 
@@ -36,21 +36,102 @@ class TestUniformSampler:
             UniformNegativeSampler(0)
 
 
-class TestFilterPositives:
-    """The opt-in vectorized false-negative rejection (filter_positives)."""
+def _dense_graph():
+    """5 entities, 1 relation, relation 0 nearly complete: random
+    corruption collides with a true triple more often than not."""
+    from repro.kg import KnowledgeGraph, TripleSet, Vocabulary
 
-    def _dense_graph(self):
-        """5 entities, 1 relation, relation 0 nearly complete: random
-        corruption collides with a true triple more often than not."""
-        from repro.kg import KnowledgeGraph, TripleSet, Vocabulary
+    triples = [(h, 0, t) for h in range(5) for t in range(5) if h != t][:12]
+    return KnowledgeGraph(
+        entities=Vocabulary([f"e{i}" for i in range(5)]),
+        relations=Vocabulary(["r"]),
+        train=TripleSet(triples),
+        name="dense",
+    )
 
-        triples = [(h, 0, t) for h in range(5) for t in range(5) if h != t][:12]
-        return KnowledgeGraph(
-            entities=Vocabulary([f"e{i}" for i in range(5)]),
-            relations=Vocabulary(["r"]),
-            train=TripleSet(triples),
-            name="dense",
+
+def _reference_filter(neg_heads, neg_relations, neg_tails, corrupt_head, known, rng, num_entities):
+    """The trainer's original per-slot loop over a set of tuples: the
+    bitwise reference for its vectorized default filter."""
+    rows, cols = neg_heads.shape
+    for i in range(rows):
+        replace_head = bool(corrupt_head[i])
+        for j in range(cols):
+            triple = (int(neg_heads[i, j]), int(neg_relations[i, j]), int(neg_tails[i, j]))
+            if triple in known:
+                replacement = int(rng.integers(num_entities))
+                if replace_head:
+                    neg_heads[i, j] = replacement
+                else:
+                    neg_tails[i, j] = replacement
+
+
+def _corrupted_batch(graph, rng, k=8):
+    triples = graph.train.array
+    heads, relations, tails = triples[:, 0], triples[:, 1], triples[:, 2]
+    corrupt_head = rng.random(len(triples)) < 0.5
+    replacements = rng.integers(graph.num_entities, size=(len(triples), k))
+    neg_heads = np.repeat(heads[:, None], k, axis=1)
+    neg_tails = np.repeat(tails[:, None], k, axis=1)
+    neg_heads[corrupt_head] = replacements[corrupt_head]
+    neg_tails[~corrupt_head] = replacements[~corrupt_head]
+    neg_relations = np.repeat(relations[:, None], k, axis=1)
+    return neg_heads, neg_relations, neg_tails, corrupt_head
+
+
+class TestDefaultFilter:
+    """The trainer's default false-negative filter (filter_false_negatives)."""
+
+    def test_matches_reference_loop_bitwise(self):
+        graph = _dense_graph()
+        known = {(int(h), int(r), int(t)) for h, r, t in graph.train}
+        packed = KnownTriples(graph.train.array, graph.num_entities)
+        collisions = 0
+        for seed in range(5):
+            neg_heads, neg_relations, neg_tails, corrupt_head = _corrupted_batch(
+                graph, np.random.default_rng(seed)
+            )
+            collisions += int(packed.contains(neg_heads, neg_relations, neg_tails).sum())
+            expected = [neg_heads.copy(), neg_tails.copy()]
+            ref_rng, rng = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+            _reference_filter(
+                expected[0], neg_relations, expected[1], corrupt_head, known, ref_rng,
+                graph.num_entities,
+            )
+            Trainer()._filter_false_negatives(
+                neg_heads, neg_relations, neg_tails, corrupt_head, packed, rng,
+                graph.num_entities,
+            )
+            np.testing.assert_array_equal(neg_heads, expected[0])
+            np.testing.assert_array_equal(neg_tails, expected[1])
+            # Same draws consumed: the streams continue identically.
+            assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+        assert collisions > 0, "dense graph must produce raw collisions"
+
+    def test_training_matches_reference_loop_bitwise(self, monkeypatch):
+        graph = _dense_graph()
+        known = {(int(h), int(r), int(t)) for h, r, t in graph.train}
+        config = TrainingConfig(epochs=2, batch_size=4, num_negatives=4, loss="softplus")
+
+        def train(trainer):
+            model = build_model("distmult", graph.num_entities, graph.num_relations, dim=4)
+            history = trainer.fit(model, graph)
+            return model.entity.data, history.losses
+
+        vectorized = train(Trainer(config))
+        reference_trainer = Trainer(config)
+        monkeypatch.setattr(
+            reference_trainer,
+            "_filter_false_negatives",
+            lambda h, r, t, side, _known, rng, n: _reference_filter(h, r, t, side, known, rng, n),
         )
+        reference = train(reference_trainer)
+        np.testing.assert_array_equal(vectorized[0], reference[0])
+        assert vectorized[1] == reference[1]
+
+
+class TestFilterPositives:
+    """The opt-in bounded-round false-negative rejection (filter_positives)."""
 
     def _collisions(self, graph, neg_heads, neg_relations, neg_tails):
         known = {(int(h), int(r), int(t)) for h, r, t in graph.train}
@@ -62,7 +143,7 @@ class TestFilterPositives:
         )
 
     def test_collision_rate_drops_to_zero(self, rng):
-        graph = self._dense_graph()
+        graph = _dense_graph()
         sampler = UniformNegativeSampler(
             graph.num_entities,
             known_triples=graph,
@@ -117,7 +198,7 @@ class TestFilterPositives:
             )
 
     def test_trainer_uses_the_sampler_filter(self, codex_s, monkeypatch):
-        """With a filtering sampler the trainer skips its legacy loop."""
+        """With a filtering sampler the trainer skips its own filter."""
         graph = codex_s.graph
         sampler = UniformNegativeSampler(
             graph.num_entities, known_triples=graph, filter_positives=True
@@ -127,7 +208,7 @@ class TestFilterPositives:
         monkeypatch.setattr(
             trainer,
             "_filter_false_negatives",
-            lambda *a, **k: (_ for _ in ()).throw(AssertionError("legacy loop used")),
+            lambda *a, **k: (_ for _ in ()).throw(AssertionError("trainer filter used")),
         )
         history = trainer.fit(model, graph)
         assert len(history.losses) == 1

@@ -62,17 +62,24 @@ def _post(server, path, payload, headers=None):
         return response.status, dict(response.headers), json.loads(response.read())
 
 
-def _logged_lines(stream, event, timeout=2.0):
-    """Parsed log lines of ``event``, waiting briefly for the handler thread.
+def _logged_lines(stream, event, request_id, timeout=2.0):
+    """Parsed log lines of ``event`` for one request id, waiting briefly
+    for the handler thread.
 
     The server writes its ``serve.request`` line *after* flushing the
     response, so the client can observe the response before the line
-    exists — poll instead of racing.
+    exists — poll instead of racing.  For the same reason a handler of an
+    earlier request on the shared server can still log into a freshly
+    configured stream, so wait for, and keep, only this request's lines.
     """
     deadline = time.monotonic() + timeout
     while True:
         lines = [json.loads(line) for line in stream.getvalue().splitlines()]
-        matched = [line for line in lines if line["event"] == event]
+        matched = [
+            line
+            for line in lines
+            if line["event"] == event and line.get("request_id") == request_id
+        ]
         if matched or time.monotonic() > deadline:
             return matched
         time.sleep(0.01)
@@ -232,7 +239,7 @@ class TestStructuredRequestLog:
                 {"model": "dm", "anchor": "e1", "relation": "r0"},
                 headers={"X-Request-Id": "log-me-1"},
             )
-            requests = _logged_lines(stream, "serve.request")
+            requests = _logged_lines(stream, "serve.request", "log-me-1")
         finally:
             configure_logging(None)
         assert len(requests) == 1
@@ -251,8 +258,9 @@ class TestStructuredRequestLog:
             configure_logging(stream)
             with pytest.raises(urllib.error.HTTPError):
                 _post(server, "/v1/rank", {"model": "nope", "anchor": "e1",
-                                           "relation": "r0"})
-            requests = _logged_lines(stream, "serve.request")
+                                           "relation": "r0"},
+                      headers={"X-Request-Id": "log-me-404"})
+            requests = _logged_lines(stream, "serve.request", "log-me-404")
         finally:
             configure_logging(None)
         assert requests and requests[-1]["status"] == 404
@@ -310,15 +318,8 @@ class TestCrossProcessCorrelation:
 
         # (a) Correlated log lines: the request line and the engine run
         # it triggered share one trace id.
-        request_line = next(
-            line
-            for line in _logged_lines(stream, "serve.request")
-            if line.get("request_id") == "req-eval-1"
-        )
-        engine_line = next(
-            line
-            for line in _logged_lines(stream, "engine.run")
-        )
+        [request_line] = _logged_lines(stream, "serve.request", "req-eval-1")
+        [engine_line] = _logged_lines(stream, "engine.run", "req-eval-1")
         trace_id = request_line["trace_id"]
         assert engine_line["trace_id"] == trace_id
         assert engine_line["request_id"] == "req-eval-1"

@@ -189,26 +189,12 @@ class TestCommands:
         assert loaded.name == "transe"
         assert loaded.dtype == "float32"
 
-    def test_train_no_fused_flag(self, capsys, tmp_path):
-        """--no-fused trains through the autodiff path (and says so)."""
-        code = main(
-            [
-                "train",
-                "--dataset",
-                "codex-s-lite",
-                "--model",
-                "distmult",
-                "--epochs",
-                "1",
-                "--dim",
-                "8",
-                "--no-fused",
-                "--out",
-                str(tmp_path / "m.npz"),
-            ]
-        )
-        assert code == 0
-        assert "autodiff path" in capsys.readouterr().out
+    def test_train_rejects_removed_no_fused_flag(self, capsys):
+        """The training path follows the model; there is no --no-fused knob."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["train", "--no-fused", "--out", "m.npz"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-fused" in capsys.readouterr().err
 
     def test_evaluate_save_alias_still_works(self, tmp_path):
         """--save (the pre-serve spelling) remains an alias of --save-model."""
