@@ -15,7 +15,6 @@ from repro.core.candidates import (
 )
 from repro.core.complexity import (
     SamplingComplexity,
-    distinct_test_pairs,
     distinct_test_relations,
     sampling_complexity,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "build_pools",
     "build_static_candidates",
     "choose_threshold",
-    "distinct_test_pairs",
     "distinct_test_relations",
     "evaluate_full",
     "evaluate_sampled",

@@ -9,6 +9,11 @@ using only *training* evidence, so test truths never leak into the sets.
 The final evaluation-time candidate set is the thresholded set **union
 the observed (PT) entities**, mirroring the paper's remark that in
 practice one always folds the already-seen candidates in.
+
+Each side's sets form one :class:`~repro.kg.graph.KeyedCSR` keyed by
+relation (an empty set is a missing key), next to a ``(|R|,)`` float64
+array of thresholds; Table 5's coverage test is one
+:meth:`~repro.kg.graph.KeyedCSR.contains` pass per side.
 """
 
 from __future__ import annotations
@@ -18,46 +23,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kg.graph import SIDES, KeyedCSR, KnowledgeGraph, Side, entities_by_relation
+from repro.kg.graph import (
+    SIDES,
+    KeyedCSR,
+    KnowledgeGraph,
+    Side,
+    entities_by_relation,
+    keyed_by_relation,
+)
 from repro.metrics.tradeoff import TradeoffPoint
 from repro.recommenders.base import FittedRecommender
 
 
 @dataclass
 class CandidateSets:
-    """Per-(relation, side) entity candidate sets with their thresholds."""
+    """Per-(relation, side) entity candidate sets with their thresholds.
 
-    sets: dict[Side, dict[int, np.ndarray]]
-    thresholds: dict[Side, dict[int, float]]
+    ``sets[side]`` holds each relation's sorted candidates as one
+    :class:`KeyedCSR`; ``thresholds[side][relation]`` is the score
+    threshold that chose them (``inf`` for an all-zero column).
+    """
+
+    sets: dict[Side, KeyedCSR]
+    thresholds: dict[Side, np.ndarray]
     num_entities: int
     recommender_name: str = "?"
     build_seconds: float = 0.0
 
     def candidates(self, relation: int, side: Side) -> np.ndarray:
         """Sorted entity ids admissible for ``(relation, side)``."""
-        return self.sets[side].get(relation, np.empty(0, dtype=np.int64))
-
-    def contains(self, entity: int, relation: int, side: Side) -> bool:
-        pool = self.candidates(relation, side)
-        index = int(np.searchsorted(pool, entity))
-        return index < pool.size and int(pool[index]) == entity
+        return self.sets[side].segment(relation)
 
     def set_size(self, relation: int, side: Side) -> int:
         return int(self.candidates(relation, side).size)
 
     def mean_reduction_rate(self) -> float:
-        """Unweighted mean RR over all (relation, side) columns."""
-        sizes = [
-            self.set_size(relation, side)
-            for side in SIDES
-            for relation in self.sets[side]
-        ]
-        if not sizes:
+        """Unweighted mean RR over all ``2|R|`` columns, empty ones included."""
+        sizes = np.concatenate(
+            [self.sets[side].lengths(np.arange(self.thresholds[side].size)) for side in SIDES]
+        )
+        if not sizes.size:
             return 0.0
-        return float(np.mean([1.0 - size / self.num_entities for size in sizes]))
+        return float(np.mean(1.0 - sizes / self.num_entities))
 
     def __repr__(self) -> str:
-        total = sum(len(self.sets[side]) for side in SIDES)
+        total = sum(self.thresholds[side].size for side in SIDES)
         return (
             f"CandidateSets({self.recommender_name!r}, {total} columns, "
             f"mean RR={self.mean_reduction_rate():.3f})"
@@ -120,8 +130,8 @@ def build_static_candidates(
     thresholding — the paper's practical default.
     """
     start = time.perf_counter()
-    sets: dict[Side, dict[int, np.ndarray]] = {side: {} for side in SIDES}
-    thresholds: dict[Side, dict[int, float]] = {side: {} for side in SIDES}
+    columns: dict[Side, dict[int, np.ndarray]] = {side: {} for side in SIDES}
+    thresholds = {side: np.empty(graph.num_relations) for side in SIDES}
     truths = _truth_index(graph)
     for side in SIDES:
         for relation in range(graph.num_relations):
@@ -129,15 +139,14 @@ def build_static_candidates(
             threshold, _ = choose_threshold(
                 column, truths[side].segment(relation), num_thresholds
             )
-            selected = np.flatnonzero(column >= threshold).astype(np.int64)
-            if include_observed:
-                observed = graph.observed(relation, side)
-                if observed.size:
-                    selected = np.union1d(selected, observed)
-            sets[side][relation] = np.sort(selected)
             thresholds[side][relation] = threshold
+            selected = np.flatnonzero(column >= threshold)
+            if include_observed:
+                # The keyed CSR sorts and deduplicates the union.
+                selected = np.concatenate([selected, graph.observed(relation, side)])
+            columns[side][relation] = selected
     return CandidateSets(
-        sets=sets,
+        sets={side: keyed_by_relation(columns[side], graph.num_entities) for side in SIDES},
         thresholds=thresholds,
         num_entities=graph.num_entities,
         recommender_name=fitted.name,
@@ -184,19 +193,19 @@ def evaluate_tradeoff(
     triples = getattr(graph, split)
     truths = _truth_index(graph)
     num_relations = graph.num_relations
-    covered: list[bool] = []
+    covered: list[np.ndarray] = []
     unseen: list[np.ndarray] = []
-    rr_terms: list[float] = []
+    rr_terms: list[np.ndarray] = []
     for side in SIDES:
         # Sorted unique keys list the side's pairs in (entity, relation) order.
         keys = np.unique(triples.entities(side) * num_relations + triples.relations)
         entities, relations = np.divmod(keys, num_relations)
-        pairs = list(zip(entities.tolist(), relations.tolist()))
-        covered += [sets.contains(entity, relation, side) for entity, relation in pairs]
+        covered.append(sets.sets[side].contains(relations, entities))
         unseen.append(~truths[side].contains(relations, entities))
-        rr_terms += [1.0 - sets.set_size(r, side) / sets.num_entities for _, r in pairs]
-    hit = np.array(covered, dtype=bool)
+        rr_terms.append(1.0 - sets.sets[side].lengths(relations) / sets.num_entities)
+    hit = np.concatenate(covered)
     fresh = np.concatenate(unseen)
+    rr = np.concatenate(rr_terms)
     total_unseen = int(np.count_nonzero(fresh))
     return TradeoffReport(
         recommender_name=sets.recommender_name,
@@ -204,7 +213,7 @@ def evaluate_tradeoff(
         candidate_recall_unseen=(
             np.count_nonzero(hit & fresh) / total_unseen if total_unseen else 1.0
         ),
-        reduction_rate=float(np.mean(rr_terms)) if rr_terms else 0.0,
+        reduction_rate=float(np.mean(rr)) if rr.size else 0.0,
         num_test_pairs=int(hit.size),
         num_unseen_pairs=total_unseen,
         fit_seconds=fit_seconds,

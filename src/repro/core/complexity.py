@@ -12,12 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.kg.graph import HEAD, TAIL, KnowledgeGraph, TripleSet
-
-
-def distinct_test_pairs(split: TripleSet) -> int:
-    """Distinct (h,r)- plus (r,t)-pairs — one pool each for entity-aware."""
-    return split.unique_pairs(TAIL) + split.unique_pairs(HEAD)
+from repro.kg.graph import KnowledgeGraph, TripleSet
+from repro.kg.stats import distinct_query_pairs
 
 
 def distinct_test_relations(split: TripleSet) -> int:
@@ -89,6 +85,6 @@ def sampling_complexity(
         sample_fraction=sample_fraction,
         num_entities=graph.num_entities,
         num_relations=graph.num_relations,
-        test_pairs=distinct_test_pairs(triples),
+        test_pairs=distinct_query_pairs(triples),
         test_relations=distinct_test_relations(triples),
     )

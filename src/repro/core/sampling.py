@@ -10,6 +10,10 @@ the paper compares:
   the set size (``n_s,r = min(n_s, |set|)`` as in Theorem 1);
 * ``probabilistic`` — weighted by the recommender's score column, so
   harder (more credible) negatives are over-represented.
+
+Each side's pools form one :class:`~repro.kg.graph.KeyedCSR` keyed by
+relation (an empty pool is a missing key), the form the store and the
+parallel engine's shared memory hold as they are.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Literal
 
 import numpy as np
 
-from repro.kg.graph import SIDES, KnowledgeGraph, Side
+from repro.kg.graph import SIDES, KeyedCSR, KnowledgeGraph, Side, keyed_by_relation
 from repro.core.candidates import CandidateSets
 from repro.recommenders.base import FittedRecommender
 
@@ -49,53 +53,22 @@ def resolve_sample_size(
 
 @dataclass
 class NegativePools:
-    """The ``2|R|`` sampled candidate pools of one evaluation run."""
+    """The ``2|R|`` sampled candidate pools of one evaluation run, one
+    :class:`KeyedCSR` of sorted entity ids per side, keyed by relation."""
 
     strategy: Strategy
-    pools: dict[Side, dict[int, np.ndarray]]
+    pools: dict[Side, KeyedCSR]
     num_entities: int
     sample_size: int
     build_seconds: float = 0.0
 
     def pool(self, relation: int, side: Side) -> np.ndarray:
         """The sampled entities for one (relation, side)."""
-        return self.pools[side].get(relation, np.empty(0, dtype=np.int64))
+        return self.pools[side].segment(relation)
 
     def total_sampled(self) -> int:
         """Total entities drawn — the Table 3 sampling-cost quantity."""
-        return sum(
-            pool.size for side in SIDES for pool in self.pools[side].values()
-        )
-
-    def export_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """Flatten the pools into shared-memory-ready flat arrays.
-
-        Returns ``(meta, arrays)``: ``meta`` is a small picklable dict
-        (strategy, sizes, which relations each side holds) and ``arrays``
-        holds, per side, the sorted relation ids, CSR-style offsets and
-        the concatenated pool values — three contiguous int64 buffers
-        that :func:`pools_from_arrays` turns back into an equivalent
-        :class:`NegativePools` without copying a single pool entry.
-        """
-        meta = {
-            "strategy": self.strategy,
-            "num_entities": self.num_entities,
-            "sample_size": self.sample_size,
-        }
-        arrays: dict[str, np.ndarray] = {}
-        for side in SIDES:
-            relations = sorted(self.pools[side])
-            lengths = [self.pools[side][r].size for r in relations]
-            arrays[f"pools_{side}_relations"] = np.asarray(relations, dtype=np.int64)
-            arrays[f"pools_{side}_offsets"] = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(np.asarray(lengths, dtype=np.int64))]
-            )
-            arrays[f"pools_{side}_values"] = (
-                np.concatenate([self.pools[side][r] for r in relations])
-                if relations
-                else np.empty(0, dtype=np.int64)
-            )
-        return meta, arrays
+        return sum(int(self.pools[side].values.size) for side in SIDES)
 
     def __repr__(self) -> str:
         return (
@@ -104,36 +77,10 @@ class NegativePools:
         )
 
 
-def pools_from_arrays(
-    meta: dict, arrays: dict[str, np.ndarray]
-) -> NegativePools:
-    """Rebuild a :class:`NegativePools` view over exported flat arrays.
-
-    Each per-relation pool is a slice of the shared ``values`` buffer —
-    zero-copy, so a worker process attaching the arrays through
-    ``multiprocessing.shared_memory`` sees exactly the parent's pools.
-    """
-    pools: dict[Side, dict[int, np.ndarray]] = {}
-    for side in SIDES:
-        relations = arrays[f"pools_{side}_relations"]
-        offsets = arrays[f"pools_{side}_offsets"]
-        values = arrays[f"pools_{side}_values"]
-        pools[side] = {
-            int(relation): values[offsets[i] : offsets[i + 1]]
-            for i, relation in enumerate(relations)
-        }
-    return NegativePools(
-        strategy=meta["strategy"],
-        pools=pools,
-        num_entities=meta["num_entities"],
-        sample_size=meta["sample_size"],
-    )
-
-
 def _draw_random(
     num_entities: int, sample_size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    return np.sort(rng.choice(num_entities, size=sample_size, replace=False))
+    return rng.choice(num_entities, size=sample_size, replace=False)
 
 
 def _draw_static(
@@ -142,7 +89,7 @@ def _draw_static(
     if candidates.size == 0:
         return candidates
     take = min(sample_size, candidates.size)
-    return np.sort(rng.choice(candidates, size=take, replace=False))
+    return rng.choice(candidates, size=take, replace=False)
 
 
 def _draw_probabilistic(
@@ -152,10 +99,7 @@ def _draw_probabilistic(
     take = min(sample_size, support)
     if take == 0:
         return np.empty(0, dtype=np.int64)
-    drawn = rng.choice(
-        probabilities.shape[0], size=take, replace=False, p=probabilities
-    )
-    return np.sort(drawn.astype(np.int64))
+    return rng.choice(probabilities.shape[0], size=take, replace=False, p=probabilities)
 
 
 def build_pools(
@@ -201,7 +145,7 @@ def build_pools(
             pools[side][relation] = pool
     return NegativePools(
         strategy=strategy,
-        pools=pools,
+        pools={side: keyed_by_relation(pools[side], graph.num_entities) for side in SIDES},
         num_entities=graph.num_entities,
         sample_size=sample_size,
         build_seconds=time.perf_counter() - start,

@@ -15,8 +15,9 @@ workers write ranks into a shared buffer.  This module is that plane:
   embedding tables (zero-copy through
   :meth:`~repro.models.base.KGEModel.parameter_arrays`), the arrays of
   its :class:`~repro.engine.worker.EvaluationPlan` (query table and
-  per-query exclusions, already in candidate coordinates), the negative
-  pools (:meth:`~repro.core.sampling.NegativePools.export_arrays`) and a
+  per-query exclusions, already in candidate coordinates), each side's
+  negative pools (the keys, offsets and values of its
+  :class:`~repro.kg.graph.KeyedCSR`, as they are) and a
   per-query **result buffer** workers write ranks into directly —
   nothing heavier than a :class:`StateManifest` ever crosses a queue.
 * :func:`attach_state` — the worker-side inverse: attach every segment
@@ -48,7 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.kg.graph import Side
+from repro.kg.graph import SIDES, KeyedCSR, Side
 from repro.obs import get_registry
 
 if TYPE_CHECKING:
@@ -185,7 +186,7 @@ class StateManifest:
     model_spec: dict | None = None  # registry model: rebuild + attach arrays
     model_pickle: bytes | None = field(default=None, repr=False)  # wrapper fallback
     model_shards: dict | None = None  # mmap model: workers re-open the shards
-    pools_meta: dict | None = None
+    pools_meta: dict | None = None  # sampled path: NegativePools' scalars
     num_queries: int = 0
 
 
@@ -257,7 +258,7 @@ def publish_state(state: "EvaluationState") -> PublishedState:
 
     Exports, each as its own segment: every model parameter table, the
     plan's arrays (:meth:`~repro.engine.worker.EvaluationPlan.arrays`),
-    the flattened negative pools (sampled path only) and the ``(N,)``
+    each side's pool index (sampled path only) and the ``(N,)``
     float64 result buffer workers write ranks into.  Raises nothing
     halfway: on failure the partial arena is unlinked before the error
     propagates.
@@ -294,9 +295,15 @@ def publish_state(state: "EvaluationState") -> PublishedState:
 
         pools_meta = None
         if plan.pools is not None:
-            pools_meta, pool_arrays = plan.pools.export_arrays()
-            for name, array in pool_arrays.items():
-                arena.put(name, array)
+            pools = plan.pools
+            pools_meta = {
+                "strategy": pools.strategy,
+                "num_entities": pools.num_entities,
+                "sample_size": pools.sample_size,
+            }
+            for side in SIDES:
+                for name, array in pools.pools[side].arrays(f"pools_{side}").items():
+                    arena.put(name, array)
 
         manifest = StateManifest(
             state_id=state_id,
@@ -344,7 +351,7 @@ class AttachedState:
 
 def attach_state(manifest: StateManifest) -> AttachedState:
     """Rebuild a view-backed evaluation state inside a worker process."""
-    from repro.core.sampling import pools_from_arrays
+    from repro.core.sampling import NegativePools
     from repro.engine.worker import EvaluationPlan, EvaluationState
 
     arrays: dict[str, np.ndarray] = {}
@@ -382,7 +389,10 @@ def attach_state(manifest: StateManifest) -> AttachedState:
 
     pools = None
     if manifest.pools_meta is not None:
-        pools = pools_from_arrays(manifest.pools_meta, arrays)
+        pools = NegativePools(
+            pools={side: KeyedCSR.from_arrays(arrays, f"pools_{side}") for side in SIDES},
+            **manifest.pools_meta,
+        )
     plan = EvaluationPlan.from_arrays(
         manifest.split, manifest.sides, pools, manifest.groups, arrays
     )

@@ -14,7 +14,12 @@ framework needs.  Each index is a :class:`KeyedCSR` from the one
   ``relation`` over train: the entities seen as its head / tail, used by
   the PT recommender and candidate-recall bookkeeping;
 * *training truths* — :func:`entities_by_relation` over train and valid,
-  used to threshold static candidate sets.
+  used to threshold static candidate sets;
+* *static candidate sets and negative pools*
+  (:class:`~repro.core.candidates.CandidateSets`,
+  :class:`~repro.core.sampling.NegativePools`) — one per side, keyed by
+  ``relation`` (:func:`keyed_by_relation`): the thresholded set and the
+  sampled pool of each ``(relation, side)``.
 
 Heads and tails are handled uniformly through the ``side`` argument:
 ``"head"`` means we predict the head of ``(?, r, t)`` and ``"tail"`` means we
@@ -271,6 +276,10 @@ class KnowledgeGraph:
         )
 
 
+#: The buffers of a :class:`KeyedCSR`, as named by :meth:`KeyedCSR.arrays`.
+CSR_ARRAYS = ("keys", "offsets", "values")
+
+
 @dataclass(frozen=True, eq=False)
 class KeyedCSR:
     """Values grouped under int64 keys, in CSR form.
@@ -291,6 +300,11 @@ class KeyedCSR:
         stop = self.offsets[np.searchsorted(self.keys, key, side="right")]
         return self.values[start:stop]
 
+    def lengths(self, wanted: np.ndarray) -> np.ndarray:
+        """The batched ``segment(key).size``: int64 segment sizes of ``wanted``."""
+        starts = self.offsets[np.searchsorted(self.keys, wanted)]
+        return self.offsets[np.searchsorted(self.keys, wanted, side="right")] - starts
+
     def gather(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The batched :meth:`segment`: ``(rows, values)``, flattened, where
         ``values[j]`` is stored under ``wanted[rows[j]]``."""
@@ -305,15 +319,27 @@ class KeyedCSR:
         """Per pair ``i``, whether ``values[i]`` is stored under ``keys[i]``."""
         if self.values.size == 0:
             return np.zeros(np.shape(keys), dtype=bool)
-        # Stored pairs ranked as key ordinal * bound + value (int64) are sorted.
-        bound = max(int(self.values.max()), int(np.max(values, initial=0))) + 1
+        values = np.asarray(values)
+        # Stored pairs ranked as key ordinal * bound + value (int64) are
+        # sorted; a value outside [0, bound) would alias a neighbour's.
+        bound = int(self.values.max()) + 1
         ordinals = np.repeat(np.arange(self.keys.size), np.diff(self.offsets))
         stored = ordinals * bound + self.values
         slot = np.searchsorted(self.keys, keys)
         probes = slot * bound + values
         at = np.minimum(np.searchsorted(stored, probes), stored.size - 1)
         known = self.keys[np.minimum(slot, self.keys.size - 1)] == keys
-        return known & (stored[at] == probes)
+        return known & (values >= 0) & (values < bound) & (stored[at] == probes)
+
+    def arrays(self, prefix: str) -> dict[str, np.ndarray]:
+        """The three buffers, named ``{prefix}_keys`` etc., for export."""
+        return {f"{prefix}_{name}": getattr(self, name) for name in CSR_ARRAYS}
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray], prefix: str) -> "KeyedCSR":
+        """Rebuild a view-backed index from :meth:`arrays` output
+        (``KeyError`` when one of its buffers is missing)."""
+        return cls(*(arrays[f"{prefix}_{name}"] for name in CSR_ARRAYS))
 
 
 def build_keyed_csr(
@@ -334,6 +360,18 @@ def build_keyed_csr(
     unique, starts = np.unique(keys, return_index=True)
     offsets = np.append(starts, keys.size).astype(np.int64, copy=False)
     return KeyedCSR(unique, offsets, np.ascontiguousarray(values))
+
+
+def keyed_by_relation(columns: Mapping[int, np.ndarray], num_entities: int) -> KeyedCSR:
+    """One side's per-relation entity arrays as one index keyed by relation.
+
+    Relations whose array is empty become missing keys, which read back
+    as empty segments.
+    """
+    relations = np.fromiter(columns, dtype=np.int64, count=len(columns))
+    sizes = [np.size(column) for column in columns.values()]
+    values = np.concatenate([np.empty(0, dtype=np.int64), *columns.values()])
+    return build_keyed_csr(np.repeat(relations, sizes), values, id_dtype(num_entities))
 
 
 def _stacked(split_arrays: Sequence[np.ndarray]) -> np.ndarray:

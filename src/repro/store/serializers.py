@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.candidates import CandidateSets
 from repro.core.ranking import FullEvaluationResult, Query
 from repro.core.sampling import NegativePools
-from repro.kg.graph import SIDES, Side
+from repro.kg.graph import SIDES, KeyedCSR, Side
 from repro.metrics.ranking import RankingMetrics
 
 _META_KEY = "__meta__"
@@ -44,15 +44,29 @@ def _read_npz(path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 # ----------------------------------------------------------------------
-# Negative pools
+# Negative pools and static candidate sets: three arrays per side
 # ----------------------------------------------------------------------
-def save_pools(pools: NegativePools, path) -> None:
-    """Persist per-(relation, side) pools as one ``.npz``."""
-    arrays = {
-        f"{side}:{relation}": pool
-        for side in SIDES
-        for relation, pool in pools.pools[side].items()
+def _side_arrays(indexes: dict[Side, KeyedCSR]) -> dict[str, np.ndarray]:
+    return {
+        name: array for side in SIDES for name, array in indexes[side].arrays(side).items()
     }
+
+
+def _read_sides(arrays: dict[str, np.ndarray]) -> dict[Side, KeyedCSR]:
+    """Each side's index; an archive in another layout raises ``KeyError``
+    (a store miss), never reads as a wrong answer."""
+    return {side: KeyedCSR.from_arrays(arrays, side) for side in SIDES}
+
+
+def _read_artifact(path, artifact: str) -> tuple[dict[str, np.ndarray], dict]:
+    arrays, meta = _read_npz(path)
+    if meta.get("artifact") != artifact:
+        raise ValueError(f"{os.fspath(path)} is not a {artifact} artifact")
+    return arrays, meta
+
+
+def save_pools(pools: NegativePools, path) -> None:
+    """Persist the pools as one ``.npz``: each side's keys, offsets and values."""
     meta = {
         "artifact": "negative-pools",
         "strategy": pools.strategy,
@@ -60,71 +74,42 @@ def save_pools(pools: NegativePools, path) -> None:
         "sample_size": pools.sample_size,
         "build_seconds": pools.build_seconds,
     }
-    _write_npz(path, arrays, meta)
+    _write_npz(path, _side_arrays(pools.pools), meta)
 
 
 def load_pools(path) -> NegativePools:
     """Load a negative-pools artifact written by :func:`save_pools`."""
-    arrays, meta = _read_npz(path)
-    if meta.get("artifact") != "negative-pools":
-        raise ValueError(f"{os.fspath(path)} is not a pools artifact")
-    pools: dict[Side, dict[int, np.ndarray]] = {side: {} for side in SIDES}
-    for name, array in arrays.items():
-        side, relation = name.split(":", 1)
-        pools[side][int(relation)] = array.astype(np.int64)
+    arrays, meta = _read_artifact(path, "negative-pools")
     return NegativePools(
         strategy=meta["strategy"],
-        pools=pools,
+        pools=_read_sides(arrays),
         num_entities=int(meta["num_entities"]),
         sample_size=int(meta["sample_size"]),
         build_seconds=float(meta["build_seconds"]),
     )
 
 
-# ----------------------------------------------------------------------
-# Static candidate sets
-# ----------------------------------------------------------------------
 def save_candidates(sets: CandidateSets, path) -> None:
-    """Persist thresholded candidate sets (arrays + per-column thresholds)."""
-    arrays: dict[str, np.ndarray] = {}
-    thresholds: dict[str, dict[str, float]] = {}
+    """Persist thresholded candidate sets: each side's keys, offsets,
+    values and ``(|R|,)`` thresholds."""
+    arrays = _side_arrays(sets.sets)
     for side in SIDES:
-        thresholds[side] = {
-            str(relation): value for relation, value in sets.thresholds[side].items()
-        }
-        for relation, candidates in sets.sets[side].items():
-            arrays[f"{side}:{relation}"] = candidates
+        arrays[f"{side}_thresholds"] = sets.thresholds[side]
     meta = {
         "artifact": "candidate-sets",
         "num_entities": sets.num_entities,
         "recommender_name": sets.recommender_name,
         "build_seconds": sets.build_seconds,
-        # JSON has no Infinity literal in strict parsers; repr() floats
-        # round-trip through json.loads with the default lenient parser.
-        "thresholds": thresholds,
     }
     _write_npz(path, arrays, meta)
 
 
 def load_candidates(path) -> CandidateSets:
     """Load a candidate-sets artifact written by :func:`save_candidates`."""
-    arrays, meta = _read_npz(path)
-    if meta.get("artifact") != "candidate-sets":
-        raise ValueError(f"{os.fspath(path)} is not a candidate-sets artifact")
-    sets: dict[Side, dict[int, np.ndarray]] = {side: {} for side in SIDES}
-    for name, array in arrays.items():
-        side, relation = name.split(":", 1)
-        sets[side][int(relation)] = array.astype(np.int64)
-    thresholds: dict[Side, dict[int, float]] = {
-        side: {
-            int(relation): float(value)
-            for relation, value in meta["thresholds"][side].items()
-        }
-        for side in SIDES
-    }
+    arrays, meta = _read_artifact(path, "candidate-sets")
     return CandidateSets(
-        sets=sets,
-        thresholds=thresholds,
+        sets=_read_sides(arrays),
+        thresholds={side: arrays[f"{side}_thresholds"] for side in SIDES},
         num_entities=int(meta["num_entities"]),
         recommender_name=meta["recommender_name"],
         build_seconds=float(meta["build_seconds"]),

@@ -89,10 +89,9 @@ class TestBuildStaticCandidates:
 
     def test_contains(self, sets):
         pool = sets.candidates(0, TAIL)
-        assert sets.contains(int(pool[0]), 0, TAIL)
-        outside = set(range(sets.num_entities)) - set(pool.tolist())
-        if outside:
-            assert not sets.contains(next(iter(outside)), 0, TAIL)
+        entities = np.arange(sets.num_entities)
+        inside = sets.sets[TAIL].contains(np.zeros_like(entities), entities)
+        assert np.flatnonzero(inside).tolist() == pool.tolist()
 
     def test_mean_reduction_rate_positive(self, sets):
         assert 0.0 < sets.mean_reduction_rate() < 1.0
@@ -131,15 +130,18 @@ class TestEvaluateTradeoff:
     def test_full_entity_sets_give_perfect_recall(self, codex_s):
         """Degenerate candidate sets containing everything: CR = 1, RR = 0."""
         from repro.core.candidates import CandidateSets
+        from repro.kg.graph import keyed_by_relation
 
         graph = codex_s.graph
         everything = np.arange(graph.num_entities)
         sets = CandidateSets(
             sets={
-                side: {r: everything for r in range(graph.num_relations)}
+                side: keyed_by_relation(
+                    {r: everything for r in range(graph.num_relations)}, graph.num_entities
+                )
                 for side in (HEAD, TAIL)
             },
-            thresholds={side: {} for side in (HEAD, TAIL)},
+            thresholds={side: np.zeros(graph.num_relations) for side in (HEAD, TAIL)},
             num_entities=graph.num_entities,
             recommender_name="all",
         )

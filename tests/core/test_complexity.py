@@ -3,13 +3,14 @@
 import pytest
 
 from repro.core import sampling_complexity
-from repro.core.complexity import distinct_test_pairs, distinct_test_relations
+from repro.core.complexity import distinct_test_relations
+from repro.kg.stats import distinct_query_pairs
 
 
 class TestCounts:
     def test_pairs_counted_per_side(self, tiny_graph):
         # test split: one triple (0, likes, 3) -> 1 (h,r) + 1 (r,t) pair.
-        assert distinct_test_pairs(tiny_graph.test) == 2
+        assert distinct_query_pairs(tiny_graph.test) == 2
 
     def test_relations_in_split(self, tiny_graph):
         assert distinct_test_relations(tiny_graph.test) == 1

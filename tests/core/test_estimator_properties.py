@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import evaluate_full, evaluate_sampled, filtered_rank
 from repro.core.sampling import NegativePools
-from repro.kg.graph import HEAD, TAIL
+from repro.kg.graph import HEAD, TAIL, keyed_by_relation
 from repro.models import build_model
 
 
@@ -26,7 +26,7 @@ def _pools_from(graph, mapping, strategy="static"):
             pools[side][relation] = np.sort(mapping(relation, side))
     return NegativePools(
         strategy=strategy,
-        pools=pools,
+        pools={side: keyed_by_relation(pools[side], graph.num_entities) for side in pools},
         num_entities=graph.num_entities,
         sample_size=graph.num_entities,
     )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import build_pools, evaluate_full, evaluate_sampled, sampled_rank
 from repro.core.sampling import NegativePools
-from repro.kg.graph import HEAD, TAIL
+from repro.kg.graph import HEAD, SIDES, TAIL, keyed_by_relation
 from repro.models import OracleModel, build_model
 
 
@@ -16,7 +16,7 @@ def _manual_pools(graph, mapping, strategy="static"):
         pools[side][relation] = np.sort(np.asarray(entities, dtype=np.int64))
     return NegativePools(
         strategy=strategy,
-        pools=pools,
+        pools={side: keyed_by_relation(pools[side], graph.num_entities) for side in SIDES},
         num_entities=graph.num_entities,
         sample_size=max((len(v) for v in mapping.values()), default=0),
     )

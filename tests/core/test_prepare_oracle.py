@@ -1,31 +1,46 @@
 """Differential oracle for the preparation indexes.
 
-The observed (PT) sets, the training truths, the static-candidate
-thresholds and the split pairs of :func:`evaluate_tradeoff` are all read
-off keyed CSR indexes (:func:`repro.kg.graph.build_keyed_csr`).  The
-reference functions below are the set-based builders those indexes
-replaced, kept here as the oracle: on seeded small graphs with duplicate
-triples, self-loops, relations absent from train, an empty valid split
-and zero-score columns, every output must be bitwise-equal to theirs.
+The observed (PT) sets, the training truths, the static candidate sets
+and their thresholds, the negative pools and the split pairs of
+:func:`evaluate_tradeoff` are all read off keyed CSR indexes
+(:func:`repro.kg.graph.build_keyed_csr`).  The reference functions below
+are the set- and dict-of-arrays builders those indexes replaced, kept
+here as the oracle: on seeded small graphs with duplicate triples,
+self-loops, relations absent from train, an empty valid split and
+zero-score columns, every output must be bitwise-equal to theirs.  The
+indexes must also survive the store and the engine's shared memory
+byte for byte, and an artifact in the old per-(side, relation) layout
+must read as a store miss.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from repro.core.candidates import (
-    CandidateSets,
-    build_static_candidates,
-    choose_threshold,
-    evaluate_tradeoff,
-)
+from repro.core.candidates import build_static_candidates, choose_threshold, evaluate_tradeoff
+from repro.core.protocol import EvaluationProtocol
+from repro.core.sampling import STRATEGIES, build_pools, resolve_sample_size
+from repro.engine import build_state
+from repro.engine.shm import attach_state, publish_state
 from repro.kg import KnowledgeGraph, TripleSet, Vocabulary
-from repro.kg.graph import HEAD, SIDES, TAIL, build_keyed_csr, entities_by_relation, id_dtype
+from repro.kg.graph import (
+    HEAD,
+    SIDES,
+    TAIL,
+    KeyedCSR,
+    build_keyed_csr,
+    entities_by_relation,
+    id_dtype,
+)
 from repro.metrics.tradeoff import TradeoffPoint
+from repro.models import build_model
 from repro.recommenders import build_recommender
+from repro.store import ArtifactStore, ExperimentStore
+from repro.store import artifacts as artifacts_module
 
 RECOMMENDERS = ("pt", "dbh", "l-wd")
 SEEDS = tuple(range(6))
@@ -83,6 +98,7 @@ def reference_choose_threshold(scores, truths, num_thresholds=32):
 
 
 def reference_static_candidates(fitted, graph, include_observed):
+    """Dict-of-arrays sets and thresholds: ``sets[side][relation]``."""
     observed = reference_observed(graph)
     sets = {side: {} for side in SIDES}
     thresholds = {side: {} for side in SIDES}
@@ -97,7 +113,39 @@ def reference_static_candidates(fitted, graph, include_observed):
                 selected = np.union1d(selected, seen)
             sets[side][relation] = np.sort(selected)
             thresholds[side][relation] = threshold
-    return CandidateSets(sets, thresholds, graph.num_entities, fitted.name)
+    return sets, thresholds
+
+
+def reference_mean_reduction_rate(sets, num_entities):
+    sizes = [pool.size for side in SIDES for pool in sets[side].values()]
+    return float(np.mean([1.0 - size / num_entities for size in sizes])) if sizes else 0.0
+
+
+def reference_pools(graph, strategy, seed, sample_size, fitted, sets):
+    """The per-column draws, in the same (side, relation) order and RNG
+    stream, into a dict of sorted int64 arrays."""
+    rng = np.random.default_rng(seed)
+    pools = {side: {} for side in SIDES}
+    for side in SIDES:
+        for relation in range(graph.num_relations):
+            if strategy == "random":
+                pool = rng.choice(graph.num_entities, size=sample_size, replace=False)
+            elif strategy == "static":
+                candidates = sets[side][relation]
+                pool = candidates
+                if candidates.size:
+                    take = min(sample_size, candidates.size)
+                    pool = rng.choice(candidates, size=take, replace=False)
+            else:
+                probabilities = fitted.column_probabilities(relation, side)
+                take = min(sample_size, int(np.count_nonzero(probabilities)))
+                pool = np.empty(0, dtype=np.int64)
+                if take:
+                    pool = rng.choice(
+                        probabilities.shape[0], size=take, replace=False, p=probabilities
+                    )
+            pools[side][relation] = np.sort(pool).astype(np.int64)
+    return pools
 
 
 def reference_test_pairs(graph, split):
@@ -108,7 +156,12 @@ def reference_test_pairs(graph, split):
     return pairs
 
 
-def reference_tradeoff(sets, graph, split="test"):
+def reference_tradeoff(sets, num_entities, recommender_name, graph, split="test"):
+    """Table 5 from dict-of-arrays sets, by plain set membership."""
+    members = {
+        side: {relation: set(pool.tolist()) for relation, pool in sets[side].items()}
+        for side in SIDES
+    }
     pairs = reference_test_pairs(graph, split)
     seen = {side: set() for side in SIDES}
     for source in ("train", "valid"):
@@ -118,15 +171,15 @@ def reference_tradeoff(sets, graph, split="test"):
     rr_terms = []
     for side in SIDES:
         for entity, relation in sorted(pairs[side]):
-            covered = sets.contains(entity, relation, side)
+            covered = entity in members[side][relation]
             total_test += 1
             hits_test += int(covered)
             if (entity, relation) not in seen[side]:
                 total_unseen += 1
                 hits_unseen += int(covered)
-            rr_terms.append(1.0 - sets.set_size(relation, side) / sets.num_entities)
+            rr_terms.append(1.0 - len(members[side][relation]) / num_entities)
     return {
-        "recommender_name": sets.recommender_name,
+        "recommender_name": recommender_name,
         "candidate_recall_test": hits_test / total_test if total_test else 1.0,
         "candidate_recall_unseen": hits_unseen / total_unseen if total_unseen else 1.0,
         "reduction_rate": float(np.mean(rr_terms)) if rr_terms else 0.0,
@@ -235,29 +288,187 @@ class TestThresholds:
             )
 
 
+def assert_same_column(got: np.ndarray, want: np.ndarray, num_entities: int) -> None:
+    """One (relation, side) segment: the narrow id dtype, the reference's values."""
+    assert got.dtype == id_dtype(num_entities)
+    assert_same_array(got.astype(np.int64), want)
+
+
 @pytest.mark.parametrize("recommender", RECOMMENDERS)
 @pytest.mark.parametrize("include_observed", [True, False])
 class TestCandidates:
     def test_sets_thresholds_and_report(self, graph, recommender, include_observed):
         fitted = build_recommender(recommender).fit(graph)
         got = build_static_candidates(fitted, graph, include_observed=include_observed)
-        want = reference_static_candidates(fitted, graph, include_observed)
+        want_sets, want_thresholds = reference_static_candidates(fitted, graph, include_observed)
         for side in SIDES:
-            assert got.sets[side].keys() == want.sets[side].keys()
-            for relation, expected in want.sets[side].items():
-                assert_same_array(got.sets[side][relation], expected)
-            assert {r: float(v).hex() for r, v in got.thresholds[side].items()} == {
-                r: float(v).hex() for r, v in want.thresholds[side].items()
-            }
+            for relation in range(graph.num_relations):
+                assert_same_column(
+                    got.candidates(relation, side), want_sets[side][relation], graph.num_entities
+                )
+                assert got.set_size(relation, side) == want_sets[side][relation].size
+            assert got.thresholds[side].dtype == np.float64
+            assert [float(v).hex() for v in got.thresholds[side]] == [
+                float(want_thresholds[side][r]).hex() for r in range(graph.num_relations)
+            ]
+        assert float(got.mean_reduction_rate()).hex() == reference_mean_reduction_rate(
+            want_sets, graph.num_entities
+        ).hex()
         for split in ("test", "valid", "train"):
             report = asdict(evaluate_tradeoff(got, graph, split=split))
-            expected = reference_tradeoff(want, graph, split=split)
+            expected = reference_tradeoff(
+                want_sets, graph.num_entities, fitted.name, graph, split=split
+            )
             assert report.keys() == expected.keys()
             for name, value in expected.items():
                 if isinstance(value, float):
                     assert float(report[name]).hex() == value.hex(), (split, name)
                 else:
                     assert report[name] == value, (split, name)
+
+    @pytest.mark.parametrize("size", [{"num_samples": 3}, {"sample_fraction": 0.5}])
+    def test_pools_every_strategy(self, graph, recommender, include_observed, size):
+        fitted = build_recommender(recommender).fit(graph)
+        sets = build_static_candidates(fitted, graph, include_observed=include_observed)
+        want_sets, _ = reference_static_candidates(fitted, graph, include_observed)
+        sample_size = resolve_sample_size(graph.num_entities, **size)
+        for strategy in STRATEGIES:
+            got = build_pools(
+                graph, strategy, np.random.default_rng(7), fitted=fitted, candidates=sets, **size
+            )
+            want = reference_pools(graph, strategy, 7, sample_size, fitted, want_sets)
+            for side in SIDES:
+                for relation in range(graph.num_relations):
+                    assert_same_column(
+                        got.pool(relation, side), want[side][relation], graph.num_entities
+                    )
+            assert got.total_sampled() == sum(
+                pool.size for side in SIDES for pool in want[side].values()
+            )
+
+
+def prepared(graph, strategy="static"):
+    fitted = build_recommender("l-wd").fit(graph)
+    sets = build_static_candidates(fitted, graph)
+    pools = build_pools(
+        graph, strategy, np.random.default_rng(1), sample_fraction=0.5, fitted=fitted, candidates=sets
+    )
+    return sets, pools
+
+
+def assert_same_index(got, want) -> None:
+    """Two per-side keyed CSRs, bitwise on keys, offsets and values."""
+    for side in SIDES:
+        for name, array in want[side].arrays(side).items():
+            assert_same_array(got[side].arrays(side)[name], array)
+
+
+class TestRoundTrips:
+    def test_store_save_load(self, graph, tmp_path):
+        sets, pools = prepared(graph)
+        store = ArtifactStore(tmp_path)
+        store.put_pools("p" * 32, pools)
+        store.put_candidates("c" * 32, sets)
+        store.memory.clear()
+        loaded_pools = store.get_pools("p" * 32)
+        loaded_sets = store.get_candidates("c" * 32)
+        assert_same_index(loaded_pools.pools, pools.pools)
+        assert_same_index(loaded_sets.sets, sets.sets)
+        for side in SIDES:
+            assert_same_array(loaded_sets.thresholds[side], sets.thresholds[side])
+        assert (loaded_pools.strategy, loaded_pools.sample_size) == ("static", pools.sample_size)
+
+    def test_shm_publish_attach(self, graph):
+        _, pools = prepared(graph, strategy="random")
+        model = build_model("distmult", graph.num_entities, graph.num_relations, dim=4, seed=0)
+        published = publish_state(build_state(model, graph, "test", pools=pools))
+        attached = None
+        try:
+            attached = attach_state(published.manifest)
+            shared = attached.state.plan.pools
+            scalars = (shared.strategy, shared.num_entities, shared.sample_size)
+            # Copied out so a failed assertion never reads an unmapped segment.
+            copies = {
+                side: KeyedCSR(*(np.array(part) for part in shared.pools[side].arrays(side).values()))
+                for side in SIDES
+            }
+        finally:
+            if attached is not None:
+                attached.close()
+            published.close()
+        assert_same_index(copies, pools.pools)
+        assert scalars == (pools.strategy, pools.num_entities, pools.sample_size)
+
+
+def save_old_layout(arrays: dict, meta: dict, path) -> None:
+    """The per-(side, relation) npz layout the keyed CSRs replaced."""
+    arrays = dict(arrays, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+    np.savez_compressed(path, **arrays)
+
+
+def save_old_pools(pools, path) -> None:
+    arrays = {
+        f"{side}:{relation}": pools.pool(relation, side).astype(np.int64)
+        for side in SIDES
+        for relation in pools.pools[side].keys.tolist()
+    }
+    meta = {
+        "artifact": "negative-pools",
+        "strategy": pools.strategy,
+        "num_entities": pools.num_entities,
+        "sample_size": pools.sample_size,
+        "build_seconds": pools.build_seconds,
+    }
+    save_old_layout(arrays, meta, path)
+
+
+def save_old_candidates(sets, path) -> None:
+    num_relations = sets.thresholds[HEAD].size
+    arrays = {
+        f"{side}:{relation}": sets.candidates(relation, side).astype(np.int64)
+        for side in SIDES
+        for relation in range(num_relations)
+    }
+    meta = {
+        "artifact": "candidate-sets",
+        "num_entities": sets.num_entities,
+        "recommender_name": sets.recommender_name,
+        "build_seconds": sets.build_seconds,
+        "thresholds": {
+            side: {str(r): float(v) for r, v in enumerate(sets.thresholds[side])} for side in SIDES
+        },
+    }
+    save_old_layout(arrays, meta, path)
+
+
+class TestOldLayout:
+    def test_old_layout_artifacts_are_misses(self, graph, tmp_path, monkeypatch):
+        sets, pools = prepared(graph)
+        store = ArtifactStore(tmp_path)
+        monkeypatch.setattr(artifacts_module, "save_pools", save_old_pools)
+        monkeypatch.setattr(artifacts_module, "save_candidates", save_old_candidates)
+        store.put_pools("p" * 32, pools)
+        store.put_candidates("c" * 32, sets)
+        store.memory.clear()
+        assert store.get_pools("p" * 32) is None
+        assert store.get_candidates("c" * 32) is None
+
+    def test_protocol_recomputes_over_old_layout(self, graph, tmp_path, monkeypatch):
+        def protocol():
+            return EvaluationProtocol(
+                graph, strategy="static", sample_fraction=0.5, store=ExperimentStore(tmp_path)
+            )
+
+        with monkeypatch.context() as patch:
+            patch.setattr(artifacts_module, "save_pools", save_old_pools)
+            patch.setattr(artifacts_module, "save_candidates", save_old_candidates)
+            old = protocol()
+            assert not old.prepare().from_cache
+        fresh = protocol()
+        assert not fresh.prepare().from_cache
+        assert_same_index(fresh.pools.pools, old.pools.pools)
+        assert_same_index(fresh.candidates.sets, old.candidates.sets)
+        assert protocol().prepare().from_cache  # the recomputation was stored
 
 
 class TestKeyedCSR:
@@ -274,10 +485,16 @@ class TestKeyedCSR:
         assert csr.values.dtype == np.int32
         for key in range(-1, 90):
             assert csr.segment(key).tolist() == sorted(oracle.get(key, ()))
-        probe_keys = rng.integers(-1, 90, size=200)
-        probe_values = rng.integers(0, 25, size=200)
-        want = [v in oracle.get(k, ()) for k, v in zip(probe_keys.tolist(), probe_values.tolist())]
-        assert csr.contains(probe_keys, probe_values).tolist() == want
+        # Values run past the stored ones, and below zero: packed as
+        # slot * bound + value, (k, -1) would alias the previous key's
+        # largest value, e.g. (2, -1) as (1, 5) in {1: [0, 5], 2: [3]}.
+        for high in (25, int(values.max()) + 1):
+            probe_keys = rng.integers(-1, 90, size=200)
+            probe_values = rng.integers(-3, high, size=200)
+            want = [
+                v in oracle.get(k, ()) for k, v in zip(probe_keys.tolist(), probe_values.tolist())
+            ]
+            assert csr.contains(probe_keys, probe_values).tolist() == want
 
     def test_empty(self):
         csr = build_keyed_csr(np.empty(0, np.int64), np.empty(0, np.int64), np.dtype(np.int32))

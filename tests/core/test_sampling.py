@@ -51,8 +51,8 @@ class TestBuildPools:
     def test_one_pool_per_relation_side(self, prepared, rng):
         graph, fitted, candidates = prepared
         pools = build_pools(graph, "random", rng=rng, num_samples=30)
-        assert len(pools.pools[HEAD]) == graph.num_relations
-        assert len(pools.pools[TAIL]) == graph.num_relations
+        assert pools.pools[HEAD].keys.tolist() == list(range(graph.num_relations))
+        assert pools.pools[TAIL].keys.tolist() == list(range(graph.num_relations))
         assert pools.total_sampled() == 2 * graph.num_relations * 30
 
     def test_random_pools_have_exact_size(self, prepared, rng):

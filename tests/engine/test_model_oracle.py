@@ -31,7 +31,7 @@ from repro.core.sampling import NegativePools, build_pools
 from repro.datasets import SyntheticConfig, generate
 from repro.engine import EvaluationEngine
 from repro.kg import KnowledgeGraph, TripleSet
-from repro.kg.graph import HEAD, SIDES
+from repro.kg.graph import HEAD, SIDES, keyed_by_relation
 from repro.metrics.ranking import aggregate_ranks
 from repro.models import MODEL_REGISTRY, OracleModel, RandomModel, build_model
 
@@ -113,7 +113,10 @@ def _edge_pools(graph) -> NegativePools:
         pools[side][2] = np.setdiff1d(drawn, truths[test[:, 1] == 2]).astype(np.int64)
         pools[side][3] = np.arange(graph.num_entities, dtype=np.int64)
     return NegativePools(
-        strategy="random", pools=pools, num_entities=graph.num_entities, sample_size=20
+        strategy="random",
+        pools={side: keyed_by_relation(pools[side], graph.num_entities) for side in SIDES},
+        num_entities=graph.num_entities,
+        sample_size=20,
     )
 
 

@@ -116,13 +116,14 @@ class TestSampledEvaluationParallel:
 
     def test_degenerate_empty_pools_rank_everything_first(self, tiny_graph):
         from repro.core.sampling import NegativePools
+        from repro.kg.graph import SIDES, keyed_by_relation
 
         model = build_model(
             "distmult", tiny_graph.num_entities, tiny_graph.num_relations, dim=4
         )
         empty = NegativePools(
             strategy="static",
-            pools={"head": {}, "tail": {}},
+            pools={side: keyed_by_relation({}, tiny_graph.num_entities) for side in SIDES},
             num_entities=tiny_graph.num_entities,
             sample_size=0,
         )

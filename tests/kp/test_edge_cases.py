@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.sampling import NegativePools
+from repro.kg.graph import SIDES, keyed_by_relation
 from repro.kp.metric import knowledge_persistence
 from repro.kp.persistence import h0_diagram, score_graph_diagram
 from repro.kp.wasserstein import sliced_wasserstein
@@ -52,7 +53,7 @@ class TestDegeneratePools:
     def test_kp_with_empty_pools_falls_back_to_uniform(self, tiny_graph, tiny_model):
         empty = NegativePools(
             strategy="static",
-            pools={"head": {}, "tail": {}},
+            pools={side: keyed_by_relation({}, tiny_graph.num_entities) for side in SIDES},
             num_entities=tiny_graph.num_entities,
             sample_size=0,
         )
@@ -69,8 +70,11 @@ class TestDegeneratePools:
         pinned = NegativePools(
             strategy="static",
             pools={
-                "head": {r: np.asarray([5]) for r in range(tiny_graph.num_relations)},
-                "tail": {r: np.asarray([5]) for r in range(tiny_graph.num_relations)},
+                side: keyed_by_relation(
+                    {r: np.asarray([5]) for r in range(tiny_graph.num_relations)},
+                    tiny_graph.num_entities,
+                )
+                for side in SIDES
             },
             num_entities=tiny_graph.num_entities,
             sample_size=1,

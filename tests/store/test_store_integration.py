@@ -118,8 +118,10 @@ class TestProtocolStore:
         assert restored.fit_seconds == report.fit_seconds
         assert second.fitted is None  # no refit on the warm path
         for side in ("head", "tail"):
-            for relation, pool in first.pools.pools[side].items():
-                np.testing.assert_array_equal(second.pools.pools[side][relation], pool)
+            for relation in range(codex_s.graph.num_relations):
+                np.testing.assert_array_equal(
+                    second.pools.pool(relation, side), first.pools.pool(relation, side)
+                )
                 np.testing.assert_array_equal(
                     second.candidates.candidates(relation, side),
                     first.candidates.candidates(relation, side),
@@ -181,7 +183,7 @@ def _all_pools(pools) -> np.ndarray:
         [
             pools.pool(relation, side)
             for side in ("head", "tail")
-            for relation in sorted(pools.pools[side])
+            for relation in pools.pools[side].keys.tolist()
         ]
     )
 
