@@ -18,6 +18,7 @@ array of thresholds; Table 5's coverage test is one
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -79,6 +80,51 @@ def _truth_index(graph: KnowledgeGraph) -> dict[Side, KeyedCSR]:
     return entities_by_relation(graph.num_entities, [graph.train.array, graph.valid.array])
 
 
+def _stored_scores(support: np.ndarray, scores: np.ndarray, entities: np.ndarray) -> np.ndarray:
+    """The scores of ``entities`` in a column stored as its sorted
+    ``support`` and their ``scores``: 0 for an entity it does not store."""
+    found = np.zeros(entities.size, dtype=scores.dtype)
+    if support.size:
+        at = np.minimum(np.searchsorted(support, entities), support.size - 1)
+        stored = support[at] == entities
+        found[stored] = scores[at[stored]]
+    return found
+
+
+def _best_threshold(
+    positive: np.ndarray,
+    truth_scores: np.ndarray,
+    num_entities: int,
+    num_thresholds: int,
+) -> tuple[float, TradeoffPoint]:
+    """The threshold search of one column, from its sorted positive
+    scores and its truths' scores (0 for a truth it does not score).
+
+    Every candidate threshold is a quantile of the positives, hence > 0,
+    so the entities scoring at least a threshold are all positives: one
+    search in ``positive`` counts them, with no dense column.
+    """
+    num_truths = truth_scores.size
+    if positive.size == 0:
+        return np.inf, TradeoffPoint(candidate_recall=1.0 if num_truths == 0 else 0.0, reduction_rate=1.0)
+    quantiles = np.unique(np.quantile(positive, np.linspace(0.0, 1.0, num_thresholds)))
+    kept = positive.size - np.searchsorted(positive, quantiles)
+    recalled = num_truths - np.searchsorted(np.sort(truth_scores), quantiles)
+    best, best_distance = None, np.inf
+    for threshold, kept_count, recalled_count in zip(
+        quantiles.tolist(), kept.tolist(), recalled.tolist()
+    ):
+        recall = recalled_count / num_truths if num_truths else 1.0
+        reduction = 1.0 - kept_count / num_entities
+        # TradeoffPoint.distance_to_ideal, without a point per candidate.
+        distance = math.hypot(1.0 - recall, 1.0 - reduction)
+        if distance < best_distance:
+            best, best_distance = (threshold, recall, reduction), distance
+    assert best is not None
+    threshold, recall, reduction = best
+    return threshold, TradeoffPoint(candidate_recall=recall, reduction_rate=reduction)
+
+
 def choose_threshold(
     scores: np.ndarray,
     truths: np.ndarray,
@@ -91,31 +137,8 @@ def choose_threshold(
     positive scores.  An empty/zero column returns threshold ``inf`` (an
     empty set) with CR defined as 1 when there are no truths.
     """
-    positive = scores[scores > 0]
-    if positive.size == 0:
-        return np.inf, TradeoffPoint(candidate_recall=1.0 if truths.size == 0 else 0.0, reduction_rate=1.0)
-    quantiles = np.unique(
-        np.quantile(positive, np.linspace(0.0, 1.0, num_thresholds))
-    )
-    num_entities = scores.shape[0]
-    # Entities (and truths) scoring >= each threshold: one sort, one search.
-    kept = num_entities - np.searchsorted(np.sort(scores), quantiles)
-    recalled = truths.size - np.searchsorted(np.sort(scores[truths]), quantiles)
-    best_threshold, best_point, best_distance = float(quantiles[0]), None, np.inf
-    for threshold, kept_count, recalled_count in zip(
-        quantiles.tolist(), kept.tolist(), recalled.tolist()
-    ):
-        point = TradeoffPoint(
-            candidate_recall=recalled_count / truths.size if truths.size else 1.0,
-            reduction_rate=1.0 - kept_count / num_entities,
-        )
-        distance = point.distance_to_ideal()
-        if distance < best_distance:
-            best_distance = distance
-            best_threshold = threshold
-            best_point = point
-    assert best_point is not None
-    return best_threshold, best_point
+    positive = np.sort(scores[scores > 0])
+    return _best_threshold(positive, scores[truths], scores.shape[0], num_thresholds)
 
 
 def build_static_candidates(
@@ -126,8 +149,11 @@ def build_static_candidates(
 ) -> CandidateSets:
     """Threshold every score column into a static candidate set.
 
-    ``include_observed`` unions in the PT (seen-in-training) entities after
-    thresholding — the paper's practical default.
+    Each column is read as its stored ``(entities, scores)``
+    (:meth:`~repro.recommenders.base.FittedRecommender.column_entries`);
+    a truth outside them scores 0.  ``include_observed`` unions in the PT
+    (seen-in-training) entities after thresholding — the paper's
+    practical default.
     """
     start = time.perf_counter()
     columns: dict[Side, dict[int, np.ndarray]] = {side: {} for side in SIDES}
@@ -135,12 +161,15 @@ def build_static_candidates(
     truths = _truth_index(graph)
     for side in SIDES:
         for relation in range(graph.num_relations):
-            column = fitted.column(relation, side)
-            threshold, _ = choose_threshold(
-                column, truths[side].segment(relation), num_thresholds
+            support, scores = fitted.column_entries(relation, side)
+            threshold, _ = _best_threshold(
+                np.sort(scores[scores > 0]),
+                _stored_scores(support, scores, truths[side].segment(relation)),
+                graph.num_entities,
+                num_thresholds,
             )
             thresholds[side][relation] = threshold
-            selected = np.flatnonzero(column >= threshold)
+            selected = support[scores >= threshold]
             if include_observed:
                 # The keyed CSR sorts and deduplicates the union.
                 selected = np.concatenate([selected, graph.observed(relation, side)])

@@ -155,10 +155,12 @@ def collect_known_answers(
     index: FilterIndexCSR,
     anchors: np.ndarray,
     truths: np.ndarray,
-    relation: int,
+    relation: int | np.ndarray,
     side: Side,
 ) -> tuple[np.ndarray, np.ndarray]:
     """A batch's exclusion sets as flat ``(rows, cols)`` entity pairs.
+
+    ``relation`` is the batch's relation, or one relation per query.
 
     One batched CSR gather (:meth:`FilterIndexCSR.gather`) yields every
     known answer of every query, sorted by row; row ``i`` then holds its

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import pickle
 import secrets
+import weakref
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 from typing import TYPE_CHECKING
@@ -99,7 +100,7 @@ class ShmArena:
         segment = shared_memory.SharedMemory(
             create=True, size=nbytes, name=f"{self.tag}_{secrets.token_hex(4)}_{len(self._segments)}"
         )
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
+        view = _mapped_view(segment, array.shape, array.dtype)
         view[...] = array
         self._segments[name] = segment
         self._specs[name] = (segment.name, tuple(array.shape), array.dtype.str)
@@ -124,14 +125,17 @@ class ShmArena:
         return self._bytes
 
     def close(self) -> None:
-        """Release and unlink every segment (idempotent)."""
+        """Unlink every segment and drop the arena's views (idempotent).
+
+        Each segment is unmapped once the last view over it is gone
+        (:func:`_mapped_view`), so a view kept past ``close`` stays
+        readable."""
         if self.closed:
             return
         self.closed = True
         self._views.clear()
         for segment in self._segments.values():
             try:
-                segment.close()
                 segment.unlink()
             except FileNotFoundError:  # already gone (e.g. double cleanup paths)
                 pass
@@ -144,6 +148,21 @@ class ShmArena:
     def __repr__(self) -> str:
         state = "closed" if self.closed else f"{len(self._specs)} segments, {self._bytes} bytes"
         return f"ShmArena({self.tag!r}, {state})"
+
+
+def _mapped_view(
+    segment: shared_memory.SharedMemory, shape: tuple[int, ...], dtype: np.dtype
+) -> np.ndarray:
+    """An array over ``segment``'s bytes that keeps the segment mapped.
+
+    numpy holds no buffer export, so closing the segment would unmap it
+    under a live view and a later read would kill the process (SIGSEGV).
+    The segment is closed once its last view is gone instead; at exit the
+    process unmaps it anyway.
+    """
+    view = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
+    weakref.finalize(view, segment.close).atexit = False
+    return view
 
 
 def attach_array(spec: tuple[str, tuple[int, ...], str]) -> tuple[np.ndarray, shared_memory.SharedMemory]:
@@ -168,7 +187,7 @@ def attach_array(spec: tuple[str, tuple[int, ...], str]) -> tuple[np.ndarray, sh
         segment = shared_memory.SharedMemory(name=segment_name)
     finally:
         resource_tracker.register = original_register
-    return np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf), segment
+    return _mapped_view(segment, shape, np.dtype(dtype)), segment
 
 
 # ----------------------------------------------------------------------
@@ -336,17 +355,15 @@ class AttachedState:
     """A worker's live view of one published state."""
 
     state_id: str
-    state: "EvaluationState"
-    result: np.ndarray
-    segments: list[shared_memory.SharedMemory] = field(repr=False, default_factory=list)
+    state: "EvaluationState | None"
+    result: np.ndarray | None
 
     def close(self) -> None:
-        for segment in self.segments:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover — views still alive
-                pass
-        self.segments.clear()
+        """Drop this handle's views.  Each segment is unmapped once the last
+        view over it is gone (:func:`_mapped_view`), so an array kept past
+        ``close`` stays readable."""
+        self.state = None
+        self.result = None
 
 
 def attach_state(manifest: StateManifest) -> AttachedState:
@@ -354,12 +371,7 @@ def attach_state(manifest: StateManifest) -> AttachedState:
     from repro.core.sampling import NegativePools
     from repro.engine.worker import EvaluationPlan, EvaluationState
 
-    arrays: dict[str, np.ndarray] = {}
-    segments: list[shared_memory.SharedMemory] = []
-    for name, spec in manifest.arrays.items():
-        view, segment = attach_array(spec)
-        arrays[name] = view
-        segments.append(segment)
+    arrays = {name: attach_array(spec)[0] for name, spec in manifest.arrays.items()}
 
     if manifest.model_pickle is not None:
         model = pickle.loads(manifest.model_pickle)
@@ -401,5 +413,4 @@ def attach_state(manifest: StateManifest) -> AttachedState:
         state_id=manifest.state_id,
         state=state,
         result=arrays["result"],
-        segments=segments,
     )

@@ -35,10 +35,9 @@ from repro.engine.chunking import (
     Query,
     chunk_filtered_ranks,
     collect_known_answers,
-    pool_positions,
     query_table,
 )
-from repro.kg.graph import SIDES, KnowledgeGraph, Side, id_dtype
+from repro.kg.graph import SIDES, KeyedCSR, KnowledgeGraph, Side, id_dtype
 from repro.models.base import KGEModel
 from repro.obs import get_registry, get_tracer
 
@@ -147,6 +146,26 @@ class EvaluationPlan:
         )
 
 
+def _pool_columns(
+    pools: KeyedCSR, relations: np.ndarray, entities: np.ndarray, num_entities: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which ``(relations[j], entities[j])`` pairs are pooled, and the
+    pooled ones' positions on their relation's pool axis.
+
+    The pool index packed as ``relation * |E| + entity`` is sorted, so one
+    search places every pair: the many-relation
+    :func:`~repro.engine.chunking.pool_positions`.
+    """
+    if pools.values.size == 0:
+        return np.zeros(entities.size, dtype=bool), np.empty(0, dtype=np.int64)
+    stored = np.repeat(pools.keys, np.diff(pools.offsets)) * num_entities + pools.values
+    probes = relations * num_entities + entities
+    at = np.minimum(np.searchsorted(stored, probes), stored.size - 1)
+    inside = stored[at] == probes
+    starts = pools.offsets[np.searchsorted(pools.keys, relations[inside])]
+    return inside, at[inside] - starts
+
+
 def _build_plan(
     graph: KnowledgeGraph,
     split: str,
@@ -154,30 +173,37 @@ def _build_plan(
     pools: "NegativePools | None",
 ) -> EvaluationPlan:
     """Group the split's queries and map each one's known answers onto its
-    candidate axis: one CSR gather, plus one pool lookup on the sampled
-    path, per group."""
+    candidate axis: per side, one filter-index gather over all its
+    queries (each with its own relation), plus one pool lookup on the
+    sampled path, then one stable merge of the sides by query row."""
     index = graph.filter_index
     queries, groups, starts = query_table(graph, split, sides)
+    sizes = np.diff(starts)
+    row_relations = np.repeat(np.asarray([relation for relation, _ in groups], dtype=np.int64), sizes)
+    row_sides = np.repeat([SIDES.index(side) for _, side in groups], sizes)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
-    for g, (relation, side) in enumerate(groups):
-        block = queries[starts[g] : starts[g + 1]]
-        group_rows, group_cols = collect_known_answers(
-            index, block[:, 0], block[:, 1], relation, side
+    for code, side in enumerate(SIDES):
+        mine = np.flatnonzero(row_sides == code)
+        relations = row_relations[mine]
+        side_rows, side_cols = collect_known_answers(
+            index, queries[mine, 0], queries[mine, 1], relations, side
         )
         if pools is not None:
-            inside, positions = pool_positions(pools.pool(relation, side), group_cols)
-            group_rows, group_cols = group_rows[inside], positions[inside]
-        rows.append(group_rows + starts[g])
-        cols.append(group_cols)
+            inside, side_cols = _pool_columns(
+                pools.pools[side], relations[side_rows], side_cols, graph.num_entities
+            )
+            side_rows = side_rows[inside]
+        rows.append(mine[side_rows])
+        cols.append(side_cols)
+    # Each side's pairs are sorted by row; a row belongs to one side, so a
+    # stable sort merges them without reordering any row's answers.
+    merged_rows = np.concatenate(rows)
+    order = np.argsort(merged_rows, kind="stable")
     # Rows index queries, columns index entities or pool positions: both
     # fit the narrow id dtype, which halves the plan next to int64 pairs.
-    excluded_rows = np.concatenate([np.empty(0, dtype=np.int64), *rows]).astype(
-        id_dtype(queries.shape[0])
-    )
-    excluded_cols = np.concatenate([np.empty(0, dtype=np.int64), *cols]).astype(
-        id_dtype(graph.num_entities)
-    )
+    excluded_rows = merged_rows[order].astype(id_dtype(queries.shape[0]))
+    excluded_cols = np.concatenate(cols)[order].astype(id_dtype(graph.num_entities))
     counts = np.bincount(excluded_rows, minlength=queries.shape[0])
     excluded_starts = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
     for array in (starts, queries, excluded_starts, excluded_rows, excluded_cols):

@@ -342,24 +342,56 @@ class KeyedCSR:
         return cls(*(arrays[f"{prefix}_{name}"] for name in CSR_ARRAYS))
 
 
+def _changes(sorted_array: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their
+    predecessor (the first entry always does)."""
+    fresh = np.empty(sorted_array.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(sorted_array[1:], sorted_array[:-1], out=fresh[1:])
+    return fresh
+
+
 def build_keyed_csr(
     keys: np.ndarray, values: np.ndarray, value_dtype: np.dtype
 ) -> KeyedCSR:
     """Group ``values`` under int64 ``keys`` (values stored as ``value_dtype``).
 
-    Sort the pairs by ``(key, value)``, drop duplicates with one shifted
-    comparison, and read keys and offsets off ``np.unique`` — every step
-    a vectorised numpy pass.
+    Each pair is packed into one int64, ``key code * value span + (value
+    - min value)``, whose order is the ``(key, value)`` order: one in-place
+    sort, one neighbour comparison to drop duplicates, then the remainder
+    and the in-place quotient split the pairs back.  The key code is
+    ``key - min key`` while the packed range stays below ``2**63``; past
+    that it is the key's rank among the distinct keys.  No ``np.unique``:
+    on large arrays it costs a hash pass on top of the sort.
     """
     keys = np.asarray(keys, dtype=np.int64)
-    order = np.lexsort((values, keys))
-    keys, values = keys[order], values[order].astype(value_dtype, copy=False)
-    fresh = np.ones(keys.size, dtype=bool)
-    fresh[1:] = (keys[1:] != keys[:-1]) | (values[1:] != values[:-1])
-    keys, values = keys[fresh], values[fresh]
-    unique, starts = np.unique(keys, return_index=True)
-    offsets = np.append(starts, keys.size).astype(np.int64, copy=False)
-    return KeyedCSR(unique, offsets, np.ascontiguousarray(values))
+    values = np.asarray(values)
+    if keys.size == 0:
+        return KeyedCSR(
+            np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), np.empty(0, dtype=value_dtype)
+        )
+    key_min, value_min = int(keys.min()), int(values.min())
+    value_span = int(values.max()) - value_min + 1
+    if (int(keys.max()) - key_min + 1) * value_span < 2**63:
+        distinct = None
+        packed = keys - key_min
+    else:
+        distinct = np.sort(keys)
+        distinct = distinct[_changes(distinct)]
+        packed = np.searchsorted(distinct, keys)
+    packed *= value_span
+    packed -= value_min
+    packed += values
+    packed.sort()
+    fresh = _changes(packed)
+    if not fresh.all():
+        packed = packed[fresh]
+    values = (packed % value_span + value_min).astype(value_dtype, copy=False)
+    codes = np.floor_divide(packed, value_span, out=packed)
+    starts = np.flatnonzero(_changes(codes))
+    unique = distinct[codes[starts]] if distinct is not None else codes[starts] + key_min
+    offsets = np.append(starts, codes.size).astype(np.int64, copy=False)
+    return KeyedCSR(unique, offsets, values)
 
 
 def keyed_by_relation(columns: Mapping[int, np.ndarray], num_entities: int) -> KeyedCSR:
@@ -419,10 +451,11 @@ class FilterIndexCSR:
         return self.sides[side].segment(anchor * self.num_relations + relation)
 
     def gather(
-        self, anchors: np.ndarray, relation: int, side: Side
+        self, anchors: np.ndarray, relation: int | np.ndarray, side: Side
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Known answers of same-relation queries: ``(rows, answers)``,
-        ``rows`` indexing ``anchors`` (see :meth:`KeyedCSR.gather`)."""
+        """Known answers of a batch of queries: ``(rows, answers)``, ``rows``
+        indexing ``anchors`` (see :meth:`KeyedCSR.gather`).  ``relation``
+        is one for the batch or one per anchor."""
         wanted = np.asarray(anchors, dtype=np.int64) * self.num_relations + relation
         return self.sides[side].gather(wanted)
 

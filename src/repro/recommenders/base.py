@@ -135,25 +135,33 @@ class FittedRecommender:
 
     def _column_store(self) -> sp.csc_matrix:
         if self._csc is None:
-            self._csc = self.matrix.tocsc()
+            csc = self.matrix.tocsc()
+            csc.sum_duplicates()  # sorted, unique entity ids per column
+            self._csc = csc
         return self._csc
 
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def column(self, relation: int, side: Side) -> np.ndarray:
-        """Dense score vector of one (relation, side) column."""
-        col = column_index(relation, side, self.num_relations)
-        return np.asarray(
-            self._column_store()[:, col].todense()
-        ).reshape(-1)
-
-    def column_support(self, relation: int, side: Side) -> np.ndarray:
-        """Entity ids with a *non-zero* score in the column (sorted)."""
+    def column_entries(self, relation: int, side: Side) -> tuple[np.ndarray, np.ndarray]:
+        """The stored ``(entities, scores)`` of one (relation, side) column:
+        sorted unique entity ids and their scores (explicit zeros
+        included), as views into the column store."""
         col = column_index(relation, side, self.num_relations)
         store = self._column_store()
         start, stop = store.indptr[col], store.indptr[col + 1]
-        return np.sort(store.indices[start:stop]).astype(np.int64)
+        return store.indices[start:stop], store.data[start:stop]
+
+    def column(self, relation: int, side: Side) -> np.ndarray:
+        """Dense score vector of one (relation, side) column."""
+        entities, scores = self.column_entries(relation, side)
+        dense = np.zeros(self.num_entities, dtype=scores.dtype)
+        dense[entities] = scores
+        return dense
+
+    def column_support(self, relation: int, side: Side) -> np.ndarray:
+        """Entity ids with a *non-zero* score in the column (sorted)."""
+        return self.column_entries(relation, side)[0].astype(np.int64)
 
     def column_probabilities(self, relation: int, side: Side) -> np.ndarray:
         """Column scores normalised into a probability vector.

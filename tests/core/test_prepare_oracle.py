@@ -20,11 +20,13 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.candidates import build_static_candidates, choose_threshold, evaluate_tradeoff
 from repro.core.protocol import EvaluationProtocol
-from repro.core.sampling import STRATEGIES, build_pools, resolve_sample_size
-from repro.engine import build_state
+from repro.core.sampling import STRATEGIES, NegativePools, build_pools, resolve_sample_size
+from repro.engine import build_state, evaluation_plan
+from repro.engine.chunking import collect_known_answers, pool_positions, query_table
 from repro.engine.shm import attach_state, publish_state
 from repro.kg import KnowledgeGraph, TripleSet, Vocabulary
 from repro.kg.graph import (
@@ -32,6 +34,7 @@ from repro.kg.graph import (
     SIDES,
     TAIL,
     KeyedCSR,
+    build_filter_csr,
     build_keyed_csr,
     entities_by_relation,
     id_dtype,
@@ -39,6 +42,7 @@ from repro.kg.graph import (
 from repro.metrics.tradeoff import TradeoffPoint
 from repro.models import build_model
 from repro.recommenders import build_recommender
+from repro.recommenders.base import FittedRecommender, column_index
 from repro.store import ArtifactStore, ExperimentStore
 from repro.store import artifacts as artifacts_module
 
@@ -67,6 +71,26 @@ def reference_training_truths(graph, relation, side):
         if r == relation:
             seen.add(h if side == HEAD else t)
     return np.asarray(sorted(seen), dtype=np.int64)
+
+
+def reference_keyed_csr(keys, values, value_dtype):
+    """The lexsort builder the packed single sort replaced."""
+    keys = np.asarray(keys, dtype=np.int64)
+    order = np.lexsort((values, keys))
+    keys, values = keys[order], values[order].astype(value_dtype, copy=False)
+    fresh = np.ones(keys.size, dtype=bool)
+    fresh[1:] = (keys[1:] != keys[:-1]) | (values[1:] != values[:-1])
+    keys, values = keys[fresh], values[fresh]
+    unique, starts = np.unique(keys, return_index=True)
+    offsets = np.append(starts, keys.size).astype(np.int64, copy=False)
+    return KeyedCSR(unique, offsets, np.ascontiguousarray(values))
+
+
+def reference_column(fitted, relation, side):
+    """A dense score column by scipy column slicing, as it was read before
+    the column store's own slices."""
+    col = column_index(relation, side, fitted.num_relations)
+    return np.asarray(fitted.matrix.tocsc()[:, col].todense()).reshape(-1)
 
 
 def reference_choose_threshold(scores, truths, num_thresholds=32):
@@ -104,7 +128,7 @@ def reference_static_candidates(fitted, graph, include_observed):
     thresholds = {side: {} for side in SIDES}
     for side in SIDES:
         for relation in range(graph.num_relations):
-            column = fitted.column(relation, side)
+            column = reference_column(fitted, relation, side)
             truths = reference_training_truths(graph, relation, side)
             threshold, _ = reference_choose_threshold(column, truths)
             selected = np.flatnonzero(column >= threshold).astype(np.int64)
@@ -146,6 +170,33 @@ def reference_pools(graph, strategy, seed, sample_size, fitted, sets):
                     )
             pools[side][relation] = np.sort(pool).astype(np.int64)
     return pools
+
+
+def reference_plan(graph, split, sides, pools):
+    """The plan's exclusion pairs, one gather and one pool lookup per
+    (relation, side) group, as the plan was built before it went per side."""
+    queries, groups, starts = query_table(graph, split, sides)
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for g, (relation, side) in enumerate(groups):
+        block = queries[starts[g] : starts[g + 1]]
+        group_rows, group_cols = collect_known_answers(
+            graph.filter_index, block[:, 0], block[:, 1], relation, side
+        )
+        if pools is not None:
+            inside, positions = pool_positions(pools.pool(relation, side), group_cols)
+            group_rows, group_cols = group_rows[inside], positions[inside]
+        rows.append(group_rows + starts[g])
+        cols.append(group_cols)
+    excluded_rows = np.concatenate(rows).astype(id_dtype(queries.shape[0]))
+    excluded_cols = np.concatenate(cols).astype(id_dtype(graph.num_entities))
+    counts = np.bincount(excluded_rows, minlength=queries.shape[0])
+    return {
+        "starts": starts,
+        "queries": queries,
+        "excluded_starts": np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)]),
+        "excluded_rows": excluded_rows,
+        "excluded_cols": excluded_cols,
+    }
 
 
 def reference_test_pairs(graph, split):
@@ -501,3 +552,184 @@ class TestKeyedCSR:
         assert csr.offsets.tolist() == [0]
         assert csr.segment(3).dtype == np.int32 and csr.segment(3).size == 0
         assert csr.contains(np.array([1, 2]), np.array([0, 0])).tolist() == [False, False]
+
+
+def assert_same_csr(got: KeyedCSR, want: KeyedCSR) -> None:
+    for name in ("keys", "offsets", "values"):
+        assert_same_array(getattr(got, name), getattr(want, name))
+
+
+class TestPackedBuilder:
+    """``build_keyed_csr`` (one packed sort) against the lexsort builder."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_duplicates_sparse_keys_and_negative_values(self, seed):
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(-5, 40, size=300) * 11
+        values = rng.integers(-3, 25, size=300)
+        for dtype in (np.dtype(np.int32), np.dtype(np.int64)):
+            assert_same_csr(
+                build_keyed_csr(keys, values, dtype), reference_keyed_csr(keys, values, dtype)
+            )
+
+    def test_int32_memory_mapped_columns(self, tmp_path):
+        triples = np.random.default_rng(0).integers(0, [40, 5, 40], size=(500, 3)).astype(np.int32)
+        triples.tofile(tmp_path / "triples.bin")
+        mapped = np.memmap(tmp_path / "triples.bin", dtype=np.int32, mode="r", shape=triples.shape)
+        keys = mapped[:, 2].astype(np.int64) * 5 + mapped[:, 1]
+        for key_column, values in ((keys, mapped[:, 0]), (mapped[:, 1], mapped[:, 2])):
+            assert_same_csr(
+                build_keyed_csr(key_column, values, np.dtype(np.int32)),
+                reference_keyed_csr(key_column, values, np.dtype(np.int32)),
+            )
+        index = build_filter_csr(40, 5, [mapped])
+        assert_same_csr(index.sides[HEAD], reference_keyed_csr(keys, mapped[:, 0], np.dtype(np.int32)))
+
+    def test_one_key(self):
+        values = np.array([5, 1, 5, 3, 1, 9])
+        got = build_keyed_csr(np.full(values.size, 7), values, np.dtype(np.int32))
+        assert_same_csr(got, reference_keyed_csr(np.full(values.size, 7), values, np.dtype(np.int32)))
+        assert got.keys.tolist() == [7] and got.values.tolist() == [1, 3, 5, 9]
+
+    def test_empty_input(self):
+        empty = np.empty(0, dtype=np.int64)
+        for dtype in (np.dtype(np.int32), np.dtype(np.int64)):
+            assert_same_csr(build_keyed_csr(empty, empty, dtype), reference_keyed_csr(empty, empty, dtype))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_key_span_past_int64_packs_key_ordinals(self, seed):
+        rng = np.random.default_rng(seed)
+        keys = rng.choice([-(2**62), -7, 3, 2**40, 2**62], size=60)
+        keys[:2] = [-(2**62), 2**62]
+        values = rng.integers(0, 12, size=60)
+        # Packing key - min key would need (2**63 + 1) * value span codes.
+        assert (int(keys.max()) - int(keys.min()) + 1) * (int(values.max()) + 1) >= 2**63
+        got = build_keyed_csr(keys, values, np.dtype(np.int32))
+        assert_same_csr(got, reference_keyed_csr(keys, values, np.dtype(np.int32)))
+        assert got.segment(2**62).tolist() == sorted(set(values[keys == 2**62].tolist()))
+
+
+def sparse_fitted(num_entities: int, num_relations: int, seed: int) -> FittedRecommender:
+    """A score matrix whose columns cycle through: nothing stored, only
+    explicit zeros, and a random support mixing explicit zeros and tied
+    positive scores (every column of a small graph has < 32 positives)."""
+    rng = np.random.default_rng(seed)
+    indices, data, indptr = [], [], [0]
+    for col in range(2 * num_relations):
+        kind = col % 3
+        size = 0 if kind == 0 else int(rng.integers(1, num_entities + 1))
+        support = np.sort(rng.choice(num_entities, size=size, replace=False))
+        scores = rng.choice([0.0, 0.5, 1.0, 2.0], size=size) if kind == 2 else np.zeros(size)
+        if kind == 2:
+            scores = scores + rng.random(size) * (scores > 0) * (rng.random(size) > 0.5)
+        indices.append(support)
+        data.append(scores)
+        indptr.append(indptr[-1] + size)
+    csc = sp.csc_matrix(
+        (np.concatenate(data), np.concatenate(indices), np.asarray(indptr)),
+        shape=(num_entities, 2 * num_relations),
+    )
+    return FittedRecommender(matrix=csc.tocsr(), name="sparse", num_relations=num_relations)
+
+
+def wide_graph(seed: int) -> KnowledgeGraph:
+    """A 120-entity graph, so score columns can hold more than 32 positives."""
+    rng = np.random.default_rng(seed)
+    triples = rng.integers(0, [120, 3, 120], size=(400, 3))
+    return KnowledgeGraph(
+        entities=Vocabulary([f"e{i}" for i in range(120)]),
+        relations=Vocabulary(["r0", "r1", "r2"]),
+        train=TripleSet(triples[:300]),
+        valid=TripleSet(triples[300:350]),
+        test=TripleSet(triples[350:]),
+        name=f"wide-{seed}",
+    )
+
+
+class TestSparseColumns:
+    """The threshold search read off the column store's sparse slices."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("include_observed", [True, False])
+    def test_stored_zeros_few_positives_and_zero_columns(self, seed, include_observed):
+        for graph in (make_graph(seed), wide_graph(seed)):
+            fitted = sparse_fitted(graph.num_entities, graph.num_relations, seed)
+            assert (fitted.matrix.data == 0).any()
+            got = build_static_candidates(fitted, graph, include_observed=include_observed)
+            want_sets, want_thresholds = reference_static_candidates(fitted, graph, include_observed)
+            for side in SIDES:
+                assert [float(v).hex() for v in got.thresholds[side]] == [
+                    float(want_thresholds[side][r]).hex() for r in range(graph.num_relations)
+                ]
+                for relation in range(graph.num_relations):
+                    assert_same_column(
+                        got.candidates(relation, side), want_sets[side][relation], graph.num_entities
+                    )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_column_matches_scipy_column_slice(self, seed):
+        graph = make_graph(seed)
+        fitted_models = [sparse_fitted(graph.num_entities, graph.num_relations, seed)]
+        fitted_models += [build_recommender(name).fit(graph) for name in RECOMMENDERS]
+        for fitted in fitted_models:
+            for side in SIDES:
+                for relation in range(graph.num_relations):
+                    assert_same_array(
+                        fitted.column(relation, side), reference_column(fitted, relation, side)
+                    )
+
+
+def assert_same_plan(plan, want: dict) -> None:
+    for name, array in want.items():
+        assert_same_array(getattr(plan, name), array)
+
+
+class TestPlan:
+    """The per-side plan build against the per-group reference."""
+
+    @pytest.mark.parametrize("split", ["test", "valid", "train"])
+    @pytest.mark.parametrize("sides", [SIDES, (TAIL,), (HEAD,)])
+    def test_full_and_pooled_plans(self, graph, split, sides):
+        fitted = build_recommender("l-wd").fit(graph)
+        sets = build_static_candidates(fitted, graph)
+        for strategy in (None, *STRATEGIES):
+            pools = None
+            if strategy is not None:
+                pools = build_pools(
+                    graph, strategy, np.random.default_rng(3), sample_fraction=0.5,
+                    fitted=fitted, candidates=sets,
+                )
+            assert_same_plan(
+                evaluation_plan(graph, split, sides, pools), reference_plan(graph, split, sides, pools)
+            )
+
+    def test_empty_pools(self, graph):
+        empty = build_keyed_csr(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), id_dtype(graph.num_entities)
+        )
+        pools = NegativePools(
+            strategy="random", pools={side: empty for side in SIDES},
+            num_entities=graph.num_entities, sample_size=1,
+        )
+        plan = evaluation_plan(graph, "test", SIDES, pools)
+        assert_same_plan(plan, reference_plan(graph, "test", SIDES, pools))
+        assert plan.excluded_rows.size == 0
+
+    def test_truth_missing_from_the_index(self, graph):
+        """Over a filter index of train alone, a test truth the index never
+        saw is still excluded from its own row (as a pool position when
+        pooled)."""
+        partial = graph.relabel("train-only-index")
+        partial._filter_index = build_filter_csr(
+            graph.num_entities, graph.num_relations, [graph.train.array]
+        )
+        test = graph.test.array
+        assert not partial.filter_index.sides[TAIL].contains(
+            test[:, 0] * graph.num_relations + test[:, 1], test[:, 2]
+        ).all()
+        pools = build_pools(partial, "random", np.random.default_rng(5), sample_fraction=0.5)
+        for pooled in (None, pools):
+            assert_same_plan(
+                evaluation_plan(partial, "test", SIDES, pooled),
+                reference_plan(partial, "test", SIDES, pooled),
+            )

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import gc
+import signal
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from repro.engine.shm import (
 )
 from repro.kg import KnowledgeGraph, TripleSet, Vocabulary
 from repro.models import build_model
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _fresh_graph(seed: int) -> KnowledgeGraph:
@@ -133,6 +139,66 @@ class TestPublishAttach:
                 name for name in published.manifest.arrays if name.startswith("param_")
             ]
             assert param_specs  # every embedding table went to shared memory
+        finally:
+            published.close()
+
+
+_READ_AFTER_CLOSE = """
+import numpy as np
+from repro.core.sampling import build_pools
+from repro.engine import build_state
+from repro.engine.shm import attach_state, publish_state
+from repro.kg import KnowledgeGraph, TripleSet, Vocabulary
+from repro.models import build_model
+
+triples = np.random.default_rng(0).integers(0, [50, 3, 50], size=(120, 3))
+graph = KnowledgeGraph(
+    entities=Vocabulary([f"e{i}" for i in range(50)]),
+    relations=Vocabulary(["r0", "r1", "r2"]),
+    train=TripleSet(triples[:-10]),
+    test=TripleSet(triples[-10:]),
+)
+pools = build_pools(graph, "random", np.random.default_rng(0), num_samples=10)
+model = build_model("distmult", 50, 3, dim=4, seed=0)
+state = build_state(model, graph, "test", pools=pools)
+published = publish_state(state)
+attached = attach_state(published.manifest)
+queries = attached.state.plan.queries
+result = published.result_view
+attached.close()
+published.close()
+assert np.array_equal(queries, state.plan.queries)
+assert not result.any()
+print(int(queries.sum()))
+"""
+
+
+class TestAttachedClose:
+    def test_view_kept_past_close_stays_readable(self):
+        """Closing an attached state or an arena used to unmap segments
+        under live views, so the next read killed the process (SIGSEGV)."""
+        result = subprocess.run(
+            [sys.executable, "-c", _READ_AFTER_CLOSE],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            timeout=120,
+        )
+        assert result.returncode != -signal.SIGSEGV
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().isdigit()
+
+    def test_close_frees_unkept_views_at_once(self, tiny_state):
+        published = publish_state(tiny_state)
+        try:
+            attached = attach_state(published.manifest)
+            views = [weakref.ref(attached.result), weakref.ref(attached.state.plan.queries)]
+            gc.disable()
+            try:
+                attached.close()
+                assert [view() for view in views] == [None, None]
+            finally:
+                gc.enable()
         finally:
             published.close()
 

@@ -85,6 +85,23 @@ def _logged_lines(stream, event, request_id, timeout=2.0):
         time.sleep(0.01)
 
 
+def _traced_events(tracer, name, trace_id, timeout=2.0):
+    """The tracer's events once a ``name`` span of ``trace_id`` is among
+    them, waiting briefly for the handler thread.
+
+    Like its log line, a request's ``serve.request`` span closes after
+    the response is flushed: poll for it instead of racing.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        events = tracer.events()
+        if any(
+            event["name"] == name and event.get("trace_id") == trace_id for event in events
+        ) or time.monotonic() > deadline:
+            return events
+        time.sleep(0.01)
+
+
 class TestMetricsEndpoint:
     def test_exposes_request_counters_latency_and_cache_metrics(self, stack, dataset):
         service, server = stack
@@ -356,6 +373,8 @@ class TestCrossProcessCorrelation:
 
     def test_rank_request_batch_joins_the_request_trace(self, pooled_stack):
         _, server = pooled_stack
+        stream = io.StringIO()
+        configure_logging(stream)
         tracer = set_tracing(True)
         _post(
             server,
@@ -363,7 +382,8 @@ class TestCrossProcessCorrelation:
             {"model": "dm", "anchor": "e1", "relation": "r0"},
             headers={"X-Request-Id": "req-rank-1"},
         )
-        events = tracer.events()
+        [request_line] = _logged_lines(stream, "serve.request", "req-rank-1")
+        events = _traced_events(tracer, "serve.request", request_line["trace_id"])
         request_traces = {
             event["trace_id"]
             for event in events
