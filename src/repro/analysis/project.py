@@ -52,7 +52,6 @@ class AnalysisConfig:
     hot_modules: tuple[str, ...] = (
         "repro.models.fused",
         "repro.engine.chunking",
-        "repro.engine.aggregator",
         "repro.core.ranking",
         "repro.core.estimators",
         "repro.metrics.ranking",

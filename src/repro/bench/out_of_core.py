@@ -133,7 +133,7 @@ def stage_shard(args: argparse.Namespace) -> dict:
 
 
 def _sampled_run(model, graph, workers: int, num_samples: int, seed: int):
-    """One warmed sampled evaluation; returns (queries/s, EngineRun)."""
+    """One warmed sampled evaluation; returns (queries/s, EvaluationResult)."""
     import numpy as np
 
     from repro.core.sampling import build_pools
@@ -143,8 +143,8 @@ def _sampled_run(model, graph, workers: int, num_samples: int, seed: int):
         graph, "random", np.random.default_rng(seed), num_samples=num_samples
     )
     engine = EvaluationEngine(workers=workers)
-    engine.run(model, graph, "test", pools=pools, keep_ranks=False)  # warm
-    run = engine.run(model, graph, "test", pools=pools, keep_ranks=False)
+    engine.run(model, graph, "test", pools=pools)  # warm
+    run = engine.run(model, graph, "test", pools=pools)
     return run.num_queries / max(run.seconds, 1e-9), run
 
 

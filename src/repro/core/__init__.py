@@ -25,7 +25,6 @@ from repro.core.easy_negatives import (
     mine_easy_negatives,
 )
 from repro.core.estimators import (
-    SampledEvaluationResult,
     evaluate_sampled,
     expected_gain,
     expected_outranking,
@@ -33,11 +32,7 @@ from repro.core.estimators import (
     sampled_rank,
 )
 from repro.core.protocol import EvaluationProtocol, PreparationReport
-from repro.core.ranking import (
-    FullEvaluationResult,
-    evaluate_full,
-    filtered_rank,
-)
+from repro.core.ranking import evaluate_full, filtered_rank
 from repro.core.sampling import (
     STRATEGIES,
     NegativePools,
@@ -45,6 +40,7 @@ from repro.core.sampling import (
     build_pools,
     resolve_sample_size,
 )
+from repro.engine.engine import EvaluationResult
 
 __all__ = [
     "AUCEstimate",
@@ -55,11 +51,10 @@ __all__ = [
     "EasyNegativeClassifier",
     "EasyNegativeReport",
     "EvaluationProtocol",
+    "EvaluationResult",
     "FalseEasyNegative",
-    "FullEvaluationResult",
     "NegativePools",
     "PreparationReport",
-    "SampledEvaluationResult",
     "SamplingComplexity",
     "Strategy",
     "TradeoffReport",

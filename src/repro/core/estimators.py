@@ -18,31 +18,14 @@ The companion functions formalise why uniform pools are optimistic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.core.sampling import NegativePools
-from repro.engine.chunking import DEFAULT_CHUNK_SIZE, Query
-from repro.engine.engine import EvaluationEngine
+from repro.engine.chunking import DEFAULT_CHUNK_SIZE
+from repro.engine.engine import EvaluationEngine, EvaluationResult
 from repro.kg.graph import SIDES, KnowledgeGraph, Side
-from repro.metrics.ranking import HITS_AT, RankingMetrics, rank_of
+from repro.metrics.ranking import HITS_AT, rank_of
 from repro.models.base import KGEModel
-
-
-@dataclass
-class SampledEvaluationResult:
-    """Estimated ranks/metrics of one sampled evaluation run."""
-
-    metrics: RankingMetrics
-    strategy: str
-    ranks: dict[Query, float] = field(repr=False, default_factory=dict)
-    seconds: float = 0.0
-    num_scored: int = 0
-
-    @property
-    def num_queries(self) -> int:
-        return len(self.ranks)
 
 
 def sampled_rank(
@@ -82,7 +65,7 @@ def evaluate_sampled(
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     start_method: str | None = None,
-) -> SampledEvaluationResult:
+) -> EvaluationResult:
     """Estimate ranking metrics of ``model`` using pre-drawn pools.
 
     Execution goes through :class:`repro.engine.EvaluationEngine`:
@@ -94,16 +77,8 @@ def evaluate_sampled(
     engine = EvaluationEngine(
         workers=workers, chunk_size=chunk_size, start_method=start_method
     )
-    run = engine.run(
+    return engine.run(
         model, graph, split=split, pools=pools, hits_at=hits_at, sides=sides
-    )
-    assert run.ranks is not None
-    return SampledEvaluationResult(
-        metrics=run.metrics,
-        strategy=pools.strategy,
-        ranks=run.ranks,
-        seconds=run.seconds,
-        num_scored=run.num_scored,
     )
 
 

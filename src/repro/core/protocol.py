@@ -23,10 +23,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.candidates import CandidateSets, build_static_candidates
-from repro.core.estimators import SampledEvaluationResult, evaluate_sampled
-from repro.core.ranking import FullEvaluationResult, evaluate_full
+from repro.core.estimators import evaluate_sampled
+from repro.core.ranking import evaluate_full
 from repro.core.sampling import NegativePools, Strategy, build_pools
 from repro.engine.chunking import DEFAULT_CHUNK_SIZE
+from repro.engine.engine import EvaluationResult
 from repro.engine.worker import evaluation_plan
 from repro.kg.graph import SIDES, KnowledgeGraph
 from repro.kg.typing import TypeStore
@@ -312,7 +313,7 @@ class EvaluationProtocol:
         split: str = "test",
         hits_at: tuple[int, ...] = HITS_AT,
         workers: int | None = None,
-    ) -> SampledEvaluationResult:
+    ) -> EvaluationResult:
         """Fast sampled estimate of the filtered ranking metrics.
 
         ``workers`` overrides the protocol-level worker count for this
@@ -337,7 +338,7 @@ class EvaluationProtocol:
         split: str = "test",
         hits_at: tuple[int, ...] = HITS_AT,
         workers: int | None = None,
-    ) -> FullEvaluationResult:
+    ) -> EvaluationResult:
         """The full filtered ranking protocol (the expensive ground truth).
 
         With a store attached, the result is served from / saved to the

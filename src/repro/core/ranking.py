@@ -15,14 +15,12 @@ chunks across worker processes: ``evaluate_full(model, graph, workers=4)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.engine.chunking import DEFAULT_CHUNK_SIZE, Query
-from repro.engine.engine import EvaluationEngine
+from repro.engine.chunking import DEFAULT_CHUNK_SIZE
+from repro.engine.engine import EvaluationEngine, EvaluationResult
 from repro.kg.graph import SIDES, KnowledgeGraph, Side
-from repro.metrics.ranking import HITS_AT, RankingMetrics
+from repro.metrics.ranking import HITS_AT
 from repro.models.base import KGEModel
 
 
@@ -47,20 +45,6 @@ def filtered_rank(
     return 1.0 + better + ties / 2.0
 
 
-@dataclass
-class FullEvaluationResult:
-    """Ranks and aggregate metrics of a full filtered evaluation."""
-
-    metrics: RankingMetrics
-    ranks: dict[Query, float] = field(repr=False, default_factory=dict)
-    seconds: float = 0.0
-    num_scored: int = 0
-
-    @property
-    def num_queries(self) -> int:
-        return len(self.ranks)
-
-
 def evaluate_full(
     model: KGEModel,
     graph: KnowledgeGraph,
@@ -70,12 +54,12 @@ def evaluate_full(
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     start_method: str | None = None,
-) -> FullEvaluationResult:
+) -> EvaluationResult:
     """Run the full filtered ranking protocol on one split.
 
-    Every triple contributes one query per side in ``sides``; the returned
-    per-query ranks are keyed by ``(h, r, t, side)`` so estimators can be
-    compared against the ground truth query-by-query.
+    Every distinct triple contributes one query per side in ``sides``;
+    the returned per-query ranks are keyed by ``(h, r, t, side)`` so
+    estimators can be compared against the ground truth query-by-query.
 
     ``workers`` fans the chunk schedule across that many scoring
     processes (1 = in-process serial; negative = all cores); the ranks
@@ -87,11 +71,4 @@ def evaluate_full(
     engine = EvaluationEngine(
         workers=workers, chunk_size=chunk_size, start_method=start_method
     )
-    run = engine.run(model, graph, split=split, hits_at=hits_at, sides=sides)
-    assert run.ranks is not None
-    return FullEvaluationResult(
-        metrics=run.metrics,
-        ranks=run.ranks,
-        seconds=run.seconds,
-        num_scored=run.num_scored,
-    )
+    return engine.run(model, graph, split=split, hits_at=hits_at, sides=sides)

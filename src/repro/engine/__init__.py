@@ -7,8 +7,9 @@ axis once per graph, split, sides and pools (the cached
 in parallel on a persistent worker pool that reads the model and the plan
 from ``multiprocessing.shared_memory``, published once per distinct state
 and reused across runs (:mod:`repro.engine.pool` /
-:mod:`repro.engine.shm`) — and folded into :class:`RankingMetrics`,
-optionally through the flat-memory online :class:`RankAccumulator`.
+:mod:`repro.engine.shm`) — and returned as one :class:`EvaluationResult`:
+a rank per distinct query, in plan order, and the :class:`RankingMetrics`
+aggregated from those ranks.
 
 Entry points
 ------------
@@ -22,7 +23,6 @@ Entry points
   persistent pool registry behind every parallel run.
 """
 
-from repro.engine.aggregator import RankAccumulator
 from repro.engine.chunking import (
     DEFAULT_CHUNK_SIZE,
     ChunkTask,
@@ -35,7 +35,7 @@ from repro.engine.chunking import (
     query_table,
     split_triples,
 )
-from repro.engine.engine import EngineRun, EvaluationEngine, resolve_workers
+from repro.engine.engine import EvaluationEngine, EvaluationResult, resolve_workers
 from repro.engine.pool import (
     EngineWorkerError,
     PersistentWorkerPool,
@@ -63,14 +63,13 @@ from repro.engine.worker import (
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "ChunkTask",
-    "EngineRun",
     "EngineWorkerError",
     "EvaluationEngine",
+    "EvaluationResult",
     "EvaluationPlan",
     "EvaluationState",
     "PersistentWorkerPool",
     "Query",
-    "RankAccumulator",
     "ShmArena",
     "StateManifest",
     "active_pools",

@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.kg.graph import HEAD, SIDES, FilterIndexCSR, KnowledgeGraph, Side, TripleSet
+from repro.kg.triples import unique_rows_in_order
 
 Query = tuple[int, int, int, Side]
 """A ranking query: ``(head, relation, tail, side)`` where ``side`` names
@@ -49,7 +50,7 @@ def query_table(
     split: str,
     sides: tuple[Side, ...] = SIDES,
 ) -> tuple[np.ndarray, list[tuple[int, Side]], np.ndarray]:
-    """A split's ranking queries grouped by ``(relation, side)``.
+    """A split's distinct ranking queries grouped by ``(relation, side)``.
 
     Returns ``(table, groups, starts)``: ``table`` is an ``(N, 4)`` int64
     array of ``(anchor, truth, head, tail)`` rows, group ``g`` is
@@ -57,11 +58,14 @@ def query_table(
     ``starts[g]:starts[g + 1]``.  The order is that of walking the split
     triple by triple and ``sides`` side by side: groups appear in order
     of their first query, and each group keeps its queries in that walk
-    order.  Grouping is what lets both evaluators score whole query
-    batches against one candidate set / pool with a single matrix
-    product.  Built with array passes, not a per-triple loop.
+    order.  A triple repeated in the split counts once, at its first
+    occurrence, so every ``(head, relation, tail, side)`` is one row and
+    a run's ranks, query count and metrics all count the same queries.
+    Grouping is what lets both evaluators score whole query batches
+    against one candidate set / pool with a single matrix product.
+    Built with array passes, not a per-triple loop.
     """
-    triples = split_triples(graph, split).array
+    triples = unique_rows_in_order(split_triples(graph, split).array)
     if not len(triples) or not sides:
         return np.empty((0, 4), dtype=np.int64), [], np.zeros(1, dtype=np.int64)
     side_ids = np.asarray([SIDES.index(side) for side in sides], dtype=np.int64)

@@ -13,10 +13,8 @@ evaluation protocols: the full filtered ranking
 2. scores the chunks — in-process for ``workers=1``, or on a persistent
    worker pool that reads the model and the plan from shared memory,
    published once per distinct state (:mod:`repro.engine.pool`);
-3. folds the per-chunk ranks into metrics, either retaining every rank
-   (the legacy API surface) or streaming them through the online
-   :class:`~repro.engine.aggregator.RankAccumulator` so memory stays flat
-   (``keep_ranks=False``).
+3. concatenates the per-chunk ranks in plan order and aggregates them
+   into metrics once, returning both as one :class:`EvaluationResult`.
 
 Chunk results are consumed in schedule order regardless of which worker
 finishes first, and scoring itself is deterministic, so ``workers=N``
@@ -34,7 +32,6 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.engine.aggregator import RankAccumulator
 from repro.engine.chunking import DEFAULT_CHUNK_SIZE, ChunkTask, Query, plan_chunks
 from repro.engine.pool import PersistentWorkerPool, get_engine_pool
 from repro.engine.worker import EvaluationState, build_state, score_chunk
@@ -62,16 +59,23 @@ def resolve_workers(workers: int | None) -> int:
 
 
 @dataclass
-class EngineRun:
-    """The outcome of one engine pass over a split."""
+class EvaluationResult:
+    """The outcome of one evaluation: a rank per distinct query of the
+    split and the metrics aggregated from exactly those ranks.
+
+    ``strategy`` names the pools' sampling strategy on the sampled path
+    and is ``None`` on the full path.
+    """
 
     metrics: RankingMetrics
-    ranks: dict[Query, float] | None = field(repr=False, default=None)
+    ranks: dict[Query, float] = field(repr=False, default_factory=dict)
     seconds: float = 0.0
     num_scored: int = 0
-    num_queries: int = 0
-    workers: int = 1
-    chunk_size: int = DEFAULT_CHUNK_SIZE
+    strategy: str | None = None
+
+    @property
+    def num_queries(self) -> int:
+        return len(self.ranks)
 
 
 class EvaluationEngine:
@@ -129,21 +133,12 @@ class EvaluationEngine:
         pools: "NegativePools | None" = None,
         hits_at: tuple[int, ...] = HITS_AT,
         sides: tuple[Side, ...] = SIDES,
-        keep_ranks: bool = True,
-    ) -> EngineRun:
+    ) -> EvaluationResult:
         """Evaluate ``model`` on one split (sampled iff ``pools`` given).
 
-        With ``keep_ranks=True`` the result carries the per-query rank
-        dictionary and the metrics are aggregated exactly as the
-        pre-engine implementations did (bit-compatible).  With
-        ``keep_ranks=False`` ranks are folded into the online accumulator
-        chunk by chunk and discarded, keeping memory flat on arbitrarily
-        large splits.
-
-        The two modes agree up to float rounding on well-formed splits;
-        if a split contains *duplicate* triples, the rank dictionary
-        keeps one entry per distinct query (legacy semantics) while the
-        streaming accumulator counts every scored query.
+        The chunks' ranks arrive in plan order, one per distinct query
+        (:func:`~repro.engine.chunking.query_table`); they are aggregated
+        once and keyed by ``(head, relation, tail, side)``.
         """
         start = time.perf_counter()
         tracer = get_tracer()
@@ -158,56 +153,39 @@ class EvaluationEngine:
             state = build_state(model, graph, split, sides=sides, pools=pools)
             plan = state.plan
             tasks = plan_chunks(plan.groups, plan.starts, self.chunk_size)
-            accumulator = RankAccumulator(hits_at)
-            kept: list[np.ndarray] = []
+            chunks: list[np.ndarray] = []
             num_scored = 0
-            num_queries = 0
-
             for chunk_ranks, chunk_scored in self._scored_chunks(state, tasks):
+                chunks.append(chunk_ranks)
                 num_scored += chunk_scored
-                num_queries += chunk_ranks.size
-                if keep_ranks:
-                    kept.append(chunk_ranks)
-                else:
-                    accumulator.update(chunk_ranks)
-            # The schedule covers the plan's rows in order, so the kept
-            # ranks line up with the plan's keys; a duplicate query keeps
-            # its last rank, at its first position.
-            ranks: dict[Query, float] | None = None
-            if keep_ranks:
-                ranks = dict(zip(plan.keys, np.concatenate([np.empty(0), *kept]).tolist()))
+            ranks = np.concatenate([np.empty(0), *chunks])
+            keyed = dict(zip(plan.keys, ranks.tolist()))
             tracer.add("chunks", len(tasks))
-            tracer.add("queries", num_queries)
+            tracer.add("queries", ranks.size)
             tracer.add("scored", num_scored)
         registry.counter(
             "repro_engine_chunks_total", "Chunks scored by the evaluation engine"
         ).inc(len(tasks))
         registry.counter(
             "repro_engine_queries_total", "Queries ranked by the evaluation engine"
-        ).inc(num_queries)
+        ).inc(ranks.size)
 
-        if ranks is not None:
-            metrics = aggregate_ranks(ranks.values(), hits_at=hits_at)
-            num_queries = len(ranks)  # duplicate queries collapse, as before
-        else:
-            metrics = accumulator.finalize()
+        metrics = aggregate_ranks(ranks, hits_at=hits_at)
         log_event(
             "engine.run",
             split=split,
             workers=self.workers,
             chunks=len(tasks),
-            queries=num_queries,
+            queries=ranks.size,
             entities=num_scored,
             seconds=round(time.perf_counter() - start, 6),
         )
-        return EngineRun(
+        return EvaluationResult(
             metrics=metrics,
-            ranks=ranks,
+            ranks=keyed,
             seconds=time.perf_counter() - start,
             num_scored=num_scored,
-            num_queries=num_queries,
-            workers=self.workers,
-            chunk_size=self.chunk_size,
+            strategy=None if pools is None else pools.strategy,
         )
 
     # ------------------------------------------------------------------

@@ -21,10 +21,9 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.core.estimators import SampledEvaluationResult
 from repro.core.protocol import EvaluationProtocol, PreparationReport
-from repro.core.ranking import FullEvaluationResult
 from repro.datasets.zoo import load as load_zoo_dataset
+from repro.engine.engine import EvaluationResult
 from repro.experiment.specs import DatasetSpec, ExperimentSpec, spec_key
 from repro.models import Trainer, TrainingHistory, build_model, save_model
 from repro.models.base import KGEModel
@@ -54,9 +53,9 @@ class ExperimentResult:
     train_seconds: float
     triples_per_epoch: int
     preparation: PreparationReport | None = None
-    truth: FullEvaluationResult | None = None
-    random_estimate: SampledEvaluationResult | None = None
-    guided_estimate: SampledEvaluationResult | None = None
+    truth: EvaluationResult | None = None
+    random_estimate: EvaluationResult | None = None
+    guided_estimate: EvaluationResult | None = None
     checkpoint_path: str | None = None
     run_id: str | None = None
     seconds: float = 0.0

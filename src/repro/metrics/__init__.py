@@ -13,7 +13,6 @@ from repro.metrics.ranking import (
     RankingMetrics,
     aggregate_ranks,
     average_precision,
-    merge_metrics,
     rank_of,
     ranks_from_score_matrix,
     roc_auc,
@@ -32,7 +31,6 @@ __all__ = [
     "mae",
     "mape",
     "mean_confidence_interval",
-    "merge_metrics",
     "pearson",
     "rank_of",
     "ranks_from_score_matrix",

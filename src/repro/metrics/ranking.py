@@ -13,7 +13,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -116,8 +116,10 @@ class RankingMetrics:
         return f"RankingMetrics(mrr={self.mrr:.3f}, {hits}, n={self.num_queries})"
 
 
-def aggregate_ranks(ranks: Iterable[float], hits_at: tuple[int, ...] = HITS_AT) -> RankingMetrics:
-    """Aggregate raw ranks into :class:`RankingMetrics`.
+def aggregate_ranks(
+    ranks: np.ndarray | Iterable[float], hits_at: tuple[int, ...] = HITS_AT
+) -> RankingMetrics:
+    """Aggregate raw ranks (an array or any iterable) into :class:`RankingMetrics`.
 
     Examples
     --------
@@ -129,7 +131,9 @@ def aggregate_ranks(ranks: Iterable[float], hits_at: tuple[int, ...] = HITS_AT) 
     >>> metrics.hits_at(10)
     1.0
     """
-    array = np.asarray(list(ranks), dtype=np.float64)
+    array = np.asarray(
+        ranks if isinstance(ranks, np.ndarray) else list(ranks), dtype=np.float64
+    )
     if array.size == 0:
         return RankingMetrics(mrr=0.0, hits={k: 0.0 for k in hits_at}, mean_rank=0.0, num_queries=0)
     if (array < 1.0).any():
@@ -139,32 +143,6 @@ def aggregate_ranks(ranks: Iterable[float], hits_at: tuple[int, ...] = HITS_AT) 
         hits={k: float(np.mean(array <= k)) for k in hits_at},
         mean_rank=float(np.mean(array)),
         num_queries=int(array.size),
-    )
-
-
-def merge_metrics(parts: Iterable[RankingMetrics]) -> RankingMetrics:
-    """Query-count-weighted merge of per-side / per-batch metrics.
-
-    Examples
-    --------
-    >>> head = aggregate_ranks([1.0])
-    >>> tail = aggregate_ranks([2.0, 2.0, 2.0])
-    >>> merge_metrics([head, tail]).mrr
-    0.625
-    """
-    parts = [p for p in parts if p.num_queries > 0]
-    if not parts:
-        return RankingMetrics(mrr=0.0, hits={k: 0.0 for k in HITS_AT}, mean_rank=0.0, num_queries=0)
-    total = sum(p.num_queries for p in parts)
-    hits_keys = sorted(set().union(*(p.hits.keys() for p in parts)))
-    return RankingMetrics(
-        mrr=sum(p.mrr * p.num_queries for p in parts) / total,
-        hits={
-            k: sum(p.hits.get(k, 0.0) * p.num_queries for p in parts) / total
-            for k in hits_keys
-        },
-        mean_rank=sum(p.mean_rank * p.num_queries for p in parts) / total,
-        num_queries=total,
     )
 
 
@@ -210,18 +188,3 @@ def average_precision(positive_scores: np.ndarray, negative_scores: np.ndarray) 
     cum_pos = np.cumsum(labels)
     precision = cum_pos / np.arange(1, labels.size + 1)
     return float((precision * labels).sum() / pos.size)
-
-
-def metrics_from_rank_map(
-    ranks_by_query: Mapping[tuple[int, int, int], float],
-    hits_at: tuple[int, ...] = HITS_AT,
-) -> RankingMetrics:
-    """Aggregate a ``query -> rank`` mapping (convenience for reports).
-
-    Examples
-    --------
-    >>> ranks = {(0, 0, 1): 1.0, (2, 0, 3): 3.0}
-    >>> round(metrics_from_rank_map(ranks).mrr, 3)
-    0.667
-    """
-    return aggregate_ranks(ranks_by_query.values(), hits_at=hits_at)

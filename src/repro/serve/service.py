@@ -365,16 +365,16 @@ class LinkPredictionService:
                 start_method=self.engine_start_method,
                 pool=self._ensure_engine_pool(),
             )
-            run = engine.run(kge, self.graph, split=split, keep_ranks=False)
+            result = engine.run(kge, self.graph, split=split)
             self._evaluations_total += 1
             return {
                 "model": model,
                 "split": split,
-                "metrics": run.metrics.as_dict(),
-                "num_queries": run.num_queries,
-                "num_scored": run.num_scored,
-                "seconds": round(run.seconds, 6),
-                "workers": run.workers,
+                "metrics": result.metrics.as_dict(),
+                "num_queries": result.num_queries,
+                "num_scored": result.num_scored,
+                "seconds": round(result.seconds, 6),
+                "workers": engine.workers,
             }
         finally:
             self._requests_total.inc(endpoint="evaluate")

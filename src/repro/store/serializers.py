@@ -16,8 +16,9 @@ import os
 import numpy as np
 
 from repro.core.candidates import CandidateSets
-from repro.core.ranking import FullEvaluationResult, Query
 from repro.core.sampling import NegativePools
+from repro.engine.chunking import Query
+from repro.engine.engine import EvaluationResult
 from repro.kg.graph import SIDES, KeyedCSR, Side
 from repro.metrics.ranking import RankingMetrics
 
@@ -149,7 +150,7 @@ def _query_from_str(text: str) -> Query:
     return int(h), int(r), int(t), side
 
 
-def full_result_to_dict(result: FullEvaluationResult) -> dict:
+def full_result_to_dict(result: EvaluationResult) -> dict:
     """JSON-ready form of a full evaluation (metrics plus per-query ranks)."""
     return {
         "artifact": "full-evaluation",
@@ -160,11 +161,11 @@ def full_result_to_dict(result: FullEvaluationResult) -> dict:
     }
 
 
-def full_result_from_dict(payload: dict) -> FullEvaluationResult:
+def full_result_from_dict(payload: dict) -> EvaluationResult:
     """Inverse of :func:`full_result_to_dict`; validates the artifact tag."""
     if payload.get("artifact") != "full-evaluation":
         raise ValueError("payload is not a full-evaluation artifact")
-    return FullEvaluationResult(
+    return EvaluationResult(
         metrics=metrics_from_dict(payload["metrics"]),
         ranks={
             _query_from_str(text): float(rank)

@@ -23,7 +23,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.core.ranking import FullEvaluationResult, evaluate_full
+from repro.core.ranking import evaluate_full
+from repro.engine.engine import EvaluationResult
 from repro.kg.graph import KnowledgeGraph
 from repro.metrics.ranking import HITS_AT
 from repro.models.base import KGEModel
@@ -65,7 +66,7 @@ class ExperimentStore:
         hits_at: tuple[int, ...] = HITS_AT,
         workers: int = 1,
         chunk_size: int | None = None,
-    ) -> FullEvaluationResult:
+    ) -> EvaluationResult:
         """Full filtered-ranking evaluation through the ground-truth cache.
 
         The key covers the graph content, the model's exact parameters,

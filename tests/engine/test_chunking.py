@@ -21,9 +21,14 @@ def _scheduled(graph, split: str, chunk_size: int):
 
 
 def _reference_groups(graph, split, sides):
-    """The grouping by definition: walk the split triple by triple."""
+    """The grouping by definition: walk the split triple by triple,
+    skipping a triple already walked."""
     groups: dict = {}
+    seen: set = set()
     for h, r, t in split_triples(graph, split):
+        if (h, r, t) in seen:
+            continue
+        seen.add((h, r, t))
         for side in sides:
             anchor, truth = (t, h) if side == "head" else (h, t)
             groups.setdefault((r, side), []).append((anchor, truth, h, t))

@@ -8,10 +8,11 @@ equal the scalar ``filtered_rank`` over ``score_all`` (full) or the
 pool's ``score_candidates`` (sampled).
 
 Every model runs every edge case of the evaluation plan: a split with
-duplicate triples next to a clean one, and on the sampled path random
-pools next to hand-built pools with an empty pool, a missing pool,
-truths outside their pool, pools made of known answers and a pool that
-is the whole vocabulary.
+duplicate triples next to a clean one (a repeated triple is one query
+per side, so both rank, aggregate and score alike), and on the sampled
+path random pools next to hand-built pools with an empty pool, a missing
+pool, truths outside their pool, pools made of known answers and a pool
+that is the whole vocabulary.
 
 The engine scores chunks of queries with one many-row product while the
 reference scores one query at a time, and BLAS may round those two
@@ -29,10 +30,8 @@ from repro.core.estimators import evaluate_sampled
 from repro.core.ranking import evaluate_full, filtered_rank
 from repro.core.sampling import NegativePools, build_pools
 from repro.datasets import SyntheticConfig, generate
-from repro.engine import EvaluationEngine
 from repro.kg import KnowledgeGraph, TripleSet
 from repro.kg.graph import HEAD, SIDES, keyed_by_relation
-from repro.metrics.ranking import aggregate_ranks
 from repro.models import MODEL_REGISTRY, OracleModel, RandomModel, build_model
 
 DTYPES = ("float32", "float64")
@@ -157,65 +156,65 @@ def _assert_rank_matches(rank: float, scores: np.ndarray, truth: int, known: np.
     )
 
 
-def _assert_duplicate_semantics(model, graph, pools, ranks) -> None:
-    """``keep_ranks=True`` collapses duplicate queries; streaming counts them."""
-    test = graph.test.array
-    distinct = np.unique(test, axis=0).shape[0]
-    assert len(ranks) == len(SIDES) * distinct
-    every_row = [
-        ranks[(int(h), int(r), int(t), side)] for h, r, t in test.tolist() for side in SIDES
-    ]
-    for workers in WORKERS:
-        streamed = EvaluationEngine(workers=workers, chunk_size=CHUNK_SIZE).run(
-            model, graph, pools=pools, keep_ranks=False
-        )
-        assert streamed.num_queries == streamed.metrics.num_queries == len(every_row)
-        expected = aggregate_ranks(every_row)
-        assert streamed.metrics.mrr == pytest.approx(expected.mrr, rel=1e-12)
-        assert streamed.metrics.mean_rank == pytest.approx(expected.mean_rank, rel=1e-12)
+def _assert_duplicate_semantics(graphs, runs) -> None:
+    """One meaning of a repeated triple: one query per side.
+
+    ``runs[kind, workers]`` evaluates graph ``kind`` at ``workers``.  At
+    every worker count the duplicates graph counts each distinct query
+    once and ranks, aggregates and scores exactly as the plain graph.
+    """
+    distinct = np.unique(graphs["duplicates"].test.array, axis=0).shape[0]
+    plain = runs["plain", WORKERS[0]]
+    for run in runs.values():
+        assert run.num_queries == run.metrics.num_queries == len(SIDES) * distinct
+        assert list(run.ranks.items()) == list(plain.ranks.items())
+        assert run.metrics == plain.metrics
+        assert run.num_scored == plain.num_scored
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("name", MODELS)
 class TestModelOracle:
     def test_full_ranks(self, graphs, name, dtype):
-        for graph in graphs.values():
-            model = _model(name, graph, dtype)
-            serial, parallel = (
-                evaluate_full(model, graph, workers=workers, chunk_size=CHUNK_SIZE)
-                for workers in WORKERS
+        graph = graphs["plain"]
+        model = _model(name, graph, dtype)
+        runs = {
+            (kind, workers): evaluate_full(
+                model, graphs[kind], workers=workers, chunk_size=CHUNK_SIZE
             )
-            assert parallel.ranks == serial.ranks
-            _assert_duplicate_semantics(model, graph, None, serial.ranks)
-            for key, rank in serial.ranks.items():
-                anchor, truth, relation, side = _query(key)
-                _assert_rank_matches(
-                    rank,
-                    model.score_all(anchor, relation, side),
-                    truth,
-                    graph.true_answers(anchor, relation, side),
-                )
+            for kind in graphs
+            for workers in WORKERS
+        }
+        _assert_duplicate_semantics(graphs, runs)
+        for key, rank in runs["plain", 1].ranks.items():
+            anchor, truth, relation, side = _query(key)
+            _assert_rank_matches(
+                rank,
+                model.score_all(anchor, relation, side),
+                truth,
+                graph.true_answers(anchor, relation, side),
+            )
 
     def test_sampled_ranks(self, graphs, name, dtype):
-        for graph in graphs.values():
-            model = _model(name, graph, dtype)
-            for pools in _pool_cases(graph).values():
-                serial, parallel = (
-                    evaluate_sampled(
-                        model, graph, pools, workers=workers, chunk_size=CHUNK_SIZE
-                    )
-                    for workers in WORKERS
+        graph = graphs["plain"]
+        model = _model(name, graph, dtype)
+        for pools in _pool_cases(graph).values():
+            runs = {
+                (kind, workers): evaluate_sampled(
+                    model, graphs[kind], pools, workers=workers, chunk_size=CHUNK_SIZE
                 )
-                assert parallel.ranks == serial.ranks
-                _assert_duplicate_semantics(model, graph, pools, serial.ranks)
-                for key, rank in serial.ranks.items():
-                    anchor, truth, relation, side = _query(key)
-                    pool = pools.pool(relation, side)
-                    true_score = model.score_candidates(anchor, relation, side, [truth])
-                    scores = np.full(graph.num_entities, -np.inf, dtype=true_score.dtype)
-                    if pool.size:
-                        scores[pool] = model.score_candidates(anchor, relation, side, pool)
-                    scores[truth] = true_score[0]
-                    _assert_rank_matches(
-                        rank, scores, truth, graph.true_answers(anchor, relation, side)
-                    )
+                for kind in graphs
+                for workers in WORKERS
+            }
+            _assert_duplicate_semantics(graphs, runs)
+            for key, rank in runs["plain", 1].ranks.items():
+                anchor, truth, relation, side = _query(key)
+                pool = pools.pool(relation, side)
+                true_score = model.score_candidates(anchor, relation, side, [truth])
+                scores = np.full(graph.num_entities, -np.inf, dtype=true_score.dtype)
+                if pool.size:
+                    scores[pool] = model.score_candidates(anchor, relation, side, pool)
+                scores[truth] = true_score[0]
+                _assert_rank_matches(
+                    rank, scores, truth, graph.true_answers(anchor, relation, side)
+                )

@@ -163,40 +163,36 @@ class TestProtocolWorkers:
 
 
 class TestStreamingMode:
-    def test_keep_ranks_false_keeps_memory_flat_and_metrics_close(
-        self, graph_and_model
-    ):
-        _, graph, model = graph_and_model
-        engine = EvaluationEngine(workers=2, chunk_size=32)
-        streamed = engine.run(model, graph, keep_ranks=False)
-        retained = engine.run(model, graph, keep_ranks=True)
-        assert streamed.ranks is None
-        assert retained.ranks is not None
-        assert streamed.num_queries == retained.num_queries
-        assert streamed.metrics.mrr == pytest.approx(retained.metrics.mrr, abs=1e-12)
-        assert streamed.metrics.hits == retained.metrics.hits
-        assert streamed.metrics.mean_rank == pytest.approx(
-            retained.metrics.mean_rank, abs=1e-9
-        )
+    """What one engine run returns: a rank per distinct query and the
+    metrics of exactly those ranks."""
 
     def test_duplicate_triples_collapse_only_in_the_rank_dict(self):
+        """A repeated triple is one query per side everywhere: in the rank
+        dict, the query count, the metrics and the scored entities."""
         from repro.kg import KnowledgeGraph, TripleSet, Vocabulary
+        from repro.metrics import aggregate_ranks
 
-        graph = KnowledgeGraph(
-            entities=Vocabulary(["a", "b", "c"]),
-            relations=Vocabulary(["r"]),
-            train=TripleSet([(0, 0, 1), (1, 0, 2)]),
-            test=TripleSet([(0, 0, 1), (0, 0, 1)]),  # a duplicate triple
-            name="dup",
-        )
+        def graph(test):
+            return KnowledgeGraph(
+                entities=Vocabulary(["a", "b", "c"]),
+                relations=Vocabulary(["r"]),
+                train=TripleSet([(0, 0, 1), (1, 0, 2)]),
+                test=TripleSet(test),
+                name="dup",
+            )
+
         model = build_model("distmult", 3, 1, dim=4, seed=0)
-        retained = EvaluationEngine().run(model, graph, keep_ranks=True)
-        streamed = EvaluationEngine().run(model, graph, keep_ranks=False)
-        # Legacy semantics: one entry per distinct (h, r, t, side) query.
-        assert retained.num_queries == len(retained.ranks) == 2
-        assert retained.metrics.num_queries == 2
-        # Streaming counts every scored query, duplicates included.
-        assert streamed.num_queries == streamed.metrics.num_queries == 4
+        once = EvaluationEngine().run(model, graph([(0, 0, 1)]))
+        for workers in (1, 2):
+            twice = EvaluationEngine(workers=workers).run(
+                model, graph([(0, 0, 1), (0, 0, 1)])
+            )
+            assert twice.num_queries == len(twice.ranks) == 2
+            assert twice.metrics.num_queries == 2
+            assert twice.metrics == aggregate_ranks(twice.ranks.values())
+            assert twice.ranks == once.ranks
+            assert twice.metrics == once.metrics
+            assert twice.num_scored == once.num_scored
 
     def test_single_query_graph(self, tiny_graph):
         model = build_model(
@@ -205,7 +201,7 @@ class TestStreamingMode:
         # The tiny graph's valid split holds exactly one triple; restrict
         # to one side so the whole run is a single one-query chunk.
         run = EvaluationEngine(workers=2).run(
-            model, tiny_graph, split="valid", sides=("tail",), keep_ranks=False
+            model, tiny_graph, split="valid", sides=("tail",)
         )
         assert run.num_queries == 1
         assert np.isfinite(run.metrics.mrr)

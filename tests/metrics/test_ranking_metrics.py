@@ -9,7 +9,6 @@ from repro.metrics import (
     RankingMetrics,
     aggregate_ranks,
     average_precision,
-    merge_metrics,
     rank_of,
     ranks_from_score_matrix,
     roc_auc,
@@ -69,6 +68,13 @@ class TestAggregate:
         assert metrics.mrr == 0.0
         assert metrics.num_queries == 0
 
+    def test_array_and_iterables_aggregate_alike(self, rng):
+        ranks = rng.integers(1, 50, size=20).astype(float)
+        keyed = dict(enumerate(ranks.tolist()))
+        from_array = aggregate_ranks(ranks)
+        assert aggregate_ranks(keyed.values()) == from_array
+        assert aggregate_ranks(iter(ranks.tolist())) == from_array
+
     def test_invalid_rank_rejected(self):
         with pytest.raises(ValueError):
             aggregate_ranks([0.5])
@@ -91,29 +97,6 @@ class TestAggregate:
         metrics = aggregate_ranks(ranks)
         assert 0.0 < metrics.mrr <= 1.0
         assert metrics.hits_at(1) <= metrics.hits_at(3) <= metrics.hits_at(10)
-
-
-class TestMerge:
-    def test_weighted_by_query_count(self):
-        a = aggregate_ranks([1.0])  # mrr 1.0, 1 query
-        b = aggregate_ranks([2.0, 2.0, 2.0])  # mrr 0.5, 3 queries
-        merged = merge_metrics([a, b])
-        assert merged.mrr == pytest.approx((1.0 + 3 * 0.5) / 4)
-        assert merged.num_queries == 4
-
-    def test_merge_equals_joint_aggregation(self, rng):
-        ranks = rng.integers(1, 50, size=20).astype(float)
-        joint = aggregate_ranks(ranks)
-        merged = merge_metrics([aggregate_ranks(ranks[:7]), aggregate_ranks(ranks[7:])])
-        assert merged.mrr == pytest.approx(joint.mrr)
-        assert merged.hits_at(10) == pytest.approx(joint.hits_at(10))
-
-    def test_empty_parts_skipped(self):
-        merged = merge_metrics([aggregate_ranks([]), aggregate_ranks([1.0])])
-        assert merged.num_queries == 1
-
-    def test_all_empty(self):
-        assert merge_metrics([]).num_queries == 0
 
 
 class TestAUC:

@@ -286,3 +286,36 @@ class TestTopKOracle:
             got = [(item["entity_id"], item["score"]) for item in response["results"]]
             assert got == _reference_topk(row, entity_ids, k)
             assert response["num_candidates"] == entity_ids.size
+
+
+class TestEvaluateParity:
+    """``/v1/evaluate`` is the offline full evaluation, to the last bit.
+
+    codex-m-lite is a graph whose metrics a differently summed mean
+    would round differently in the last ulp.
+    """
+
+    @pytest.fixture(scope="class")
+    def medium(self):
+        dataset = load("codex-m-lite")
+        graph = dataset.graph
+        model = build_model(
+            "distmult", graph.num_entities, graph.num_relations, dim=16, seed=0
+        )
+        return dataset, model, evaluate_full(model, graph)
+
+    @pytest.mark.parametrize("engine_workers", [1, 2])
+    def test_served_metrics_equal_evaluate_full(
+        self, tmp_path, medium, engine_workers
+    ):
+        dataset, model, offline = medium
+        registry = ModelRegistry(
+            ExperimentStore(tmp_path / "store"), dataset.graph, types=dataset.types
+        )
+        registry.register("dm", model)
+        with LinkPredictionService(registry, engine_workers=engine_workers) as svc:
+            served = svc.evaluate_model("dm")
+        assert served["metrics"] == offline.metrics.as_dict()
+        assert served["num_queries"] == offline.num_queries
+        assert served["num_scored"] == offline.num_scored
+        assert served["workers"] == engine_workers
