@@ -30,9 +30,9 @@ class LatencyBoundScorer:
         self.num_entities = inner.num_entities
         self.num_relations = inner.num_relations
 
-    def score_candidates_batch(self, anchors, relation, side, candidates=None):
+    def score_candidates_batch(self, anchors, relation, side, candidates=None, truths=None):
         time.sleep(self.delay)
-        return self.inner.score_candidates_batch(anchors, relation, side, candidates)
+        return self.inner.score_candidates_batch(anchors, relation, side, candidates, truths)
 
     def score_candidates(self, anchor, relation, side, candidates):
         return self.inner.score_candidates(anchor, relation, side, candidates)

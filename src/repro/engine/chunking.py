@@ -27,7 +27,16 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.kg.graph import HEAD, SIDES, FilterIndexCSR, KnowledgeGraph, Side, TripleSet
+from repro.kg.graph import (
+    HEAD,
+    SIDES,
+    FilterIndexCSR,
+    KeyedCSR,
+    KnowledgeGraph,
+    Side,
+    TripleSet,
+    segment_slots,
+)
 from repro.kg.triples import unique_rows_in_order
 
 Query = tuple[int, int, int, Side]
@@ -161,25 +170,57 @@ def collect_known_answers(
     truths: np.ndarray,
     relation: int | np.ndarray,
     side: Side,
+    pools: KeyedCSR | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A batch's exclusion sets as flat ``(rows, cols)`` entity pairs.
+    """A batch's exclusion sets as flat ``(rows, cols)`` pairs, sorted by row.
 
     ``relation`` is the batch's relation, or one relation per query.
+    Row ``i`` holds every known answer of query ``i`` and its truth
+    exactly once.  For queries drawn from a graph split the truth is
+    always in the index; a truth the index never saw (a caller-supplied
+    triple) is added after its row's answers.
 
-    One batched CSR gather (:meth:`FilterIndexCSR.gather`) yields every
-    known answer of every query, sorted by row; row ``i`` then holds its
-    truth exactly once.  For queries drawn from a graph split the truth
-    is always in the index; a truth the index never saw (a
-    caller-supplied triple) is added to its row.
+    ``cols`` are entity ids or, given the side's ``pools`` (keyed by
+    relation), pool positions (:func:`pool_columns`), with the answers
+    outside a query's pool dropped.  Without pools, one batched CSR
+    gather (:meth:`KeyedCSR.gather`) reads every query's answers.  With
+    pools, queries sharing an ``(anchor, relation)`` key share one gather
+    and one pool search, and each query then reads its key's positions.
     """
-    rows, cols = index.gather(anchors, relation, side)
-    has_truth = np.zeros(len(truths), dtype=bool)
-    has_truth[rows[cols == truths[rows]]] = True
+    num_relations, num_entities = index.num_relations, index.num_entities
+    truths = np.asarray(truths, dtype=np.int64)
+    wanted = np.asarray(anchors, dtype=np.int64) * num_relations + relation
+    has_truth = np.zeros(truths.size, dtype=bool)
+    if pools is None:
+        rows, cols = index.sides[side].gather(wanted)
+        has_truth[rows[cols == truths[rows]]] = True
+    else:
+        keys, inverse = np.unique(wanted, return_inverse=True)
+        key_rows, key_cols = index.sides[side].gather(keys)
+        # Each key's answers are sorted, so (key row, answer) packs into a
+        # sorted int64 array that one search probes with every truth.
+        packed = key_rows * num_entities + key_cols
+        probes = inverse * num_entities + truths
+        if packed.size:
+            at = np.minimum(np.searchsorted(packed, probes), packed.size - 1)
+            has_truth = packed[at] == probes
+        inside, key_cols = pool_columns(
+            pools, keys[key_rows] % num_relations, key_cols, num_entities
+        )
+        counts = np.bincount(key_rows[inside], minlength=keys.size)
+        rows, slots = segment_slots((np.cumsum(counts) - counts)[inverse], counts[inverse])
+        cols = key_cols[slots]
     if has_truth.all():
         return rows, cols
     missing = np.flatnonzero(~has_truth)
+    missing_cols = truths[missing]
+    if pools is not None:
+        inside, missing_cols = pool_columns(
+            pools, wanted[missing] % num_relations, missing_cols, num_entities
+        )
+        missing = missing[inside]
     rows = np.concatenate([rows, missing])
-    cols = np.concatenate([cols, truths[missing]])
+    cols = np.concatenate([cols, missing_cols])
     order = np.argsort(rows, kind="stable")
     return rows[order], cols[order]
 
@@ -197,6 +238,25 @@ def pool_positions(pool: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.nd
     positions = np.searchsorted(pool, ids)
     np.minimum(positions, pool.size - 1, out=positions)
     return pool[positions] == ids, positions
+
+
+def pool_columns(
+    pools: KeyedCSR, relations: np.ndarray, entities: np.ndarray, num_entities: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which ``(relations[j], entities[j])`` pairs are pooled, and the
+    pooled ones' positions on their relation's pool axis.
+
+    The pool index packed as ``relation * |E| + entity`` is sorted, so one
+    search places every pair: the many-relation :func:`pool_positions`.
+    """
+    if pools.values.size == 0:
+        return np.zeros(entities.size, dtype=bool), np.empty(0, dtype=np.int64)
+    stored = np.repeat(pools.keys, np.diff(pools.offsets)) * num_entities + pools.values
+    probes = relations * num_entities + entities
+    at = np.minimum(np.searchsorted(stored, probes), stored.size - 1)
+    inside = stored[at] == probes
+    starts = pools.offsets[np.searchsorted(pools.keys, relations[inside])]
+    return inside, at[inside] - starts
 
 
 def chunk_filtered_ranks(
@@ -220,8 +280,9 @@ def chunk_filtered_ranks(
     Python-bound.
     """
     b = scores.shape[0]
-    better = (scores > true_scores[:, None]).sum(axis=1)
-    ties = (scores == true_scores[:, None]).sum(axis=1)
+    # int32 counts reduce faster than numpy's default int64; k < 2**31.
+    better = (scores > true_scores[:, None]).sum(axis=1, dtype=np.int32)
+    ties = (scores == true_scores[:, None]).sum(axis=1, dtype=np.int32)
     if rows.size:
         values = scores[rows, cols]
         reference = true_scores[rows]

@@ -15,7 +15,9 @@ once per distinct state (:mod:`repro.engine.shm`); each long-lived worker
 integers and each chunk's ranks go straight into a shared result buffer.
 
 :func:`score_chunk` is the single scoring kernel both evaluation paths
-share; the serial engine path calls it directly on a locally built
+share: one validated score call per chunk (on the sampled path it also
+returns each truth's score against its own query row) and one rank pass.
+The serial engine path calls it directly on a locally built
 :class:`EvaluationState`, which is what guarantees bitwise-equal ranks
 between ``workers=1`` and ``workers=N``.
 """
@@ -37,7 +39,7 @@ from repro.engine.chunking import (
     collect_known_answers,
     query_table,
 )
-from repro.kg.graph import SIDES, KeyedCSR, KnowledgeGraph, Side, id_dtype
+from repro.kg.graph import SIDES, KnowledgeGraph, Side, id_dtype
 from repro.models.base import KGEModel
 from repro.obs import get_registry, get_tracer
 
@@ -146,26 +148,6 @@ class EvaluationPlan:
         )
 
 
-def _pool_columns(
-    pools: KeyedCSR, relations: np.ndarray, entities: np.ndarray, num_entities: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Which ``(relations[j], entities[j])`` pairs are pooled, and the
-    pooled ones' positions on their relation's pool axis.
-
-    The pool index packed as ``relation * |E| + entity`` is sorted, so one
-    search places every pair: the many-relation
-    :func:`~repro.engine.chunking.pool_positions`.
-    """
-    if pools.values.size == 0:
-        return np.zeros(entities.size, dtype=bool), np.empty(0, dtype=np.int64)
-    stored = np.repeat(pools.keys, np.diff(pools.offsets)) * num_entities + pools.values
-    probes = relations * num_entities + entities
-    at = np.minimum(np.searchsorted(stored, probes), stored.size - 1)
-    inside = stored[at] == probes
-    starts = pools.offsets[np.searchsorted(pools.keys, relations[inside])]
-    return inside, at[inside] - starts
-
-
 def _build_plan(
     graph: KnowledgeGraph,
     split: str,
@@ -173,9 +155,10 @@ def _build_plan(
     pools: "NegativePools | None",
 ) -> EvaluationPlan:
     """Group the split's queries and map each one's known answers onto its
-    candidate axis: per side, one filter-index gather over all its
-    queries (each with its own relation), plus one pool lookup on the
-    sampled path, then one stable merge of the sides by query row."""
+    candidate axis: per side, one :func:`collect_known_answers` over all
+    its queries (each with its own relation; on the sampled path one
+    gather and one pool search per distinct ``(anchor, relation)`` key),
+    then one stable merge of the sides by query row."""
     index = graph.filter_index
     queries, groups, starts = query_table(graph, split, sides)
     sizes = np.diff(starts)
@@ -185,15 +168,14 @@ def _build_plan(
     cols: list[np.ndarray] = []
     for code, side in enumerate(SIDES):
         mine = np.flatnonzero(row_sides == code)
-        relations = row_relations[mine]
         side_rows, side_cols = collect_known_answers(
-            index, queries[mine, 0], queries[mine, 1], relations, side
+            index,
+            queries[mine, 0],
+            queries[mine, 1],
+            row_relations[mine],
+            side,
+            None if pools is None else pools.pools[side],
         )
-        if pools is not None:
-            inside, side_cols = _pool_columns(
-                pools.pools[side], relations[side_rows], side_cols, graph.num_entities
-            )
-            side_rows = side_rows[inside]
         rows.append(mine[side_rows])
         cols.append(side_cols)
     # Each side's pairs are sorted by row; a row belongs to one side, so a
@@ -293,12 +275,13 @@ def build_state(
 def score_chunk(state: EvaluationState, task: ChunkTask) -> tuple[np.ndarray, int]:
     """Rank one chunk of queries; returns ``(ranks, entities_scored)``.
 
-    With pools in the plan the chunk is the sampled path: the truths'
-    scores come from the diagonal of the anchor x truth score matrix and
-    the candidates are the chunk's relation-side pool.  Without pools it
-    is the full path: the candidate axis is the whole entity vocabulary.
-    Either way the plan already holds the chunk's exclusions in candidate
-    coordinates, so this is score, compare, one gather, two bincounts.
+    With pools in the plan the chunk is the sampled path: one score call
+    returns the chunk's relation-side pool scores and each query's own
+    truth score, both from one set of query rows.  Without pools it is
+    the full path: the candidate axis is the whole entity vocabulary and
+    each truth's score is read from its row.  Either way the plan already
+    holds the chunk's exclusions in candidate coordinates, so this is one
+    score call, then compare, one gather, two bincounts.
     """
     plan = state.plan
     anchors, truths, rows, cols = plan.chunk(task)
@@ -315,10 +298,9 @@ def score_chunk(state: EvaluationState, task: ChunkTask) -> tuple[np.ndarray, in
     if pool.size == 0:
         # Nothing competes with the truth: every query ranks first.
         return np.ones(b, dtype=np.float64), b
-    # One batched call scores every query's truth: the diagonal of the
-    # (b, b) anchor x truth score matrix.
-    true_scores = np.diagonal(model.score_candidates_batch(anchors, relation, side, truths))
-    pool_scores = model.score_candidates_batch(anchors, relation, side, pool)
+    pool_scores, true_scores = model.score_candidates_batch(
+        anchors, relation, side, pool, truths=truths
+    )
     ranks = chunk_filtered_ranks(pool_scores, true_scores, rows, cols)
     return ranks, int(pool_scores.size) + b
 

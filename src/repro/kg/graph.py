@@ -310,10 +310,8 @@ class KeyedCSR:
         ``values[j]`` is stored under ``wanted[rows[j]]``."""
         starts = self.offsets[np.searchsorted(self.keys, wanted)]
         lengths = self.offsets[np.searchsorted(self.keys, wanted, side="right")] - starts
-        rows = np.repeat(np.arange(wanted.size), lengths)
-        # Slot j of the output reads values[starts[row] + j - first slot of row].
-        shift = starts - (np.cumsum(lengths) - lengths)
-        return rows, self.values[np.arange(rows.size) + shift[rows]]
+        rows, slots = segment_slots(starts, lengths)
+        return rows, self.values[slots]
 
     def contains(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Per pair ``i``, whether ``values[i]`` is stored under ``keys[i]``."""
@@ -340,6 +338,16 @@ class KeyedCSR:
         """Rebuild a view-backed index from :meth:`arrays` output
         (``KeyError`` when one of its buffers is missing)."""
         return cls(*(arrays[f"{prefix}_{name}"] for name in CSR_ARRAYS))
+
+
+def segment_slots(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, slots)`` reading segments ``starts[i]:starts[i] + lengths[i]``
+    of a flat array back to back: slot ``j`` of the output belongs to
+    segment ``rows[j]``."""
+    rows = np.repeat(np.arange(starts.size), lengths)
+    # Slot j reads starts[row] + j - the first output slot of its row.
+    shift = starts - (np.cumsum(lengths) - lengths)
+    return rows, np.arange(rows.size) + shift[rows]
 
 
 def _changes(sorted_array: np.ndarray) -> np.ndarray:

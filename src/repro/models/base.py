@@ -11,7 +11,10 @@ surfaces:
 * an *inference* surface — :meth:`score_candidates_batch` returns plain
   numpy ``(b, k)`` scores computed outside the autodiff graph, because
   evaluation scores millions of candidates and must not build graphs.
-  :meth:`score_all` and :meth:`score_candidates` are its one-query views.
+  Given each query's truth it also returns the ``(b,)`` truth scores,
+  each truth scored against its own query row only, from the same query
+  rows.  :meth:`score_all` and :meth:`score_candidates` are its
+  one-query views.
 
 A model implements inference once, as two pieces:
 
@@ -22,11 +25,15 @@ A model implements inference once, as two pieces:
   a score that is not an inner product (a distance, an added bias).
 
 Every inference call goes through one validated entry point, so engine,
-serve and the scalar reference all rank from the same kernel.  Both
-surfaces must agree: ``score_all(anchor, r, side)[e]`` equals
-``score_triples`` of the corresponding triple.  The evaluation framework is
-agnostic to everything else about the model, which is the property the
-paper's "model-agnostic" claim rests on.
+serve and the scalar reference all rank from the same kernel.  A chunk's
+truth scores are the paired rows ``score_rows(queries, truths[:, None])``
+of its one :meth:`query_vectors` call, never the diagonal of an anchor x
+truth matrix.  Scorers without embedding tables (the hash scorers) derive
+from :class:`HashScorer` and override :meth:`KGEModel._score_batch`
+instead.  Both surfaces must agree: ``score_all(anchor, r, side)[e]``
+equals ``score_triples`` of the corresponding triple.  The evaluation
+framework is agnostic to everything else about the model, which is the
+property the paper's "model-agnostic" claim rests on.
 
 The same two pieces are also the fused *training* forward
 (:mod:`repro.models.fused`): a batch's corruptions of one side share a
@@ -62,9 +69,11 @@ DTYPES: dict[str, np.dtype] = {
     "float64": np.dtype(np.float64),
 }
 
-#: Triples per kernel call in :meth:`KGEModel.score_triples_numpy`; each
-#: call computes a ``TRIPLE_CHUNK``-square block to keep its diagonal.
+#: Triples per kernel call in :meth:`KGEModel.score_triples_numpy`.
 TRIPLE_CHUNK = 64
+
+#: The candidate array of a truth-only kernel call.
+_NO_CANDIDATES = np.empty(0, dtype=np.int64)
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
@@ -309,8 +318,9 @@ class KGEModel(abc.ABC):
         return d_queries, [("entity", candidates, d_scores[..., None] * queries[:, None, :])]
 
     def _entity_rows(self, candidates: Array | None) -> Array:
+        # np.take gathers the same rows as fancy indexing, faster.
         entities = self.entity.data
-        return entities if candidates is None else entities[candidates]
+        return entities if candidates is None else np.take(entities, candidates, axis=0)
 
     def _score_batch(
         self, anchors: Array, relation: int, side: Side, candidates: Array | None
@@ -321,6 +331,16 @@ class KGEModel(abc.ABC):
         instead of :meth:`query_vectors`.
         """
         return self.score_rows(self.query_vectors(anchors, relation, side), candidates)
+
+    def _score_with_truths(
+        self, anchors: Array, relation: int, side: Side, candidates: Array | None, truths: Array
+    ) -> tuple[Array, Array]:
+        """:meth:`_score_batch`'s scores and the ``(b,)`` scores of each
+        row's own truth, from one :meth:`query_vectors` call: truth ``i``
+        is the one per-row candidate of query row ``i``, so no ``(b, b)``
+        anchor x truth block is ever scored."""
+        queries = self.query_vectors(anchors, relation, side)
+        return self.score_rows(queries, candidates), self.score_rows(queries, truths[:, None])[:, 0]
 
     def _validate_query(
         self,
@@ -346,17 +366,30 @@ class KGEModel(abc.ABC):
         relation: int,
         side: Side,
         candidates: Array | None = None,
-    ) -> Array:
+        truths: Array | None = None,
+    ) -> Array | tuple[Array, Array]:
         """``(b, k)`` scores for many queries of one (relation, side).
 
         Row ``i`` holds the scores of ``candidates`` (all entities when
         None) for the query anchored at ``anchors[i]``: one query-vector
         build and one product, which is what makes batched evaluation
-        fast.  Out-of-range anchors, relations or candidates raise
-        ``IndexError`` and an unknown side ``ValueError``.  Callers chunk
-        ``anchors`` to bound the ``b * k`` intermediate.
+        fast.  With ``truths`` (one entity per anchor) the call returns
+        ``(scores, truth_scores)`` instead, ``truth_scores[i]`` being the
+        score of ``truths[i]`` for query ``i`` alone, from the same query
+        rows.  Out-of-range anchors, relations, candidates or truths raise
+        ``IndexError``, an unknown side or a truth count other than the
+        anchor count ``ValueError``.  Callers chunk ``anchors`` to bound
+        the ``b * k`` intermediate.
         """
-        return self._score_batch(*self._validate_query(anchors, relation, side, candidates))
+        query = self._validate_query(anchors, relation, side, candidates)
+        if truths is None:
+            return self._score_batch(*query)
+        truths = check_ids(truths, self.num_entities, "truth")
+        if truths.shape != query[0].shape:
+            raise ValueError(
+                f"expected one truth per anchor ({query[0].shape[0]}), got shape {truths.shape}"
+            )
+        return self._score_with_truths(*query, truths)
 
     def score_all(self, anchor: int, relation: int, side: Side) -> Array:
         """Scores of *every* entity as the missing side of one query.
@@ -379,8 +412,8 @@ class KGEModel(abc.ABC):
         """Inference-path float64 scores of a batch of triples (no graph).
 
         Same-relation triples are scored together: each chunk of up to
-        :data:`TRIPLE_CHUNK` is the diagonal of one head x tail kernel
-        call, instead of one call per triple.
+        :data:`TRIPLE_CHUNK` is one kernel call over its heads with each
+        tail as its head's truth, instead of one call per triple.
         """
         heads = np.asarray(heads, dtype=np.int64)
         relations = np.asarray(relations, dtype=np.int64)
@@ -390,10 +423,12 @@ class KGEModel(abc.ABC):
             rows = np.flatnonzero(relations == relation)
             for start in range(0, rows.size, TRIPLE_CHUNK):
                 chunk = rows[start : start + TRIPLE_CHUNK]
-                block = self._score_batch(
-                    *self._validate_query(heads[chunk], relation, "tail", tails[chunk])
+                anchors, relation_id, side, truths = self._validate_query(
+                    heads[chunk], relation, "tail", tails[chunk]
                 )
-                scores[chunk] = np.diagonal(block)
+                scores[chunk] = self._score_with_truths(
+                    anchors, relation_id, side, _NO_CANDIDATES, truths
+                )[1]
         return scores
 
     # ------------------------------------------------------------------
@@ -415,6 +450,27 @@ class KGEModel(abc.ABC):
             f"{type(self).__name__}(|E|={self.num_entities}, |R|={self.num_relations}, "
             f"dim={self.dim}, params={self.num_parameters()})"
         )
+
+
+class HashScorer(KGEModel):
+    """A scorer without embedding tables, scored by a hash of its ids.
+
+    It overrides :meth:`KGEModel._score_batch`, whose score of each
+    ``(anchor, candidate)`` pair does not depend on the other pairs of the
+    call.  So a chunk's truths ride along as extra candidates of its one
+    call, and truth ``i`` is read from row ``i``: bitwise what the
+    scorer's ``_score_batch`` gives for ``(anchors[i], truths[i])``.
+    """
+
+    def _score_with_truths(
+        self, anchors: Array, relation: int, side: Side, candidates: Array | None, truths: Array
+    ) -> tuple[Array, Array]:
+        if candidates is None:
+            candidates = np.arange(self.num_entities, dtype=np.int64)
+        k = candidates.size
+        block = self._score_batch(anchors, relation, side, np.concatenate([candidates, truths]))
+        rows = np.arange(len(anchors))
+        return block[:, :k], block[rows, k + rows]
 
 
 def check_ids(values: Iterable[int], limit: int, what: str) -> Array:

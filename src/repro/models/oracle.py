@@ -27,7 +27,7 @@ from scipy.special import ndtri
 
 from repro.autodiff.engine import Tensor
 from repro.kg.graph import KnowledgeGraph, Side
-from repro.models.base import Array, KGEModel, check_ids
+from repro.models.base import Array, HashScorer, check_ids
 from repro.models.random_model import _mix
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -65,7 +65,7 @@ def _hash_normal(keys: np.ndarray, seed: int) -> np.ndarray:
     return ndtri(_hash_uniform(keys, seed))
 
 
-class OracleModel(KGEModel):
+class OracleModel(HashScorer):
     """Graph-aware synthetic scorer with a ``skill`` dial.
 
     Parameters

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.autodiff.engine import Tensor
 from repro.kg.graph import Side
-from repro.models.base import Array, KGEModel, check_ids
+from repro.models.base import Array, HashScorer, check_ids
 
 
 _MASK64 = (1 << 64) - 1
@@ -27,7 +27,7 @@ def _mix(*values: int) -> int:
     return state & 0x7FFFFFFFFFFFFFFF
 
 
-class RandomModel(KGEModel):
+class RandomModel(HashScorer):
     """Scores are a deterministic hash of ``(anchor, relation, side, entity)``.
 
     Consistency is the only contract: the same query always yields the same

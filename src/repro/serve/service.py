@@ -9,11 +9,11 @@ and an LRU result cache:
   true answers optionally filtered out, and cached as an immutable
   :class:`TopK` record each response is rendered from;
 * :meth:`score` — triple scores *and filtered ranks* computed by exactly
-  the offline engine's kernel (`score_candidates_batch` +
-  `collect_known_answers` + `pool_positions` + `chunk_filtered_ranks`),
-  so a served rank is
-  bitwise-identical to the same query's rank in
-  :func:`repro.core.ranking.evaluate_full`;
+  the offline engine's kernel (one `score_candidates_batch` call, which
+  against a candidate set also scores each truth against its own query
+  row, + `collect_known_answers` + `pool_positions` +
+  `chunk_filtered_ranks`), so a served rank is bitwise-identical to the
+  same query's rank in :func:`repro.core.ranking.evaluate_full`;
 * :meth:`evaluate_model` — a full offline evaluation of one registered
   model, executed on a **service-owned persistent worker pool**
   (``engine_workers > 1``) that stays warm across requests — the shared
@@ -532,34 +532,44 @@ class LinkPredictionService:
             # rather than serving an unanswerable query.
             pool = selected if selected.size else None
         anchors = np.asarray([query.anchor for query in queries], dtype=np.int64)
-        scores = model.score_candidates_batch(anchors, relation, side, pool)
+        rank_rows = [i for i, query in enumerate(queries) if query.kind == "rank"]
+        paired_scores = None
+        if pool is not None and rank_rows:
+            # The same call scores each rank row's truth against its own
+            # query row; a top-k row pairs with its anchor, a valid id
+            # whose score goes unused.
+            paired = [query.truth if query.kind == "rank" else query.anchor for query in queries]
+            scores, paired_scores = model.score_candidates_batch(
+                anchors, relation, side, pool, truths=paired
+            )
+        else:
+            scores = model.score_candidates_batch(anchors, relation, side, pool)
         results: list[dict | None] = [None] * len(queries)
-        self._resolve_ranks(queries, results, scores, anchors, relation, side, model, pool)
+        if rank_rows:
+            self._resolve_ranks(
+                queries, results, rank_rows, scores, paired_scores, anchors, relation, side, pool
+            )
         self._resolve_topk(queries, results, scores, relation, side, pool)
         return results  # type: ignore[return-value] — every slot is filled
 
     def _resolve_ranks(
-        self, queries, results, scores, anchors, relation, side, model, pool
+        self, queries, results, rows, scores, paired_scores, anchors, relation, side, pool
     ) -> None:
-        """Filtered ranks for the batch's ``kind="rank"`` rows, vectorized.
+        """Filtered ranks for the batch's ``kind="rank"`` ``rows``, vectorized.
 
         This is the offline engine's computation done per request: the
-        same score call as :func:`repro.engine.worker.score_chunk`, the
-        same known-answer gather and pool mapping its evaluation plan
-        caches, and the same rank kernel — which is what makes served
-        ranks bitwise-equal to ``evaluate_full``'s.
+        same score call as :func:`repro.engine.worker.score_chunk` (truth
+        scores from ``paired_scores`` with a pool, else read from each
+        row), the same known-answer gather and pool mapping its
+        evaluation plan caches, and the same rank kernel — which is what
+        makes served ranks bitwise-equal to ``evaluate_full``'s.
         """
-        rows = [i for i, query in enumerate(queries) if query.kind == "rank"]
-        if not rows:
-            return
         sub = scores[rows]
         truths = np.asarray([queries[i].truth for i in rows], dtype=np.int64)
-        if pool is None:
+        if paired_scores is None:
             true_scores = sub[np.arange(len(rows)), truths]
         else:
-            true_scores = np.diagonal(
-                model.score_candidates_batch(anchors[rows], relation, side, truths)
-            )
+            true_scores = paired_scores[rows]
         known_rows, known_cols = collect_known_answers(
             self.graph.filter_index, anchors[rows], truths, relation, side
         )

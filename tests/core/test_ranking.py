@@ -120,6 +120,78 @@ class TestChunkFilteredRanks:
         assert ranks[0] == 2.0
 
 
+def _reference_ranks(scores, true_scores, rows, cols):
+    """``chunk_filtered_ranks`` by definition, one row and one candidate at
+    a time: ``1 + better + ties / 2`` over the row's non-excluded columns."""
+    ranks = []
+    for i, row in enumerate(scores.tolist()):
+        excluded = set(cols[rows == i].tolist())
+        truth = float(true_scores[i])
+        kept = [score for j, score in enumerate(row) if j not in excluded]
+        better = sum(score > truth for score in kept)
+        ties = sum(score == truth for score in kept)
+        ranks.append(1.0 + better + ties / 2.0)
+    return ranks
+
+
+class TestChunkFilteredRankEdges:
+    """Edge semantics of the rank kernel against the per-row reference.
+
+    A NaN compares false both ways, so a NaN competitor neither beats nor
+    ties the truth, and a NaN truth ranks first; infinities compare as
+    ordinary values (``inf == inf`` ties)."""
+
+    EXCLUDED = (np.array([0, 0, 2]), np.array([1, 3, 0]))
+
+    def _check(self, scores, true_scores, rows, cols):
+        ranks = chunk_filtered_ranks(scores, true_scores, rows, cols)
+        assert ranks.dtype == np.float64
+        assert ranks.tolist() == _reference_ranks(scores, true_scores, rows, cols)
+        return ranks
+
+    def test_all_ties(self):
+        scores = np.full((3, 5), 0.25)
+        ranks = self._check(scores, np.full(3, 0.25), *self.EXCLUDED)
+        # Row 0 keeps 3 tied competitors, row 1 all 5, row 2 four.
+        assert ranks.tolist() == [2.5, 3.5, 3.0]
+
+    def test_infinities(self):
+        inf = np.inf
+        scores = np.array(
+            [
+                [inf, -inf, 0.0, inf, 1.0],
+                [inf, -inf, 0.0, inf, 1.0],
+                [inf, -inf, 0.0, inf, 1.0],
+            ]
+        )
+        ranks = self._check(scores, np.array([inf, -inf, 0.5]), *self.EXCLUDED)
+        # Row 0 (+inf truth, column 3 excluded) ties column 0; row 1
+        # (-inf truth) ties column 1 and trails the other four; row 2
+        # (column 0 excluded) trails one +inf and 1.0.
+        assert ranks.tolist() == [1.5, 5.5, 3.0]
+
+    def test_nan_scores_and_truths(self):
+        nan = np.nan
+        scores = np.array([[nan, 2.0, 0.0, nan], [nan, 2.0, 0.0, 1.0], [1.0, nan, 3.0, 1.0]])
+        ranks = self._check(
+            scores, np.array([1.0, nan, 1.0]), np.array([2]), np.array([3])
+        )
+        assert ranks.tolist() == [2.0, 1.0, 2.5]
+
+    def test_no_exclusions(self, rng):
+        scores = rng.integers(0, 3, size=(6, 9)).astype(np.float32)
+        true_scores = scores[np.arange(6), rng.integers(0, 9, size=6)]
+        empty = np.empty(0, dtype=np.int32)
+        self._check(scores, true_scores, empty, empty)
+
+    def test_one_candidate(self):
+        scores = np.array([[1.0], [2.0], [0.0], [5.0]])
+        ranks = self._check(
+            scores, np.array([1.0, 1.0, 1.0, 1.0]), np.array([3]), np.array([0])
+        )
+        assert ranks.tolist() == [1.5, 2.0, 1.0, 1.0]
+
+
 class TestGrouping:
     def test_groups_cover_both_sides(self, tiny_graph):
         table, groups, starts = query_table(tiny_graph, "test")

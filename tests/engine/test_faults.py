@@ -50,7 +50,7 @@ class KillerModel:
         self.num_entities = num_entities
         self.exit_code = exit_code
 
-    def score_candidates_batch(self, anchors, relation, side, candidates=None):
+    def score_candidates_batch(self, anchors, relation, side, candidates=None, truths=None):
         os._exit(self.exit_code)
 
     def score_candidates(self, anchor, relation, side, candidates):
@@ -65,7 +65,7 @@ class FailingModel:
     def __init__(self, num_entities: int):
         self.num_entities = num_entities
 
-    def score_candidates_batch(self, anchors, relation, side, candidates=None):
+    def score_candidates_batch(self, anchors, relation, side, candidates=None, truths=None):
         raise ValueError("injected scoring failure")
 
     def score_candidates(self, anchor, relation, side, candidates):
@@ -81,10 +81,11 @@ class SlowModel:
         self.num_entities = num_entities
         self.delay = delay
 
-    def score_candidates_batch(self, anchors, relation, side, candidates=None):
+    def score_candidates_batch(self, anchors, relation, side, candidates=None, truths=None):
         time.sleep(self.delay)
         k = self.num_entities if candidates is None else len(candidates)
-        return np.zeros((len(anchors), k), dtype=np.float64)
+        scores = np.zeros((len(anchors), k), dtype=np.float64)
+        return scores if truths is None else (scores, np.zeros(len(anchors)))
 
     def score_candidates(self, anchor, relation, side, candidates):
         time.sleep(self.delay)

@@ -31,6 +31,8 @@ from repro.core.ranking import evaluate_full, filtered_rank
 from repro.core.sampling import NegativePools, build_pools
 from repro.datasets import SyntheticConfig, generate
 from repro.kg import KnowledgeGraph, TripleSet
+from repro.engine.chunking import plan_chunks
+from repro.engine.worker import build_state, score_chunk
 from repro.kg.graph import HEAD, SIDES, keyed_by_relation
 from repro.models import MODEL_REGISTRY, OracleModel, RandomModel, build_model
 
@@ -218,3 +220,40 @@ class TestModelOracle:
                 _assert_rank_matches(
                     rank, scores, truth, graph.true_answers(anchor, relation, side)
                 )
+
+
+class TestSampledChunkCalls:
+    """A sampled chunk is one score call: one ``query_vectors``, the pool
+    scores and the paired truth scores, never a ``(b, b)`` block."""
+
+    def test_one_query_vectors_call_and_no_square_block(self, graphs, monkeypatch):
+        graph = graphs["plain"]
+        model = build_model("complex", graph.num_entities, graph.num_relations, dim=8, seed=1)
+        pools = _pool_cases(graph)["random"]
+        state = build_state(model, graph, "test", SIDES, pools)
+        task = next(
+            task
+            for task in plan_chunks(state.plan.groups, state.plan.starts, CHUNK_SIZE)
+            if task.num_queries > 1
+            and pools.pool(task.relation, task.side).size not in (0, task.num_queries)
+        )
+        b, k = task.num_queries, pools.pool(task.relation, task.side).size
+        query_calls: list = []
+        score_shapes: list = []
+        query_vectors, score_rows = model.query_vectors, model.score_rows
+
+        def counted_query_vectors(*args):
+            query_calls.append(args)
+            return query_vectors(*args)
+
+        def shaped_score_rows(*args):
+            scores = score_rows(*args)
+            score_shapes.append(scores.shape)
+            return scores
+
+        monkeypatch.setattr(model, "query_vectors", counted_query_vectors)
+        monkeypatch.setattr(model, "score_rows", shaped_score_rows)
+        ranks, scored = score_chunk(state, task)
+        assert len(query_calls) == 1
+        assert score_shapes == [(b, k), (b, 1)]
+        assert ranks.shape == (b,) and scored == b * k + b

@@ -8,6 +8,8 @@ These are the invariants the evaluation framework relies on being true of
 * ``score_all`` and ``score_candidates`` are exactly row 0 of a one-query
   ``score_candidates_batch``, in the model's own dtype;
 * ``score_candidates_batch`` equals row-wise ``score_candidates``;
+* its ``truths=`` form returns the same scores plus each truth's score
+  against its own query row (bitwise, for the hash scorers);
 * the training forward's generalisations agree with the inference calls:
   an ``(b,)`` relation array in ``query_vectors`` and ``(b, k)`` per-row
   candidates in ``score_rows``;
@@ -148,6 +150,40 @@ class TestSurfacesAgree:
         batch = model.score_candidates_batch(anchors, 0, side)
         assert batch.shape == (2, NUM_ENTITIES)
         np.testing.assert_allclose(batch[0], model.score_all(3, 0, side), atol=1e-12)
+
+
+class TestTruthScores:
+    """``score_candidates_batch(..., truths=)``: pool and paired truth scores."""
+
+    @pytest.mark.parametrize("candidates", [np.array([2, 9, 15, 31, 9]), None])
+    @pytest.mark.parametrize("side", [HEAD, TAIL])
+    def test_paired_truths_match_single_truth_calls(self, scorer, side, candidates):
+        anchors = np.array([1, 8, 23, 8])
+        truths = np.array([0, 9, 39, 2])
+        scores, truth_scores = scorer.score_candidates_batch(
+            anchors, 4, side, candidates, truths=truths
+        )
+        np.testing.assert_array_equal(
+            scores, scorer.score_candidates_batch(anchors, 4, side, candidates)
+        )
+        assert truth_scores.shape == (4,) and truth_scores.dtype == scores.dtype
+        single = [
+            scorer.score_candidates(int(a), 4, side, [int(t)])[0]
+            for a, t in zip(anchors, truths)
+        ]
+        if isinstance(scorer, (RandomModel, OracleModel)):
+            np.testing.assert_array_equal(truth_scores, single)
+        else:
+            np.testing.assert_allclose(truth_scores, single, rtol=0, atol=1e-12)
+
+    def test_out_of_range_truth_rejected(self, scorer):
+        for truth in (NUM_ENTITIES, -1):
+            with pytest.raises(IndexError, match="truth"):
+                scorer.score_candidates_batch([0, 1], 0, TAIL, [1, 2], truths=[3, truth])
+
+    def test_one_truth_per_anchor(self, scorer):
+        with pytest.raises(ValueError, match="one truth per anchor"):
+            scorer.score_candidates_batch([0, 1], 0, TAIL, [1, 2], truths=[3])
 
 
 class TestDeterminism:

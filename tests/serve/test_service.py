@@ -207,9 +207,11 @@ class _Tied:
         self.num_entities = inner.num_entities
         self.num_relations = inner.num_relations
 
-    def score_candidates_batch(self, anchors, relation, side, candidates=None):
-        scores = self.inner.score_candidates_batch(anchors, relation, side, candidates)
-        return np.round(scores, 3)
+    def score_candidates_batch(self, anchors, relation, side, candidates=None, truths=None):
+        scores = self.inner.score_candidates_batch(anchors, relation, side, candidates, truths)
+        if truths is None:
+            return np.round(scores, 3)
+        return tuple(np.round(part, 3) for part in scores)
 
 
 class TestTopKOracle:
