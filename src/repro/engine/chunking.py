@@ -181,35 +181,18 @@ def collect_known_answers(
     triple) is added after its row's answers.
 
     ``cols`` are entity ids or, given the side's ``pools`` (keyed by
-    relation), pool positions (:func:`pool_columns`), with the answers
-    outside a query's pool dropped.  Without pools, one batched CSR
-    gather (:meth:`KeyedCSR.gather`) reads every query's answers.  With
-    pools, queries sharing an ``(anchor, relation)`` key share one gather
-    and one pool search, and each query then reads its key's positions.
+    relation), pool positions (:func:`pooled_answers`), with the answers
+    outside a query's pool dropped.  One batched CSR gather
+    (:meth:`KeyedCSR.gather`) reads every query's answers either way.
     """
-    num_relations, num_entities = index.num_relations, index.num_entities
     truths = np.asarray(truths, dtype=np.int64)
-    wanted = np.asarray(anchors, dtype=np.int64) * num_relations + relation
+    wanted = index.query_keys(anchors, relation)
+    rows, cols = index.sides[side].gather(wanted)
     has_truth = np.zeros(truths.size, dtype=bool)
-    if pools is None:
-        rows, cols = index.sides[side].gather(wanted)
-        has_truth[rows[cols == truths[rows]]] = True
-    else:
-        keys, inverse = np.unique(wanted, return_inverse=True)
-        key_rows, key_cols = index.sides[side].gather(keys)
-        # Each key's answers are sorted, so (key row, answer) packs into a
-        # sorted int64 array that one search probes with every truth.
-        packed = key_rows * num_entities + key_cols
-        probes = inverse * num_entities + truths
-        if packed.size:
-            at = np.minimum(np.searchsorted(packed, probes), packed.size - 1)
-            has_truth = packed[at] == probes
-        inside, key_cols = pool_columns(
-            pools, keys[key_rows] % num_relations, key_cols, num_entities
-        )
-        counts = np.bincount(key_rows[inside], minlength=keys.size)
-        rows, slots = segment_slots((np.cumsum(counts) - counts)[inverse], counts[inverse])
-        cols = key_cols[slots]
+    has_truth[rows[cols == truths[rows]]] = True
+    num_relations, num_entities = index.num_relations, index.num_entities
+    if pools is not None:
+        rows, cols = pooled_answers(pools, wanted, rows, cols, num_relations, num_entities)
     if has_truth.all():
         return rows, cols
     missing = np.flatnonzero(~has_truth)
@@ -223,6 +206,32 @@ def collect_known_answers(
     cols = np.concatenate([cols, missing_cols])
     order = np.argsort(rows, kind="stable")
     return rows[order], cols[order]
+
+
+def pooled_answers(
+    pools: KeyedCSR,
+    wanted: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    num_relations: int,
+    num_entities: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gathered ``(rows, entity)`` answers of the query keys ``wanted``
+    moved onto their relation's pool axis, the unpooled ones dropped.
+
+    Queries sharing a key read the same answers, so only the first query
+    of each key is searched in the pools (:func:`pool_columns`), and every
+    query of the key then reads that query's pooled positions.
+    """
+    counts = np.bincount(rows, minlength=wanted.size)
+    _, first, inverse = np.unique(wanted, return_index=True, return_inverse=True)
+    key_rows, slots = segment_slots((np.cumsum(counts) - counts)[first], counts[first])
+    inside, positions = pool_columns(
+        pools, wanted[first[key_rows]] % num_relations, cols[slots], num_entities
+    )
+    kept = np.bincount(key_rows[inside], minlength=first.size)
+    rows, at = segment_slots((np.cumsum(kept) - kept)[inverse], kept[inverse])
+    return rows, positions[at]
 
 
 def pool_positions(pool: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

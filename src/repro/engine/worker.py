@@ -156,9 +156,9 @@ def _build_plan(
 ) -> EvaluationPlan:
     """Group the split's queries and map each one's known answers onto its
     candidate axis: per side, one :func:`collect_known_answers` over all
-    its queries (each with its own relation; on the sampled path one
-    gather and one pool search per distinct ``(anchor, relation)`` key),
-    then one stable merge of the sides by query row."""
+    its queries (each with its own relation; on the sampled path one pool
+    search per distinct ``(anchor, relation)`` key), then one stable
+    merge of the sides by query row."""
     index = graph.filter_index
     queries, groups, starts = query_table(graph, split, sides)
     sizes = np.diff(starts)

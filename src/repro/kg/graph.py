@@ -458,14 +458,11 @@ class FilterIndexCSR:
         """Known true answers of one query (empty when it has none)."""
         return self.sides[side].segment(anchor * self.num_relations + relation)
 
-    def gather(
-        self, anchors: np.ndarray, relation: int | np.ndarray, side: Side
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Known answers of a batch of queries: ``(rows, answers)``, ``rows``
-        indexing ``anchors`` (see :meth:`KeyedCSR.gather`).  ``relation``
-        is one for the batch or one per anchor."""
-        wanted = np.asarray(anchors, dtype=np.int64) * self.num_relations + relation
-        return self.sides[side].gather(wanted)
+    def query_keys(self, anchors: np.ndarray, relation: int | np.ndarray) -> np.ndarray:
+        """The int64 keys of a batch of ``(anchor, relation)`` queries, as
+        :meth:`KeyedCSR.gather` takes them; ``relation`` is one for the
+        batch or one per anchor."""
+        return np.asarray(anchors, dtype=np.int64) * self.num_relations + relation
 
 
 def build_filter_csr(

@@ -25,13 +25,15 @@ A model implements inference once, as two pieces:
   a score that is not an inner product (a distance, an added bias).
 
 Every inference call goes through one validated entry point, so engine,
-serve and the scalar reference all rank from the same kernel.  A chunk's
-truth scores are the paired rows ``score_rows(queries, truths[:, None])``
-of its one :meth:`query_vectors` call, never the diagonal of an anchor x
-truth matrix.  Scorers without embedding tables (the hash scorers) derive
-from :class:`HashScorer` and override :meth:`KGEModel._score_batch`
-instead.  Both surfaces must agree: ``score_all(anchor, r, side)[e]``
-equals ``score_triples`` of the corresponding triple.  The evaluation
+serve and the scalar reference all rank from the same kernel.  An
+embedding model's chunk truth scores are the paired rows
+``score_rows(queries, truths[:, None])`` of its one :meth:`query_vectors`
+call, never the diagonal of an anchor x truth matrix.  Scorers without
+embedding tables (the hash scorers) derive from :class:`HashScorer` and
+override :meth:`KGEModel._score_batch` instead; they still score a
+``b x b`` truth block and keep its diagonal (see :class:`HashScorer`).
+Both surfaces must agree: ``score_all(anchor, r, side)[e]`` equals
+``score_triples`` of the corresponding triple.  The evaluation
 framework is agnostic to everything else about the model, which is the
 property the paper's "model-agnostic" claim rests on.
 
@@ -460,6 +462,9 @@ class HashScorer(KGEModel):
     call.  So a chunk's truths ride along as extra candidates of its one
     call, and truth ``i`` is read from row ``i``: bitwise what the
     scorer's ``_score_batch`` gives for ``(anchors[i], truths[i])``.
+    That call scores a ``b x b`` anchor x truth block and keeps only its
+    diagonal, on purpose: routing the truths through ``_score_batch``
+    itself is what keeps them bitwise equal to it, for every subclass.
     """
 
     def _score_with_truths(

@@ -51,6 +51,7 @@ CHUNKS = [
     ([0, 3], [8, 11]),  # truths the index never saw (an unseen /v1/score triple)
     ([4, 6, 0], [3, 10, 2]),  # rows 0 and 1 have no known answers at all
     ([3], [7]),  # a one-row chunk
+    ([0, 1, 0, 1, 3], [2, 1, 11, 2, 0]),  # repeated keys; 1 is 0's answer, not 1's
 ]
 
 

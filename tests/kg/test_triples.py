@@ -129,7 +129,7 @@ class TestBuildFilterCSR:
             for side in ("head", "tail"):
                 assert index.sides[side].values.dtype == id_dtype(num_entities)
                 for relation in range(num_relations):
-                    rows, cols = index.gather(anchors, relation, side)
+                    rows, cols = index.sides[side].gather(index.query_keys(anchors, relation))
                     for anchor in range(num_entities):
                         expected = sorted(oracle.get((side, anchor, relation), ()))
                         got = graph.true_answers(anchor, relation, side)
