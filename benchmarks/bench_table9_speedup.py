@@ -30,6 +30,17 @@ def test_table9_speedup_small_datasets(benchmark, emit, emit_json, studies):
     assert len(rows) == len(studies)
 
 
+def _best_seconds(call, repeats: int = 3) -> float:
+    """The fastest of ``repeats`` timed calls: one call's wall time is too
+    noisy to order two ratios by."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def test_table9_large_scale_row(benchmark, emit):
     """The ogbl-wikikg2 column: speed-up grows with scale."""
 
@@ -42,12 +53,8 @@ def test_table9_large_scale_row(benchmark, emit):
                 graph, strategy="probabilistic", sample_fraction=fraction, seed=0
             )
             protocol.prepare()
-            start = time.perf_counter()
-            sampled = protocol.evaluate(model)
-            sampled_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            protocol.evaluate_full(model)
-            full_seconds = time.perf_counter() - start
+            sampled_seconds = _best_seconds(lambda: protocol.evaluate(model))
+            full_seconds = _best_seconds(lambda: protocol.evaluate_full(model))
             results.append(
                 {
                     "Dataset": name,

@@ -31,15 +31,17 @@ def filtered_rank(
 ) -> float:
     """Filtered 1-based rank of ``truth`` inside a full score vector.
 
-    ``known_answers`` are removed from the competition (their scores are
-    ignored); the truth itself always competes.  Ties count half (mean tie
-    policy), matching :mod:`repro.metrics.ranking`.
+    ``known_answers`` are removed from the competition (masked out, so
+    even a ``-inf`` truth never ties them); the truth itself always
+    competes.  Ties count half (mean tie policy), matching
+    :mod:`repro.metrics.ranking`.
     """
     true_score = scores[truth]
-    competitors = scores.copy()
+    competes = np.ones(scores.shape[0], dtype=bool)
     if known_answers.size:
-        competitors[known_answers] = -np.inf
-    competitors[truth] = -np.inf  # the truth never competes with itself
+        competes[known_answers] = False
+    competes[truth] = False  # the truth never competes with itself
+    competitors = scores[competes]
     better = int(np.count_nonzero(competitors > true_score))
     ties = int(np.count_nonzero(competitors == true_score))
     return 1.0 + better + ties / 2.0

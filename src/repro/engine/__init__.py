@@ -5,8 +5,8 @@ One execution core for both evaluation protocols: queries are grouped by
 axis once per graph, split, sides and pools (the cached
 :class:`EvaluationPlan`), cut into bounded chunks, scored — serially, or
 in parallel on a persistent worker pool that reads the model and the plan
-from ``multiprocessing.shared_memory``, published once per distinct state
-and reused across runs (:mod:`repro.engine.pool` /
+from ``multiprocessing.shared_memory``, published once per plan and model
+layout and refreshed in place across runs (:mod:`repro.engine.pool` /
 :mod:`repro.engine.shm`) — and returned as one :class:`EvaluationResult`:
 a rank per distinct query, in plan order, and the :class:`RankingMetrics`
 aggregated from those ranks.
@@ -49,7 +49,6 @@ from repro.engine.shm import (
     StateManifest,
     attach_state,
     publish_state,
-    state_fingerprint,
 )
 from repro.engine.worker import (
     EvaluationPlan,
@@ -89,6 +88,5 @@ __all__ = [
     "score_chunk",
     "shutdown_engine_pools",
     "split_triples",
-    "state_fingerprint",
     "worker_main",
 ]

@@ -12,7 +12,7 @@ evaluation protocols: the full filtered ranking
    (:func:`repro.engine.chunking.plan_chunks`);
 2. scores the chunks — in-process for ``workers=1``, or on a persistent
    worker pool that reads the model and the plan from shared memory,
-   published once per distinct state (:mod:`repro.engine.pool`);
+   published once per plan and model layout (:mod:`repro.engine.pool`);
 3. concatenates the per-chunk ranks in plan order and aggregates them
    into metrics once, returning both as one :class:`EvaluationResult`.
 

@@ -6,10 +6,11 @@ A :class:`PersistentWorkerPool` is the engine's only parallel path:
 its own task queue.  A pool executes *runs*:
 
 1. :meth:`ensure_state` publishes the evaluation state into shared
-   memory (:func:`repro.engine.shm.publish_state`) — skipped entirely
-   when the previous run used content-identical state, which is what
-   makes repeated evaluation of the same model (training loops, the
-   serve path, benchmarks) pay the publish exactly once;
+   memory (:func:`repro.engine.shm.publish_state`) once per plan and
+   model layout; every later run with that plan and layout (a new
+   checkpoint, a training step, the serve path) only copies the model's
+   parameters into the live segments
+   (:meth:`~repro.engine.shm.PublishedState.refresh`);
 2. chunk tasks are dispatched round-robin; each worker scores its chunks
    with the same :func:`~repro.engine.worker.score_chunk` kernel as the
    serial path and writes the ranks **directly into the shared result
@@ -147,7 +148,7 @@ class PersistentWorkerPool:
         self.states_published = 0
         self.broken = False
         self.closed = False
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._published: PublishedState | None = None
         context = multiprocessing.get_context(self.start_method)
         self._task_queues = [context.Queue() for _ in range(workers)]
@@ -202,66 +203,67 @@ class PersistentWorkerPool:
     # State publication
     # ------------------------------------------------------------------
     def ensure_state(self, state: "EvaluationState") -> PublishedState:
-        """Publish ``state`` unless the live published state already matches.
+        """Serve ``state`` from the live arena, or publish a new one.
 
-        Matching is content-aware (model parameter digest and plan
-        identity; see :meth:`PublishedState.matches`);
-        wrapper models that travel by pickle are never considered reusable
-        because their bytes cannot be cheaply fingerprinted.
+        The live arena is reused whenever :meth:`PublishedState.refresh`
+        can copy the model's parameters into it (same plan, same model
+        layout), so a new checkpoint of the same architecture costs one
+        copy per parameter table and no worker message.  Anything else —
+        a new plan, a new layout, a pickled wrapper — publishes a fresh
+        arena and waits for every worker to attach it.  Holds the pool
+        lock, so a refresh never overwrites parameters under another
+        caller's run.
         """
-        current = self._published
-        if (
-            current is not None
-            and current.manifest.model_pickle is None
-            and current.matches(state)
-        ):
-            return current
-        published = publish_state(state)
-        attach_seconds: dict[int, float] = {}
-        try:
-            for task_queue in self._task_queues:
-                task_queue.put(("state", published.manifest))
-            deadline = time.monotonic() + STATE_ATTACH_TIMEOUT
-            while len(attach_seconds) < self.workers:
-                message = self._next_message(deadline, waiting_for="state attach")
-                if message[0] == "ready":
-                    attach_seconds[message[1]] = float(message[3])
-                elif message[0] == "error":
-                    raise EngineWorkerError(
-                        f"worker failed to attach shared state:\n{message[2]}"
-                    )
-        except BaseException:
-            published.close()
-            raise
-        if current is not None:
-            current.close()
-        self._published = published
-        self.states_published += 1
-        registry = get_registry()
-        registry.counter(
-            "repro_engine_state_publish_total",
-            "Evaluation states published into shared memory",
-            labels=("pool",),
-        ).inc(pool=self.label)
-        # Attach time is measured worker-side and shipped on the "ready"
-        # ack — the only stage that happens outside a chunk reply.
-        for worker_id, seconds in attach_seconds.items():
-            registry.merge_counters(
-                {
-                    "repro_engine_worker_attach_seconds_total": seconds,
-                    "repro_engine_worker_busy_seconds_total": seconds,
-                },
-                labels={"pool": self.label, "worker": str(worker_id)},
-                help_texts=WORKER_COUNTER_HELP,
+        with self._lock:
+            current = self._published
+            if current is not None and current.refresh(state):
+                return current
+            published = publish_state(state)
+            attach_seconds: dict[int, float] = {}
+            try:
+                for task_queue in self._task_queues:
+                    task_queue.put(("state", published.manifest))
+                deadline = time.monotonic() + STATE_ATTACH_TIMEOUT
+                while len(attach_seconds) < self.workers:
+                    message = self._next_message(deadline, waiting_for="state attach")
+                    if message[0] == "ready":
+                        attach_seconds[message[1]] = float(message[3])
+                    elif message[0] == "error":
+                        raise EngineWorkerError(
+                            f"worker failed to attach shared state:\n{message[2]}"
+                        )
+            except BaseException:
+                published.close()
+                raise
+            if current is not None:
+                current.close()
+            self._published = published
+            self.states_published += 1
+            registry = get_registry()
+            registry.counter(
+                "repro_engine_state_publish_total",
+                "Shared-memory arenas created for evaluation states",
+                labels=("pool",),
+            ).inc(pool=self.label)
+            # Attach time is measured worker-side and shipped on the "ready"
+            # ack — the only stage that happens outside a chunk reply.
+            for worker_id, seconds in attach_seconds.items():
+                registry.merge_counters(
+                    {
+                        "repro_engine_worker_attach_seconds_total": seconds,
+                        "repro_engine_worker_busy_seconds_total": seconds,
+                    },
+                    labels={"pool": self.label, "worker": str(worker_id)},
+                    help_texts=WORKER_COUNTER_HELP,
+                )
+            log_event(
+                "engine.state.publish",
+                pool=self.label,
+                state_id=published.manifest.state_id,
+                shm_bytes=published.arena.nbytes,
+                attach_seconds=round(sum(attach_seconds.values()), 6),
             )
-        log_event(
-            "engine.state.publish",
-            pool=self.label,
-            state_id=published.manifest.state_id,
-            shm_bytes=published.arena.nbytes,
-            attach_seconds=round(sum(attach_seconds.values()), 6),
-        )
-        return published
+            return published
 
     # ------------------------------------------------------------------
     # Run execution
@@ -444,9 +446,12 @@ class PersistentWorkerPool:
         for q in (*self._task_queues, self._result_queue):
             q.cancel_join_thread()
             q.close()
-        if self._published is not None:
-            self._published.close()
-            self._published = None
+        # Taken once the workers are gone: a run still waiting on them has
+        # failed by now and let go of the lock.
+        with self._lock:
+            if self._published is not None:
+                self._published.close()
+                self._published = None
         self._workers_gauge().set(0, pool=self.label)
 
     def __repr__(self) -> str:

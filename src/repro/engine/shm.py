@@ -1,8 +1,9 @@
 """The shared-memory plane of the parallel evaluation engine.
 
 Parallel runs never pickle the evaluation state's arrays or the ranks:
-the state is published into shared memory once per distinct state, and
-workers write ranks into a shared buffer.  This module is that plane:
+the state is published into shared memory once per plan and model
+layout, and workers write ranks into a shared buffer.  This module is
+that plane:
 
 * :class:`ShmArena` — a named set of ``multiprocessing.shared_memory``
   segments, one per numpy array, created once in the parent.  The arena
@@ -24,6 +25,10 @@ workers write ranks into a shared buffer.  This module is that plane:
   by name and rebuild a view-backed ``EvaluationState`` whose arrays
   alias the parent's bytes; its plan is rebuilt over the attached views,
   so workers never see a graph and never gather known answers.
+* :meth:`PublishedState.refresh` — the reuse rule: a later state with the
+  same plan and model layout (another checkpoint, a training step) is
+  served by copying its parameters into the live segments, which the
+  workers' parameter views alias; nothing is hashed, created or sent.
 
 Models that do not expose ``parameter_arrays`` (wrapper scorers such as
 :class:`repro.bench.LatencyBoundScorer`) or that a worker cannot rebuild
@@ -34,9 +39,9 @@ through shared memory, and exactness is unaffected either way.
 Memory-mapped models (:func:`repro.models.io.open_mmap`) take a third
 route: their parameter bytes already live in files every process can map,
 so :func:`publish_state` ships only the shard manifest — workers re-open
-the same shards and share the pages through the OS cache, and the state
-fingerprint uses the manifest digest instead of hashing the mapped bytes,
-so repeat runs republish nothing (see ``docs/scale.md``).
+the same shards and share the pages through the OS cache, and a refresh
+compares the manifest digest instead of reading the mapped bytes, so
+repeat runs republish nothing (see ``docs/scale.md``).
 """
 
 from __future__ import annotations
@@ -220,48 +225,55 @@ class PublishedState:
 
     manifest: StateManifest
     arena: ShmArena
-    fingerprint: tuple
     plan: "EvaluationPlan" = field(repr=False)
 
     @property
     def result_view(self) -> np.ndarray:
         return self.arena.view("result")
 
-    def matches(self, state: "EvaluationState") -> bool:
-        """Whether ``state`` is the one already published."""
-        return self.plan is state.plan and self.fingerprint == state_fingerprint(state)
+    def refresh(self, state: "EvaluationState") -> bool:
+        """Make this arena serve ``state`` in place; ``False`` if it cannot.
+
+        It can when the plan is the published one (``is``) and the model
+        has the published layout:
+
+        * a memory-mapped model with the published shard digest — the
+          workers already map those shards, so nothing is copied;
+        * a rebuildable registry model whose :meth:`init_spec` equals the
+          published one except for ``seed`` (which only seeds the init)
+          and whose parameters match their segments in shape and dtype —
+          its live parameters are copied into those segments, which the
+          workers' parameter views alias, so they score the new bytes
+          with no message and no re-attach.
+
+        Pickled wrappers are never refreshed.
+        """
+        manifest = self.manifest
+        if self.plan is not state.plan or manifest.model_pickle is not None:
+            return False
+        model = state.model
+        source = getattr(model, "shard_source", None)
+        if manifest.model_shards is not None:
+            return source is not None and source.digest == manifest.model_shards["digest"]
+        if source is not None or not _rebuildable(model):
+            return False
+        if dict(model.init_spec(), seed=None) != dict(manifest.model_spec, seed=None):
+            return False
+        arrays = model.parameter_arrays()
+        layout = {
+            f"param_{name}": (array.shape, array.dtype.str) for name, array in arrays.items()
+        }
+        published = {
+            name: entry[1:] for name, entry in manifest.arrays.items() if name.startswith("param_")
+        }
+        if layout != published:
+            return False
+        for name, array in arrays.items():
+            np.copyto(self.arena.view(f"param_{name}"), array)
+        return True
 
     def close(self) -> None:
         self.arena.close()
-
-
-def state_fingerprint(state: "EvaluationState") -> tuple:
-    """A cheap content-aware identity for one evaluation state's model
-    and query selection.
-
-    Object ids alone would go stale when a training loop mutates model
-    parameters in place between evaluations, so the model contributes a
-    digest of its parameter bytes.  The plan is immutable after
-    construction, so object identity suffices for it;
-    :meth:`PublishedState.matches` compares it with ``is``.
-    """
-    import hashlib
-
-    model = state.model
-    source = getattr(model, "shard_source", None)
-    if source is not None:
-        # Memory-mapped models carry a manifest digest computed at save
-        # time; hashing the mapped bytes would page the whole table in.
-        model_key: object = (id(model), ("mmap", source.digest))
-    elif hasattr(model, "parameter_arrays"):
-        digest = hashlib.blake2b(digest_size=16)
-        for name in sorted(model.parameter_arrays()):
-            digest.update(name.encode())
-            digest.update(np.ascontiguousarray(model.parameter_arrays()[name]).view(np.uint8))
-        model_key = (id(model), digest.hexdigest())
-    else:
-        model_key = (id(model), None)
-    return (model_key, state.plan.split, state.plan.sides)
 
 
 def _rebuildable(model) -> bool:
@@ -339,12 +351,7 @@ def publish_state(state: "EvaluationState") -> PublishedState:
     except BaseException:
         arena.close()
         raise
-    return PublishedState(
-        manifest=manifest,
-        arena=arena,
-        fingerprint=state_fingerprint(state),
-        plan=state.plan,
-    )
+    return PublishedState(manifest=manifest, arena=arena, plan=state.plan)
 
 
 # ----------------------------------------------------------------------

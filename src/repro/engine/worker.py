@@ -10,8 +10,8 @@ scores change between checkpoints.
 The engine's parallel path fans :class:`~repro.engine.chunking.ChunkTask`
 objects across a persistent worker pool (:mod:`repro.engine.pool`).  The
 model parameters and the plan's arrays are published into shared memory
-once per distinct state (:mod:`repro.engine.shm`); each long-lived worker
-(:func:`worker_main`) attaches them, so each task only carries four
+once per plan and model layout (:mod:`repro.engine.shm`); each long-lived
+worker (:func:`worker_main`) attaches them, so each task only carries four
 integers and each chunk's ranks go straight into a shared result buffer.
 
 :func:`score_chunk` is the single scoring kernel both evaluation paths

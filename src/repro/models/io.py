@@ -11,8 +11,8 @@ one or more row-split ``.npy`` files that are memory-mapped read-only at
 open, so a million-entity embedding table costs pages, not resident
 memory, and every process that opens the same shards shares them through
 the OS page cache.  The manifest carries per-parameter digests, so the
-engine's fingerprint cache can identify a sharded model without ever
-paging its bytes in (:func:`repro.engine.shm.state_fingerprint`).
+engine can tell a sharded model is already published without ever
+paging its bytes in (:meth:`repro.engine.shm.PublishedState.refresh`).
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ class ShardSource:
 
     ``open_mmap`` stamps this onto the returned model as
     ``model.shard_source``; the engine treats its ``digest`` as the
-    model's content identity, so state fingerprints and store keys never
-    hash the mapped bytes.
+    model's content identity, so the engine's state reuse and the store
+    keys never hash the mapped bytes.
     """
 
     directory: str

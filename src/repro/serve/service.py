@@ -17,8 +17,8 @@ and an LRU result cache:
 * :meth:`evaluate_model` — a full offline evaluation of one registered
   model, executed on a **service-owned persistent worker pool**
   (``engine_workers > 1``) that stays warm across requests — the shared
-  state is published into shared memory once per model and reused until
-  :meth:`close`;
+  state is published into shared memory once per model layout and
+  refreshed in place until :meth:`close`;
 * :meth:`models` / :meth:`health` — introspection for ``/v1/models`` and
   ``/healthz``.
 

@@ -40,6 +40,14 @@ class TestFilteredRank:
         scores = np.array([0.5])
         assert filtered_rank(scores, truth=0, known_answers=np.empty(0, dtype=int)) == 1.0
 
+    def test_negative_infinite_truth_does_not_tie_known_answers(self):
+        scores = np.array([-np.inf, 0.0, -np.inf])
+        scalar = filtered_rank(scores, truth=0, known_answers=np.array([2]))
+        chunk = chunk_filtered_ranks(
+            scores[None, :], scores[:1], np.array([0, 0]), np.array([0, 2])
+        )
+        assert scalar == chunk[0] == 2.0
+
 
 #: A 12-entity index whose relation-0 tail answers are
 #: 0 -> {1, 2, 5}, 1 -> {2}, 3 -> {7, 9} (relation 1 must not leak in).

@@ -20,7 +20,7 @@ from repro.core.estimators import evaluate_sampled
 from repro.core.ranking import evaluate_full
 from repro.core.sampling import build_pools
 from repro.datasets.zoo import load
-from repro.engine.shm import publish_state, state_fingerprint
+from repro.engine.shm import publish_state
 from repro.kg import open_compact, save_compact
 from repro.models import build_model
 from repro.models.io import open_mmap, save_sharded
@@ -142,17 +142,22 @@ class TestShardTransport:
         # No parameter bytes go through shared memory.
         assert not any(name.startswith("param_") for name in manifest.arrays)
 
-    def test_fingerprint_short_circuits_on_digest(
-        self, dataset, mmap_model, memory_model
+    def test_refresh_reuses_on_equal_digest(
+        self, published, dataset, mmap_model, memory_model, tmp_path
     ):
         from repro.engine.worker import build_state
 
-        mmap_key = state_fingerprint(build_state(mmap_model, dataset.graph, "test"))
-        memory_key = state_fingerprint(
-            build_state(memory_model, dataset.graph, "test")
+        segments = published.manifest.arrays
+        reopened = open_mmap(mmap_model.shard_source.directory)
+        assert published.refresh(build_state(reopened, dataset.graph, "test"))
+        assert published.manifest.arrays == segments  # nothing copied in
+        # A changed digest, or the in-memory twin, republishes.
+        retrained = build_model(
+            "complex", memory_model.num_entities, memory_model.num_relations, dim=8, seed=1
         )
-        assert mmap_key != memory_key
-        assert mmap_key[0][1] == ("mmap", mmap_model.shard_source.digest)
+        save_sharded(retrained, tmp_path)
+        assert not published.refresh(build_state(open_mmap(tmp_path), dataset.graph, "test"))
+        assert not published.refresh(build_state(memory_model, dataset.graph, "test"))
 
     def test_attach_verifies_digest(self, published):
         from dataclasses import replace

@@ -1,8 +1,9 @@
-"""Unit tests for the shared-memory plane: arena, publish/attach, fingerprint."""
+"""Unit tests for the shared-memory plane: arena, publish/attach, refresh."""
 
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import signal
 import subprocess
 import sys
@@ -12,13 +13,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.engine import build_state, get_engine_pool, plan_chunks, score_chunk
+from repro.bench import LatencyBoundScorer
+from repro.core.ranking import evaluate_full
+from repro.engine import (
+    EvaluationState,
+    build_state,
+    get_engine_pool,
+    plan_chunks,
+    score_chunk,
+)
 from repro.engine.shm import (
     ShmArena,
     attach_array,
     attach_state,
     publish_state,
-    state_fingerprint,
 )
 from repro.kg import KnowledgeGraph, TripleSet, Vocabulary
 from repro.models import build_model
@@ -203,24 +211,138 @@ class TestAttachedClose:
             published.close()
 
 
-class TestStateFingerprint:
-    def test_in_place_parameter_mutation_changes_fingerprint(self, tiny_state):
-        before = state_fingerprint(tiny_state)
-        entity_table = next(iter(tiny_state.model.parameter_arrays().values()))
-        entity_table += 0.25  # what a training step does between evals
-        after = state_fingerprint(tiny_state)
-        assert before != after
+def _params(model) -> dict[str, np.ndarray]:
+    return {name: array.copy() for name, array in model.parameter_arrays().items()}
 
-    def test_same_content_same_fingerprint(self, tiny_state):
-        assert state_fingerprint(tiny_state) == state_fingerprint(tiny_state)
 
-    def test_different_split_different_fingerprint(self, tiny_graph):
-        model = build_model(
-            "distmult", tiny_graph.num_entities, tiny_graph.num_relations, dim=4
+def _published_params(published) -> dict[str, np.ndarray]:
+    return {
+        name[len("param_") :]: published.arena.view(name)
+        for name in published.manifest.arrays
+        if name.startswith("param_")
+    }
+
+
+class TestRefreshRule:
+    """A published arena serves any later state with the same plan and
+    model layout by copying its parameters in; anything else republishes."""
+
+    def test_in_place_mutation_is_copied_in(self, tiny_state):
+        published = publish_state(tiny_state)
+        try:
+            entity_table = next(iter(tiny_state.model.parameter_arrays().values()))
+            entity_table += 0.25  # what a training step does between evals
+            assert published.refresh(tiny_state)
+            for name, array in _params(tiny_state.model).items():
+                np.testing.assert_array_equal(_published_params(published)[name], array)
+        finally:
+            published.close()
+
+    def test_another_checkpoint_of_the_layout_is_copied_in(self, tiny_state, tiny_graph):
+        published = publish_state(tiny_state)
+        try:
+            checkpoint = build_model(
+                "distmult", tiny_graph.num_entities, tiny_graph.num_relations, dim=4, seed=7
+            )
+            segments = published.manifest.arrays
+            assert published.refresh(build_state(checkpoint, tiny_graph, "test"))
+            assert published.manifest.arrays == segments  # no new segment
+            for name, array in _params(checkpoint).items():
+                np.testing.assert_array_equal(_published_params(published)[name], array)
+        finally:
+            published.close()
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("distmult", {"dim": 6}),
+            ("complex", {"dim": 4}),
+            ("distmult", {"dim": 4, "dtype": "float32"}),
+            ("transe", {"dim": 4, "norm": 2}),
+        ],
+    )
+    def test_layout_change_republishes(self, tiny_graph, name, kwargs):
+        published = publish_state(
+            build_state(build_model("transe", 6, 3, dim=4), tiny_graph, "test")
         )
-        test_state = build_state(model, tiny_graph, "test")
-        valid_state = build_state(model, tiny_graph, "valid")
-        assert state_fingerprint(test_state) != state_fingerprint(valid_state)
+        try:
+            before = {key: view.copy() for key, view in _published_params(published).items()}
+            changed = build_model(name, 6, 3, seed=3, **kwargs)
+            assert not published.refresh(build_state(changed, tiny_graph, "test"))
+            for key, array in before.items():  # a refused refresh copies nothing
+                np.testing.assert_array_equal(_published_params(published)[key], array)
+        finally:
+            published.close()
+
+    def test_new_plan_republishes(self, tiny_state, tiny_graph):
+        published = publish_state(tiny_state)
+        try:
+            assert not published.refresh(build_state(tiny_state.model, tiny_graph, "valid"))
+        finally:
+            published.close()
+
+    def test_pickled_wrapper_never_refreshes(self, tiny_state):
+        wrapped = EvaluationState(LatencyBoundScorer(tiny_state.model, delay=0.0), tiny_state.plan)
+        published = publish_state(wrapped)
+        try:
+            assert published.manifest.model_pickle is not None
+            assert not published.refresh(wrapped)
+        finally:
+            published.close()
+
+
+START_METHODS = ("fork", "spawn")
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+class TestRefreshThroughPool:
+    """Refreshed parameters reach the workers: every pooled run is bitwise
+    its serial run, and no arena is created after the first."""
+
+    @pytest.fixture(autouse=True)
+    def _method(self, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"start method {start_method!r} unavailable on this platform")
+
+    def test_rotating_checkpoints_publish_once(self, start_method):
+        graph = _fresh_graph(1)
+        checkpoints = [build_model("complex", 50, 3, dim=4, seed=seed) for seed in range(4)]
+        serial = [evaluate_full(model, graph, workers=1).ranks for model in checkpoints]
+        pool = get_engine_pool(2, start_method)
+        published = None
+        for _ in range(3):
+            for model, expected in zip(checkpoints, serial):
+                ranks = evaluate_full(model, graph, workers=2, start_method=start_method).ranks
+                assert ranks == expected
+                published = pool.states_published if published is None else published
+                assert pool.states_published == published
+
+    def test_in_place_mutation_reaches_workers(self, start_method):
+        graph = _fresh_graph(2)
+        model = build_model("distmult", 50, 3, dim=4, seed=0)
+        evaluate_full(model, graph, workers=2, start_method=start_method)
+        pool = get_engine_pool(2, start_method)
+        published = pool.states_published
+        for table in model.parameter_arrays().values():
+            table *= -1.5
+        serial = evaluate_full(model, graph, workers=1).ranks
+        assert evaluate_full(model, graph, workers=2, start_method=start_method).ranks == serial
+        assert pool.states_published == published
+
+    def test_layout_change_republishes_and_stays_exact(self, start_method):
+        graph = _fresh_graph(3)
+        pool = get_engine_pool(2, start_method)
+        models = [
+            build_model("transe", 50, 3, dim=4, norm=1),
+            build_model("transe", 50, 3, dim=4, norm=2),
+            build_model("transe", 50, 3, dim=6, norm=2),
+            build_model("distmult", 50, 3, dim=6),
+        ]
+        for model in models:
+            published = pool.states_published
+            ranks = evaluate_full(model, graph, workers=2, start_method=start_method).ranks
+            assert ranks == evaluate_full(model, graph, workers=1).ranks
+            assert pool.states_published == published + 1
 
 
 class TestPublishedStateIdentity:
@@ -239,7 +361,7 @@ class TestPublishedStateIdentity:
             gc.collect()
             assert plan() is not None  # its id cannot be recycled
             fresh = build_state(model, _fresh_graph(1), "test")
-            assert not published.matches(fresh)
+            assert not published.refresh(fresh)
         finally:
             published.close()
 

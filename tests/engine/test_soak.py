@@ -2,8 +2,8 @@
 
 Fifty consecutive evaluations must reuse the same worker processes and
 the same published shared-memory state: worker count stays constant,
-``repro_engine_shm_bytes`` stays flat (one published state, republished
-zero times), and nothing accumulates run over run.  The serve path gets
+``repro_engine_shm_bytes`` stays flat (one arena, created once), and
+nothing accumulates run over run.  The serve path gets
 the same treatment through its service-owned pool.
 """
 
@@ -57,19 +57,18 @@ class TestPoolSoak:
             == pool.workers
         )
 
-    def test_retraining_republishes_exactly_once(self, tiny_graph, model):
+    def test_retraining_refreshes_in_place(self, tiny_graph, model):
         engine = EvaluationEngine(workers=2)
         engine.run(model, tiny_graph, split="test")
         pool = get_engine_pool(2)
         published = pool.states_published
-        # A training step mutates parameters in place; the stale shared
-        # state must NOT be reused...
+        # A training step mutates parameters in place; the live arena
+        # takes the new bytes, so the workers score the mutated model...
         next(iter(model.parameter_arrays().values()))[...] += 0.5
-        engine.run(model, tiny_graph, split="test")
-        assert pool.states_published == published + 1
-        # ...but further runs of the now-unchanged model are reuses again.
-        engine.run(model, tiny_graph, split="test")
-        assert pool.states_published == published + 1
+        serial = EvaluationEngine(workers=1).run(model, tiny_graph, split="test")
+        assert engine.run(model, tiny_graph, split="test").ranks == serial.ranks
+        # ...without creating an arena.
+        assert pool.states_published == published
 
 
 class TestServeSoak:
