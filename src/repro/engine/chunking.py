@@ -5,25 +5,30 @@ filtered protocol (:func:`repro.core.ranking.evaluate_full`) and the
 sampled estimators (:func:`repro.core.estimators.evaluate_sampled`).
 Both reduce to the same pipeline —
 
-1. group a split's queries by ``(relation, side)`` so same-candidate
-   queries can share one matrix product (:func:`query_table`);
-2. cut each group into bounded chunks so the ``b x k`` score
+1. group a split's queries by ``(relation, side)`` into one query table
+   (:func:`query_table`);
+2. cut the table into bounded chunks so the ``b x k`` score
    intermediates stay small (:func:`plan_chunks`);
 3. rank each chunk's truths against its candidates with known true
    answers filtered out (:func:`chunk_filtered_ranks`).
 
-The only difference between the two paths is the candidate axis: the full
-protocol ranks against *every* entity, the sampled path against a
-pre-drawn pool (known answers are moved onto the pool axis by
-:func:`pool_positions`).  :class:`ChunkTask` captures one unit of that
-pipeline, so the evaluation engine can run chunks serially or fan them
-out across worker processes without duplicating any of the logic.
+The only difference between the two paths is the candidate axis, and it
+decides how chunks are cut.  The sampled path ranks against a pre-drawn
+pool per ``(relation, side)`` (known answers are moved onto the pool axis
+by :func:`pool_positions`), so its chunks never leave a group: the group's
+queries share one pool and one matrix product.  The full protocol ranks
+against *every* entity, the same axis for every query, so its chunks are
+runs of consecutive table rows across groups and sides: one full-height
+product per chunk, however small the groups.  :class:`ChunkTask` captures
+one unit of that pipeline, so the evaluation engine can run chunks
+serially or fan them out across worker processes without duplicating any
+of the logic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,6 +43,9 @@ from repro.kg.graph import (
     segment_slots,
 )
 from repro.kg.triples import unique_rows_in_order
+
+if TYPE_CHECKING:
+    from repro.engine.worker import EvaluationPlan
 
 Query = tuple[int, int, int, Side]
 """A ranking query: ``(head, relation, tail, side)`` where ``side`` names
@@ -118,50 +126,44 @@ def query_chunks(num_queries: int, chunk_size: int = DEFAULT_CHUNK_SIZE):
 class ChunkTask:
     """One schedulable unit of evaluation work.
 
-    ``group`` indexes the ordered ``(relation, side)`` group list built by
-    :func:`query_table`; ``start``/``stop`` bound the query rows of the
-    chunk inside that group.  Tasks are tiny (four integers and a string),
-    so shipping them to worker processes costs nothing next to the scoring
-    they trigger.
+    ``start``/``stop`` bound the chunk's rows of the plan's query table
+    (:func:`query_table`).  A sampled task's rows all belong to one
+    ``(relation, side)`` group, whose pool is the candidate axis, and the
+    task names that ``relation`` and ``side``.  A full-path task's rows
+    may span groups and sides, since every query ranks against every
+    entity, so both are None and each row's own are read from the plan.
+    Tasks are tiny (a few integers and a string), so shipping them to
+    worker processes costs nothing next to the scoring they trigger.
     """
 
-    group: int
-    relation: int
-    side: Side
     start: int
     stop: int
+    relation: int | None = None
+    side: Side | None = None
 
     @property
     def num_queries(self) -> int:
         return self.stop - self.start
 
 
-def plan_chunks(
-    groups: Sequence[tuple[int, Side]],
-    starts: Sequence[int] | np.ndarray,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> list[ChunkTask]:
-    """Cut the groups of :func:`query_table` into the engine's chunk schedule.
+def plan_chunks(plan: "EvaluationPlan", chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[ChunkTask]:
+    """Cut a plan's query table into the engine's chunk schedule.
 
-    The schedule walks the groups in order and each group front to back,
-    so it covers the query table's rows contiguously, in table order.
+    Without pools (the full path) the chunks are runs of ``chunk_size``
+    consecutive rows, whichever groups they hold.  With pools each group
+    is cut on its own, so every chunk scores against one pool.  Either
+    way the schedule covers the table's rows contiguously, in table order.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    tasks: list[ChunkTask] = []
-    sizes = np.diff(np.asarray(starts, dtype=np.int64)).tolist()
-    for group_index, ((relation, side), size) in enumerate(zip(groups, sizes)):
-        for chunk in query_chunks(size, chunk_size):
-            tasks.append(
-                ChunkTask(
-                    group=group_index,
-                    relation=relation,
-                    side=side,
-                    start=chunk.start,
-                    stop=chunk.stop,
-                )
-            )
-    return tasks
+    if plan.pools is None:
+        return [ChunkTask(c.start, c.stop) for c in query_chunks(plan.num_queries, chunk_size)]
+    starts = plan.starts.tolist()
+    return [
+        ChunkTask(first + chunk.start, first + chunk.stop, relation, side)
+        for (relation, side), first, last in zip(plan.groups, starts, starts[1:])
+        for chunk in query_chunks(last - first, chunk_size)
+    ]
 
 
 def collect_known_answers(
@@ -274,7 +276,7 @@ def chunk_filtered_ranks(
     rows: np.ndarray,
     cols: np.ndarray,
 ) -> np.ndarray:
-    """Vectorised filtered ranks for one chunk of same-(relation, side) queries.
+    """Vectorised filtered ranks for one chunk of queries.
 
     ``scores`` is ``(b, k)``: row ``i`` scores the candidates of query
     ``i``.  ``(rows, cols)`` are the candidate columns to exclude per row

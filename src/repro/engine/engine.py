@@ -152,7 +152,7 @@ class EvaluationEngine:
         with tracer.span("engine.run"):
             state = build_state(model, graph, split, sides=sides, pools=pools)
             plan = state.plan
-            tasks = plan_chunks(plan.groups, plan.starts, self.chunk_size)
+            tasks = plan_chunks(plan, self.chunk_size)
             chunks: list[np.ndarray] = []
             num_scored = 0
             for chunk_ranks, chunk_scored in self._scored_chunks(state, tasks):

@@ -301,9 +301,7 @@ class PersistentWorkerPool:
             try:
                 published = self.ensure_state(state)
                 manifest = published.manifest
-                group_starts = published.plan.starts
                 for index, task in enumerate(tasks):
-                    offset = int(group_starts[task.group] + task.start)
                     meta = (
                         {
                             "enqueue_ts": time.time(),
@@ -314,7 +312,7 @@ class PersistentWorkerPool:
                         else None
                     )
                     self._task_queues[index % self.workers].put(
-                        ("task", manifest.state_id, index, task, offset, meta)
+                        ("task", manifest.state_id, index, task, meta)
                     )
                 deadline = time.monotonic() + timeout if timeout is not None else None
                 scored: dict[int, int] = {}
@@ -329,11 +327,10 @@ class PersistentWorkerPool:
                             f"engine worker failed on chunk {message[1]}:\n{message[2]}"
                         )
                 buffer = published.result_view
-                results: list[tuple[np.ndarray, int]] = []
-                for index, task in enumerate(tasks):
-                    offset = int(group_starts[task.group] + task.start)
-                    ranks = buffer[offset : offset + task.num_queries].copy()
-                    results.append((ranks, scored[index]))
+                results = [
+                    (buffer[task.start : task.stop].copy(), scored[index])
+                    for index, task in enumerate(tasks)
+                ]
             except BaseException:
                 self._mark_broken()
                 raise

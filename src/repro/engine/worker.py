@@ -27,7 +27,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -78,8 +77,11 @@ class EvaluationPlan:
       id dtype (:func:`~repro.kg.graph.id_dtype`).
 
     The pairs are kept per query, not per chunk, so one plan serves every
-    chunk size.  Plans compare by identity: the engine's caches and the
-    shared-memory state ask whether a plan *is* the one they hold.
+    chunk size.  Each row's relation and side follow from ``groups`` and
+    ``starts`` (:attr:`row_groups`), so a chunk may span groups without
+    the plan storing them per row.  Plans compare by identity: the
+    engine's caches and the shared-memory state ask whether a plan *is*
+    the one they hold.
     """
 
     split: str
@@ -97,31 +99,34 @@ class EvaluationPlan:
         return int(self.queries.shape[0])
 
     @cached_property
+    def row_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(relations, sides)``: every row's relation id and side code
+        (an index into ``SIDES``), both ``(N,)`` int64."""
+        return row_groups(self.groups, self.starts)
+
+    @cached_property
     def keys(self) -> list[Query]:
         """The ``(head, relation, tail, side)`` rank key of every row, in order."""
-        sizes = np.diff(self.starts).tolist()
-        relations = chain.from_iterable(
-            repeat(relation, size) for (relation, _), size in zip(self.groups, sizes)
-        )
-        sides = chain.from_iterable(
-            repeat(side, size) for (_, side), size in zip(self.groups, sizes)
-        )
+        relations, sides = self.row_groups
         return list(
-            zip(self.queries[:, 2].tolist(), relations, self.queries[:, 3].tolist(), sides)
+            zip(
+                self.queries[:, 2].tolist(),
+                relations.tolist(),
+                self.queries[:, 3].tolist(),
+                [SIDES[code] for code in sides.tolist()],
+            )
         )
 
     def chunk(
         self, task: ChunkTask
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(anchors, truths, rows, cols)`` of one chunk; ``rows`` are chunk-local."""
-        first = int(self.starts[task.group]) + task.start
-        last = first + task.num_queries
-        block = self.queries[first:last]
-        lo, hi = self.excluded_starts[first], self.excluded_starts[last]
+        block = self.queries[task.start : task.stop]
+        lo, hi = self.excluded_starts[task.start], self.excluded_starts[task.stop]
         return (
             block[:, 0],
             block[:, 1],
-            self.excluded_rows[lo:hi] - first,
+            self.excluded_rows[lo:hi] - task.start,
             self.excluded_cols[lo:hi],
         )
 
@@ -148,6 +153,17 @@ class EvaluationPlan:
         )
 
 
+def row_groups(
+    groups: list[tuple[int, Side]], starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each query table row's relation id and side code (an index into
+    ``SIDES``), from the table's groups and their ``starts``."""
+    sizes = np.diff(starts)
+    relations = np.repeat(np.asarray([relation for relation, _ in groups], dtype=np.int64), sizes)
+    sides = np.repeat(np.asarray([SIDES.index(side) for _, side in groups], dtype=np.int64), sizes)
+    return relations, sides
+
+
 def _build_plan(
     graph: KnowledgeGraph,
     split: str,
@@ -161,9 +177,7 @@ def _build_plan(
     merge of the sides by query row."""
     index = graph.filter_index
     queries, groups, starts = query_table(graph, split, sides)
-    sizes = np.diff(starts)
-    row_relations = np.repeat(np.asarray([relation for relation, _ in groups], dtype=np.int64), sizes)
-    row_sides = np.repeat([SIDES.index(side) for _, side in groups], sizes)
+    row_relations, row_sides = row_groups(groups, starts)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     for code, side in enumerate(SIDES):
@@ -278,22 +292,27 @@ def score_chunk(state: EvaluationState, task: ChunkTask) -> tuple[np.ndarray, in
     With pools in the plan the chunk is the sampled path: one score call
     returns the chunk's relation-side pool scores and each query's own
     truth score, both from one set of query rows.  Without pools it is
-    the full path: the candidate axis is the whole entity vocabulary and
-    each truth's score is read from its row.  Either way the plan already
-    holds the chunk's exclusions in candidate coordinates, so this is one
-    score call, then compare, one gather, two bincounts.
+    the full path: the candidate axis is the whole entity vocabulary, the
+    chunk's rows may span groups, so the call takes each row's relation
+    and side from the plan, and each truth's score is read from its row.
+    Either way the plan already holds the chunk's exclusions in candidate
+    coordinates, so this is one score call, then compare, one gather, two
+    bincounts.
     """
     plan = state.plan
     anchors, truths, rows, cols = plan.chunk(task)
     model = state.model
-    relation, side = task.relation, task.side
     b = task.num_queries
 
     if plan.pools is None:
-        scores = model.score_candidates_batch(anchors, relation, side)
+        relations, sides = plan.row_groups
+        scores = model.score_candidates_batch(
+            anchors, relations[task.start : task.stop], sides[task.start : task.stop]
+        )
         true_scores = scores[np.arange(b), truths]
         return chunk_filtered_ranks(scores, true_scores, rows, cols), int(scores.size)
 
+    relation, side = task.relation, task.side
     pool = plan.pools.pool(relation, side)
     if pool.size == 0:
         # Nothing competes with the truth: every query ranks first.
@@ -317,9 +336,10 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
       (:func:`repro.engine.shm.attach_state`), replacing any previous
       one, and acknowledge with ``("ready", worker_id, state_id,
       attach_seconds)``;
-    * ``("task", state_id, index, task, offset, meta)`` — score one
-      chunk with :func:`score_chunk` against the attached state, write
-      the ranks directly into the shared result buffer at ``offset``,
+    * ``("task", state_id, index, task, meta)`` — score one chunk with
+      :func:`score_chunk` against the attached state, write the ranks
+      directly into the shared result buffer at the task's own table
+      rows,
       and reply ``("done", index, entities_scored, telemetry)`` — the
       ranks themselves never cross the queue;
     * ``("stop",)`` — detach and exit.
@@ -376,7 +396,7 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
                     ("ready", worker_id, attached.state_id, attach_seconds)
                 )
             elif kind == "task":
-                _, state_id, index, task, offset, meta = message
+                _, state_id, index, task, meta = message
                 if attached is None or attached.state_id != state_id:
                     raise RuntimeError(
                         f"worker {worker_id} received a task for state "
@@ -385,7 +405,7 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
                     )
                 if meta is None:
                     ranks, scored = score_chunk(attached.state, task)
-                    attached.result[offset : offset + task.num_queries] = ranks
+                    attached.result[task.start : task.stop] = ranks
                     result_queue.put(("done", index, scored, None))
                     continue
                 received = time.time()
@@ -402,7 +422,7 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
                     score_seconds = time.perf_counter() - score_start
                     tracer.record("engine.worker.score", score_seconds)
                     write_start = time.perf_counter()
-                    attached.result[offset : offset + task.num_queries] = ranks
+                    attached.result[task.start : task.stop] = ranks
                     write_seconds = time.perf_counter() - write_start
                     tracer.record("engine.worker.write", write_seconds)
                 counters = {

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.sampling import NegativePools
 from repro.engine.chunking import split_triples
-from repro.kg.graph import KnowledgeGraph
+from repro.kg.graph import HEAD, SIDES, KnowledgeGraph
 from repro.kp.persistence import PersistenceDiagram, score_graph_diagram
 from repro.kp.wasserstein import sliced_wasserstein
 from repro.models.base import KGEModel
@@ -65,20 +65,25 @@ def _corrupt(
     """
     corrupted = triples.copy()
     corrupt_head = rng.random(triples.shape[0]) < 0.5
-    for i, (h, r, t) in enumerate(triples):
-        side = "head" if corrupt_head[i] else "tail"
-        if pools is not None:
-            pool = pools.pool(int(r), side)
-        else:
-            pool = np.empty(0, dtype=np.int64)
-        if pool.size:
-            replacement = int(pool[rng.integers(pool.size)])
-        else:
-            replacement = int(rng.integers(num_entities))
-        if corrupt_head[i]:
-            corrupted[i, 0] = replacement
-        else:
-            corrupted[i, 2] = replacement
+    # Each triple draws from its pool, or from every entity when the pool
+    # is empty or missing: one array of bounds, drawn in row order, is the
+    # same stream as one draw per triple.
+    bounds = np.full(triples.shape[0], num_entities, dtype=np.int64)
+    pooled = []
+    if pools is not None:
+        for side in SIDES:
+            rows = np.flatnonzero(corrupt_head == (side == HEAD))
+            csr = pools.pools[side]
+            sizes = csr.lengths(triples[rows, 1])
+            starts = csr.offsets[np.searchsorted(csr.keys, triples[rows, 1])]
+            kept = sizes > 0
+            bounds[rows[kept]] = sizes[kept]
+            pooled.append((rows[kept], starts[kept], csr.values))
+    replacements = rng.integers(0, bounds)
+    for rows, starts, values in pooled:
+        replacements[rows] = values[starts + replacements[rows]]
+    corrupted[corrupt_head, 0] = replacements[corrupt_head]
+    corrupted[~corrupt_head, 2] = replacements[~corrupt_head]
     return corrupted
 
 

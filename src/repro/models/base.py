@@ -11,10 +11,13 @@ surfaces:
 * an *inference* surface — :meth:`score_candidates_batch` returns plain
   numpy ``(b, k)`` scores computed outside the autodiff graph, because
   evaluation scores millions of candidates and must not build graphs.
-  Given each query's truth it also returns the ``(b,)`` truth scores,
-  each truth scored against its own query row only, from the same query
-  rows.  :meth:`score_all` and :meth:`score_candidates` are its
-  one-query views.
+  Its ``relation`` and ``side`` are one value for the whole batch or one
+  per row (``(b,)`` arrays, sides as codes into ``SIDES``), so the full
+  ranking scores a chunk that spans several ``(relation, side)`` groups
+  with one product.  Given each query's truth it also returns the
+  ``(b,)`` truth scores, each truth scored against its own query row
+  only, from the same query rows.  :meth:`score_all` and
+  :meth:`score_candidates` are its one-query views.
 
 A model implements inference once, as two pieces:
 
@@ -25,13 +28,17 @@ A model implements inference once, as two pieces:
   a score that is not an inner product (a distance, an added bias).
 
 Every inference call goes through one validated entry point, so engine,
-serve and the scalar reference all rank from the same kernel.  An
-embedding model's chunk truth scores are the paired rows
-``score_rows(queries, truths[:, None])`` of its one :meth:`query_vectors`
-call, never the diagonal of an anchor x truth matrix.  Scorers without
-embedding tables (the hash scorers) derive from :class:`HashScorer` and
-override :meth:`KGEModel._score_batch` instead; they still score a
-``b x b`` truth block and keep its diagonal (see :class:`HashScorer`).
+serve and the scalar reference all rank from the same kernel.  Per-row
+sides cost one :meth:`query_vectors` call per side present, its rows
+stacked in batch order before the one :meth:`score_rows`.  An embedding
+model's chunk truth scores are the paired rows
+``score_rows(queries, truths[:, None])`` of its query rows, never the
+diagonal of an anchor x truth matrix.  Scorers without embedding tables
+(the hash scorers) derive from :class:`HashScorer` and override
+:meth:`KGEModel._score_batch`, which always sees one relation and one
+side: a per-row batch is one call per distinct ``(relation, side)``,
+rows stacked.  They still score a ``b x b`` truth block and keep its
+diagonal (see :class:`HashScorer`).
 Both surfaces must agree: ``score_all(anchor, r, side)[e]`` equals
 ``score_triples`` of the corresponding triple.  The evaluation
 framework is agnostic to everything else about the model, which is the
@@ -49,7 +56,7 @@ inner product lives here) and :meth:`query_vectors_vjp` per model.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -283,16 +290,22 @@ class KGEModel(abc.ABC):
         """:meth:`query_vectors` of an ``(b,)`` relation array, one scalar call
         per distinct relation — for models whose query is a matrix product,
         whose rounding depends on the batch it is computed in."""
-        if not len(relations):  # nothing to group: an empty scalar call
-            return self.query_vectors(anchors, 0, side)
-        out = None
-        for relation in np.unique(relations).tolist():
-            rows = np.flatnonzero(relations == relation)
-            queries = self.query_vectors(anchors[rows], relation, side)
-            if out is None:
-                out = np.empty((len(anchors),) + queries.shape[1:], queries.dtype)
-            out[rows] = queries
-        return out
+        return _stacked_by_key(
+            relations, lambda rows, relation: self.query_vectors(anchors[rows], relation, side)
+        )
+
+    def _query_rows(self, anchors: Array, relation: int | Array, side: Side | Array) -> Array:
+        """:meth:`query_vectors` of validated arguments whose ``side`` may
+        be per-row codes: one call per side present, rows stacked."""
+        if isinstance(side, str):
+            return self.query_vectors(anchors, relation, side)
+        per_row = isinstance(relation, np.ndarray)
+        return _stacked_by_key(
+            side,
+            lambda rows, code: self.query_vectors(
+                anchors[rows], relation[rows] if per_row else relation, SIDES[code]
+            ),
+        )
 
     def score_rows(self, queries: Array, candidates: Array | None = None) -> Array:
         """``(b, k)`` scores of ``queries`` against candidate entity rows.
@@ -327,65 +340,96 @@ class KGEModel(abc.ABC):
     def _score_batch(
         self, anchors: Array, relation: int, side: Side, candidates: Array | None
     ) -> Array:
-        """The one inference kernel, called with validated arguments only.
+        """The one inference kernel of one relation and one side, called
+        with validated arguments only.
 
         Scorers without embedding tables (the hash scorers) override this
         instead of :meth:`query_vectors`.
         """
         return self.score_rows(self.query_vectors(anchors, relation, side), candidates)
 
+    def _score_queries(
+        self, anchors: Array, relation: int | Array, side: Side | Array, candidates: Array | None
+    ) -> Array:
+        """:meth:`_score_batch` of validated arguments whose ``relation``
+        and ``side`` may be per-row: the query rows, then one product."""
+        return self.score_rows(self._query_rows(anchors, relation, side), candidates)
+
     def _score_with_truths(
-        self, anchors: Array, relation: int, side: Side, candidates: Array | None, truths: Array
+        self,
+        anchors: Array,
+        relation: int | Array,
+        side: Side | Array,
+        candidates: Array | None,
+        truths: Array,
     ) -> tuple[Array, Array]:
-        """:meth:`_score_batch`'s scores and the ``(b,)`` scores of each
-        row's own truth, from one :meth:`query_vectors` call: truth ``i``
-        is the one per-row candidate of query row ``i``, so no ``(b, b)``
-        anchor x truth block is ever scored."""
-        queries = self.query_vectors(anchors, relation, side)
+        """:meth:`_score_queries`'s scores and the ``(b,)`` scores of each
+        row's own truth, from the same query rows: truth ``i`` is the one
+        per-row candidate of query row ``i``, so no ``(b, b)`` anchor x
+        truth block is ever scored."""
+        queries = self._query_rows(anchors, relation, side)
         return self.score_rows(queries, candidates), self.score_rows(queries, truths[:, None])[:, 0]
 
     def _validate_query(
         self,
         anchors: Iterable[int],
-        relation: int,
-        side: Side,
+        relation: int | Array,
+        side: Side | Array,
         candidates: Iterable[int] | None,
-    ) -> tuple[Array, int, Side, Array | None]:
+    ) -> tuple[Array, int | Array, Side | Array, Array | None]:
         anchors = check_ids(anchors, self.num_entities, "anchor")
-        if not 0 <= relation < self.num_relations:
-            raise IndexError(
-                f"relation id must lie in [0, {self.num_relations}), got {relation}"
-            )
-        if side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+        if isinstance(relation, (int, np.integer)) or np.ndim(relation) == 0:
+            if not 0 <= relation < self.num_relations:
+                raise IndexError(
+                    f"relation id must lie in [0, {self.num_relations}), got {relation}"
+                )
+            relation = int(relation)
+        else:
+            relation = check_ids(relation, self.num_relations, "relation")
+            _check_per_row(relation, anchors, "relation")
+        if isinstance(side, str) or np.ndim(side) == 0:
+            if side not in SIDES:
+                raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+        else:
+            side = np.asarray(side, dtype=np.int64)
+            _check_per_row(side, anchors, "side")
+            if side.size and (side.min() < 0 or side.max() >= len(SIDES)):
+                raise ValueError(
+                    f"side codes must lie in [0, {len(SIDES)}), "
+                    f"got range [{side.min()}, {side.max()}]"
+                )
         if candidates is not None:
             candidates = check_ids(candidates, self.num_entities, "candidate")
-        return anchors, int(relation), side, candidates
+        return anchors, relation, side, candidates
 
     def score_candidates_batch(
         self,
         anchors: Array,
-        relation: int,
-        side: Side,
+        relation: int | Array,
+        side: Side | Array,
         candidates: Array | None = None,
         truths: Array | None = None,
     ) -> Array | tuple[Array, Array]:
-        """``(b, k)`` scores for many queries of one (relation, side).
+        """``(b, k)`` scores for many queries.
 
         Row ``i`` holds the scores of ``candidates`` (all entities when
         None) for the query anchored at ``anchors[i]``: one query-vector
         build and one product, which is what makes batched evaluation
-        fast.  With ``truths`` (one entity per anchor) the call returns
-        ``(scores, truth_scores)`` instead, ``truth_scores[i]`` being the
-        score of ``truths[i]`` for query ``i`` alone, from the same query
-        rows.  Out-of-range anchors, relations, candidates or truths raise
-        ``IndexError``, an unknown side or a truth count other than the
-        anchor count ``ValueError``.  Callers chunk ``anchors`` to bound
-        the ``b * k`` intermediate.
+        fast.  ``relation`` and ``side`` are one value shared by every
+        row, or ``(b,)`` arrays aligned with ``anchors`` (sides as codes
+        into ``SIDES``); row ``i`` then scores as its own relation and
+        side would alone.  With ``truths`` (one entity per anchor) the
+        call returns ``(scores, truth_scores)`` instead,
+        ``truth_scores[i]`` being the score of ``truths[i]`` for query
+        ``i`` alone, from the same query rows.  Out-of-range anchors,
+        relations, candidates or truths raise ``IndexError``; an unknown
+        side or side code, or a per-row array or truth count other than
+        the anchor count, ``ValueError``.  Callers chunk ``anchors`` to
+        bound the ``b * k`` intermediate.
         """
         query = self._validate_query(anchors, relation, side, candidates)
         if truths is None:
-            return self._score_batch(*query)
+            return self._score_queries(*query)
         truths = check_ids(truths, self.num_entities, "truth")
         if truths.shape != query[0].shape:
             raise ValueError(
@@ -459,23 +503,74 @@ class HashScorer(KGEModel):
 
     It overrides :meth:`KGEModel._score_batch`, whose score of each
     ``(anchor, candidate)`` pair does not depend on the other pairs of the
-    call.  So a chunk's truths ride along as extra candidates of its one
-    call, and truth ``i`` is read from row ``i``: bitwise what the
-    scorer's ``_score_batch`` gives for ``(anchors[i], truths[i])``.
-    That call scores a ``b x b`` anchor x truth block and keeps only its
-    diagonal, on purpose: routing the truths through ``_score_batch``
-    itself is what keeps them bitwise equal to it, for every subclass.
+    call.  So a batch with per-row relations or sides is one
+    ``_score_batch`` call per distinct ``(relation, side)``, rows stacked
+    back in batch order: bitwise each group's own call.  And a chunk's
+    truths ride along as extra candidates of its call, and truth ``i`` is
+    read from row ``i``: bitwise what the scorer's ``_score_batch`` gives
+    for ``(anchors[i], truths[i])``.  That call scores a ``b x b`` anchor
+    x truth block and keeps only its diagonal, on purpose: routing the
+    truths through ``_score_batch`` itself is what keeps them bitwise
+    equal to it, for every subclass.
     """
 
+    def _score_queries(
+        self, anchors: Array, relation: int | Array, side: Side | Array, candidates: Array | None
+    ) -> Array:
+        if isinstance(relation, int) and isinstance(side, str):
+            return self._score_batch(anchors, relation, side, candidates)
+        codes = SIDES.index(side) if isinstance(side, str) else side
+        keys = np.broadcast_to(relation, anchors.shape) * len(SIDES) + codes
+        return _stacked_by_key(
+            keys,
+            lambda rows, key: self._score_batch(
+                anchors[rows], key // len(SIDES), SIDES[key % len(SIDES)], candidates
+            ),
+        )
+
     def _score_with_truths(
-        self, anchors: Array, relation: int, side: Side, candidates: Array | None, truths: Array
+        self,
+        anchors: Array,
+        relation: int | Array,
+        side: Side | Array,
+        candidates: Array | None,
+        truths: Array,
     ) -> tuple[Array, Array]:
         if candidates is None:
             candidates = np.arange(self.num_entities, dtype=np.int64)
         k = candidates.size
-        block = self._score_batch(anchors, relation, side, np.concatenate([candidates, truths]))
+        block = self._score_queries(anchors, relation, side, np.concatenate([candidates, truths]))
         rows = np.arange(len(anchors))
         return block[:, :k], block[rows, k + rows]
+
+
+def _stacked_by_key(keys: Array, compute: Callable[[Array | slice, int], Array]) -> Array:
+    """``compute(rows, key)`` for each distinct key, its rows stacked back
+    in batch order.
+
+    ``rows`` selects the rows holding ``key``: every row (a full slice,
+    one call and no copy) when the keys are all one value, and the empty
+    selection under key 0 when there are no rows at all.
+    """
+    distinct = np.unique(keys).tolist()
+    if len(distinct) <= 1:
+        return compute(slice(None), distinct[0] if distinct else 0)
+    out = None
+    for key in distinct:
+        rows = np.flatnonzero(keys == key)
+        part = compute(rows, key)
+        if out is None:
+            out = np.empty((len(keys),) + part.shape[1:], part.dtype)
+        out[rows] = part
+    return out
+
+
+def _check_per_row(values: Array, anchors: Array, what: str) -> None:
+    """Raise ``ValueError`` unless ``values`` holds one entry per anchor."""
+    if values.shape != anchors.shape:
+        raise ValueError(
+            f"expected one {what} per anchor ({anchors.shape[0]}), got shape {values.shape}"
+        )
 
 
 def check_ids(values: Iterable[int], limit: int, what: str) -> Array:

@@ -114,7 +114,7 @@ def pool():
 class TestWorkerDeath:
     def test_killed_worker_raises_instead_of_hanging(self, tiny_graph, pool):
         state = build_state(KillerModel(tiny_graph.num_entities), tiny_graph, "test")
-        tasks = plan_chunks(state.plan.groups, state.plan.starts, 1)
+        tasks = plan_chunks(state.plan, 1)
         started = time.perf_counter()
         with pytest.raises(EngineWorkerError, match="died|exit"):
             pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
@@ -124,7 +124,7 @@ class TestWorkerDeath:
     def test_shm_unlinked_after_worker_death(self, tiny_graph):
         pool = PersistentWorkerPool(2)
         state = build_state(SlowModel(tiny_graph.num_entities), tiny_graph, "test")
-        tasks = plan_chunks(state.plan.groups, state.plan.starts, 128)
+        tasks = plan_chunks(state.plan, 128)
         pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)  # publish + one clean run
         specs = _published_specs(pool)
         killer_state = build_state(
@@ -139,7 +139,7 @@ class TestWorkerDeath:
 
         first = get_engine_pool(2)
         state = build_state(KillerModel(tiny_graph.num_entities), tiny_graph, "test")
-        tasks = plan_chunks(state.plan.groups, state.plan.starts, 1)
+        tasks = plan_chunks(state.plan, 1)
         with pytest.raises(EngineWorkerError):
             first.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
         replacement = get_engine_pool(2)
@@ -151,13 +151,15 @@ class TestWorkerDeath:
 class TestWorkerException:
     def test_error_carries_worker_traceback(self, tiny_graph):
         model = FailingModel(tiny_graph.num_entities)
-        engine = EvaluationEngine(workers=2, timeout=RUN_TIMEOUT)
+        # Both test queries fit one full-path chunk, which the engine
+        # scores serially; one query per chunk keeps the run on the pool.
+        engine = EvaluationEngine(workers=2, chunk_size=1, timeout=RUN_TIMEOUT)
         with pytest.raises(EngineWorkerError, match="injected scoring failure"):
             engine.run(model, tiny_graph, split="test")
 
     def test_shm_unlinked_after_exception(self, tiny_graph, pool):
         state = build_state(FailingModel(tiny_graph.num_entities), tiny_graph, "test")
-        tasks = plan_chunks(state.plan.groups, state.plan.starts, 128)
+        tasks = plan_chunks(state.plan, 128)
         with pytest.raises(EngineWorkerError):
             pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
         # The failed run marked the pool broken and closed its arena:
@@ -171,7 +173,7 @@ class TestTimeout:
         state = build_state(
             SlowModel(tiny_graph.num_entities, delay=1.0), tiny_graph, "test"
         )
-        tasks = plan_chunks(state.plan.groups, state.plan.starts, 1)
+        tasks = plan_chunks(state.plan, 1)
         started = time.perf_counter()
         with pytest.raises(EngineWorkerError, match="timed out"):
             pool.run_tasks(state, tasks, timeout=0.5)
@@ -184,7 +186,7 @@ class TestInterrupt:
         state = build_state(
             SlowModel(tiny_graph.num_entities, delay=1.0), tiny_graph, "test"
         )
-        tasks = plan_chunks(state.plan.groups, state.plan.starts, 1)
+        tasks = plan_chunks(state.plan, 1)
         pool.ensure_state(state)
         specs = _published_specs(pool)
         timer = threading.Timer(0.3, signal.raise_signal, args=(signal.SIGINT,))
@@ -205,7 +207,7 @@ class TestNormalShutdown:
             "distmult", tiny_graph.num_entities, tiny_graph.num_relations, dim=4
         )
         state = build_state(model, tiny_graph, "test")
-        tasks = plan_chunks(state.plan.groups, state.plan.starts, 128)
+        tasks = plan_chunks(state.plan, 128)
         pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
         specs = _published_specs(pool)
         pids = pool.worker_pids()

@@ -7,7 +7,9 @@ bitwise-identical ranks at one and two workers, and those ranks must
 equal the scalar ``filtered_rank`` over ``score_all`` (full) or the
 pool's ``score_candidates`` (sampled).
 
-Every model runs every edge case of the evaluation plan: a split with
+Every model runs every edge case of the evaluation plan: full-path
+chunks that span several relations and mix head and tail rows (checked
+by ``TestFullChunkCalls``), a split with
 duplicate triples next to a clean one (a repeated triple is one query
 per side, so both rank, aggregate and score alike), and on the sampled
 path random pools next to hand-built pools with an empty pool, a missing
@@ -32,7 +34,7 @@ from repro.core.sampling import NegativePools, build_pools
 from repro.datasets import SyntheticConfig, generate
 from repro.kg import KnowledgeGraph, TripleSet
 from repro.engine.chunking import plan_chunks
-from repro.engine.worker import build_state, score_chunk
+from repro.engine.worker import build_state, evaluation_plan, score_chunk
 from repro.kg.graph import HEAD, SIDES, keyed_by_relation
 from repro.models import MODEL_REGISTRY, OracleModel, RandomModel, build_model
 
@@ -233,7 +235,7 @@ class TestSampledChunkCalls:
         state = build_state(model, graph, "test", SIDES, pools)
         task = next(
             task
-            for task in plan_chunks(state.plan.groups, state.plan.starts, CHUNK_SIZE)
+            for task in plan_chunks(state.plan, CHUNK_SIZE)
             if task.num_queries > 1
             and pools.pool(task.relation, task.side).size not in (0, task.num_queries)
         )
@@ -257,3 +259,70 @@ class TestSampledChunkCalls:
         assert len(query_calls) == 1
         assert score_shapes == [(b, k), (b, 1)]
         assert ranks.shape == (b,) and scored == b * k + b
+
+
+def _mixed_side_tasks(plan) -> list:
+    """The full-path tasks at ``CHUNK_SIZE`` holding both head and tail rows."""
+    _, sides = plan.row_groups
+    return [
+        task
+        for task in plan_chunks(plan, CHUNK_SIZE)
+        if np.unique(sides[task.start : task.stop]).size == len(SIDES)
+    ]
+
+
+class TestFullChunkCalls:
+    """A full-path chunk is one score call over rows of several
+    ``(relation, side)`` groups: at most one ``query_vectors`` per side
+    and one full-height product against every entity."""
+
+    def test_oracle_chunks_mix_sides_and_relations(self, graphs):
+        # The oracle tests above rank through these chunks for every model,
+        # RESCAL, TuckER and ConvE (a per-relation product per query) included.
+        for graph in graphs.values():
+            plan = evaluation_plan(graph, "test")
+            relations, _ = plan.row_groups
+            assert len(_mixed_side_tasks(plan)) >= 2
+            assert any(
+                np.unique(relations[task.start : task.stop]).size > 1
+                for task in plan_chunks(plan, CHUNK_SIZE)
+            )
+
+    @pytest.mark.parametrize("name", ["complex", "rescal", "tucker", "conve"])
+    def test_one_score_call_and_one_full_height_product(self, graphs, monkeypatch, name):
+        graph = graphs["plain"]
+        model = build_model(name, graph.num_entities, graph.num_relations, dim=8, seed=1)
+        state = build_state(model, graph, "test")
+        task = _mixed_side_tasks(state.plan)[0]
+        b = task.num_queries
+        batch_calls: list = []
+        query_sides: list = []
+        score_shapes: list = []
+        batch, query_vectors, score_rows = (
+            model.score_candidates_batch, model.query_vectors, model.score_rows
+        )
+
+        def counted_batch(*args, **kwargs):
+            batch_calls.append(args)
+            return batch(*args, **kwargs)
+
+        def counted_query_vectors(anchors, relation, side):
+            # RESCAL, TuckER and ConvE call back once per relation with a
+            # scalar one; the chunk's own calls carry per-row relations.
+            if np.ndim(relation):
+                query_sides.append(side)
+            return query_vectors(anchors, relation, side)
+
+        def shaped_score_rows(*args):
+            scores = score_rows(*args)
+            score_shapes.append(scores.shape)
+            return scores
+
+        monkeypatch.setattr(model, "score_candidates_batch", counted_batch)
+        monkeypatch.setattr(model, "query_vectors", counted_query_vectors)
+        monkeypatch.setattr(model, "score_rows", shaped_score_rows)
+        ranks, scored = score_chunk(state, task)
+        assert len(batch_calls) == 1
+        assert sorted(query_sides) == sorted(SIDES)
+        assert score_shapes == [(b, graph.num_entities)]
+        assert ranks.shape == (b,) and scored == b * graph.num_entities

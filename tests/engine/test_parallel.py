@@ -74,7 +74,7 @@ class TestFullEvaluationParallel:
         serial = evaluate_full(model, tiny_graph, workers=1)
         # Two chunks, four workers: every requested worker is a live
         # process, so the surplus stays small.
-        flooded = evaluate_full(model, tiny_graph, workers=4)
+        flooded = evaluate_full(model, tiny_graph, workers=4, chunk_size=1)
         assert flooded.ranks == serial.ranks
 
     def test_fewer_chunks_than_workers_reuses_the_one_pool(self):
@@ -92,7 +92,7 @@ class TestFullEvaluationParallel:
         try:
             for sides in (("tail",), ("head", "tail")):  # 3 chunks, then 6
                 serial = EvaluationEngine().run(model, graph, sides=sides)
-                fanned = EvaluationEngine(workers=4).run(model, graph, sides=sides)
+                fanned = EvaluationEngine(workers=4, chunk_size=1).run(model, graph, sides=sides)
                 assert fanned.ranks == serial.ranks
                 pools = active_pools()
                 assert [pool.workers for pool in pools] == [4]
@@ -184,7 +184,8 @@ class TestStreamingMode:
         model = build_model("distmult", 3, 1, dim=4, seed=0)
         once = EvaluationEngine().run(model, graph([(0, 0, 1)]))
         for workers in (1, 2):
-            twice = EvaluationEngine(workers=workers).run(
+            # One query per chunk, so the two-worker run uses the pool.
+            twice = EvaluationEngine(workers=workers, chunk_size=1).run(
                 model, graph([(0, 0, 1), (0, 0, 1)])
             )
             assert twice.num_queries == len(twice.ranks) == 2

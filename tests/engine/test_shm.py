@@ -34,6 +34,11 @@ from repro.models import build_model
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
+#: Chunk size that cuts a fresh graph's 16-28 test queries into several
+#: full-path chunks, so a two-worker run goes through the pool.
+POOL_CHUNK = 4
+
+
 def _fresh_graph(seed: int) -> KnowledgeGraph:
     """A 50-entity graph whose test split size varies with ``seed``."""
     rng = np.random.default_rng(seed)
@@ -116,7 +121,7 @@ class TestPublishAttach:
         attached = None
         try:
             attached = attach_state(published.manifest)
-            tasks = plan_chunks(tiny_state.plan.groups, tiny_state.plan.starts, 128)
+            tasks = plan_chunks(tiny_state.plan, 128)
             for task in tasks:
                 direct, n1 = score_chunk(tiny_state, task)
                 via_shm, n2 = score_chunk(attached.state, task)
@@ -312,7 +317,9 @@ class TestRefreshThroughPool:
         published = None
         for _ in range(3):
             for model, expected in zip(checkpoints, serial):
-                ranks = evaluate_full(model, graph, workers=2, start_method=start_method).ranks
+                ranks = evaluate_full(
+                    model, graph, workers=2, start_method=start_method, chunk_size=POOL_CHUNK
+                ).ranks
                 assert ranks == expected
                 published = pool.states_published if published is None else published
                 assert pool.states_published == published
@@ -320,13 +327,15 @@ class TestRefreshThroughPool:
     def test_in_place_mutation_reaches_workers(self, start_method):
         graph = _fresh_graph(2)
         model = build_model("distmult", 50, 3, dim=4, seed=0)
-        evaluate_full(model, graph, workers=2, start_method=start_method)
+        evaluate_full(model, graph, workers=2, start_method=start_method, chunk_size=POOL_CHUNK)
         pool = get_engine_pool(2, start_method)
         published = pool.states_published
         for table in model.parameter_arrays().values():
             table *= -1.5
         serial = evaluate_full(model, graph, workers=1).ranks
-        assert evaluate_full(model, graph, workers=2, start_method=start_method).ranks == serial
+        assert evaluate_full(
+            model, graph, workers=2, start_method=start_method, chunk_size=POOL_CHUNK
+        ).ranks == serial
         assert pool.states_published == published
 
     def test_layout_change_republishes_and_stays_exact(self, start_method):
@@ -340,7 +349,9 @@ class TestRefreshThroughPool:
         ]
         for model in models:
             published = pool.states_published
-            ranks = evaluate_full(model, graph, workers=2, start_method=start_method).ranks
+            ranks = evaluate_full(
+                model, graph, workers=2, start_method=start_method, chunk_size=POOL_CHUNK
+            ).ranks
             assert ranks == evaluate_full(model, graph, workers=1).ranks
             assert pool.states_published == published + 1
 

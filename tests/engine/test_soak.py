@@ -28,7 +28,9 @@ def model(tiny_graph):
 
 class TestPoolSoak:
     def test_fifty_runs_one_pool_flat_gauges(self, tiny_graph, model):
-        engine = EvaluationEngine(workers=2)
+        # One query per chunk: the tiny graph's two test queries would
+        # otherwise fill one full-path chunk, which runs serially.
+        engine = EvaluationEngine(workers=2, chunk_size=1)
         registry = get_registry()
         baseline = engine.run(model, tiny_graph, split="test")
         pool = get_engine_pool(2)
@@ -58,7 +60,7 @@ class TestPoolSoak:
         )
 
     def test_retraining_refreshes_in_place(self, tiny_graph, model):
-        engine = EvaluationEngine(workers=2)
+        engine = EvaluationEngine(workers=2, chunk_size=1)
         engine.run(model, tiny_graph, split="test")
         pool = get_engine_pool(2)
         published = pool.states_published
@@ -72,12 +74,16 @@ class TestPoolSoak:
 
 
 class TestServeSoak:
-    def test_serve_path_reuses_service_pool(self, tiny_graph, model, tmp_path):
+    def test_serve_path_reuses_service_pool(self, codex_s, tmp_path):
         from repro.serve.registry import ModelRegistry
         from repro.serve.service import LinkPredictionService
         from repro.store import ExperimentStore
 
-        registry = ModelRegistry(ExperimentStore(tmp_path / "store"), tiny_graph)
+        # The service scores at the default chunk size, and a single chunk
+        # runs serially: this graph's 252 test queries make two chunks.
+        graph = codex_s.graph
+        model = build_model("distmult", graph.num_entities, graph.num_relations, dim=4, seed=0)
+        registry = ModelRegistry(ExperimentStore(tmp_path / "store"), graph)
         registry.register("dm", model)
         with LinkPredictionService(registry, engine_workers=2) as service:
             first = service.evaluate_model("dm", split="test")

@@ -50,7 +50,7 @@ def state(tiny_graph):
 
 
 def chunk_tasks(state, chunk_size: int = 1):
-    return plan_chunks(state.plan.groups, state.plan.starts, chunk_size)
+    return plan_chunks(state.plan, chunk_size)
 
 
 def _chunks_counter():

@@ -124,6 +124,46 @@ class TestH0Diagram:
         assert (diagram.points[:, 1] >= diagram.points[:, 0] - 1e-12).all()
 
 
+def _reference_h0(edges, weights, num_vertices):
+    """The per-edge loops: births by scanning every edge in weight order,
+    then union-find merges and the essential classes."""
+    order = np.argsort(weights, kind="stable")
+    edges, weights = edges[order], weights[order]
+    births = np.full(num_vertices, np.inf)
+    for (u, v), w in zip(edges, weights):
+        if w < births[u]:
+            births[u] = w
+        if w < births[v]:
+            births[v] = w
+    uf = UnionFind(num_vertices, births)
+    points = [
+        merged
+        for (u, v), w in zip(edges, weights)
+        if u != v and (merged := uf.union(int(u), int(v), float(w))) is not None
+    ]
+    roots = {uf.find(int(vertex)) for vertex in np.flatnonzero(np.isfinite(births))}
+    points += [(float(births[root]), float(weights[-1])) for root in sorted(roots)]
+    return np.asarray(points, dtype=np.float64).reshape(-1, 2)
+
+
+class TestH0Reference:
+    def test_matches_the_per_edge_loops_bitwise(self):
+        """Ties, signed zeros, infinities and NaN weights included."""
+        rng = np.random.default_rng(0)
+        for trial in range(400):
+            n, m = int(rng.integers(1, 30)), int(rng.integers(1, 60))
+            edges = rng.integers(0, n, size=(m, 2))
+            weights = [
+                rng.standard_normal(m),
+                rng.integers(0, 4, m).astype(float),
+                np.where(rng.random(m) < 0.2, np.nan, rng.standard_normal(m)),
+                rng.choice([0.0, -0.0, 1.0, np.inf, -np.inf], m),
+            ][trial % 4]
+            expected = _reference_h0(edges, weights, n + 2)
+            points = h0_diagram(edges, weights, num_vertices=n + 2).points
+            assert points.tobytes() == expected.tobytes(), trial
+
+
 class TestScoreGraphDiagram:
     def test_builds_from_triples(self):
         triples = np.array([[0, 0, 1], [1, 1, 2]])

@@ -10,6 +10,8 @@ These are the invariants the evaluation framework relies on being true of
 * ``score_candidates_batch`` equals row-wise ``score_candidates``;
 * its ``truths=`` form returns the same scores plus each truth's score
   against its own query row (bitwise, for the hash scorers);
+* per-row ``relation`` and ``side`` arrays score each row as its own
+  ``(relation, side)`` group would (bitwise, for the hash scorers);
 * the training forward's generalisations agree with the inference calls:
   an ``(b,)`` relation array in ``query_vectors`` and ``(b, k)`` per-row
   candidates in ``score_rows``;
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff.engine import sum_
-from repro.kg.graph import HEAD, TAIL
+from repro.kg.graph import HEAD, SIDES, TAIL
 from repro.kg import KnowledgeGraph, TripleSet, Vocabulary
 from repro.models import (
     MODEL_REGISTRY,
@@ -186,6 +188,67 @@ class TestTruthScores:
             scorer.score_candidates_batch([0, 1], 0, TAIL, [1, 2], truths=[3])
 
 
+class TestPerRowGroups:
+    """``score_candidates_batch`` with one relation and side per row: the
+    full ranking's chunks span several ``(relation, side)`` groups."""
+
+    ANCHORS = np.array([1, 8, 23, 8, 5, 30, 1, 12])
+    RELATIONS = np.array([4, 4, 0, 0, 0, 5, 5, 4])
+    SIDE_CODES = np.array([0, 0, 0, 1, 1, 1, 0, 1])
+
+    def _per_group(self, scorer, candidates, truths=None):
+        """Row by row, the scores of a call per (relation, side) group."""
+        k = NUM_ENTITIES if candidates is None else len(candidates)
+        expected = np.zeros((len(self.ANCHORS), k))
+        paired = np.zeros(len(self.ANCHORS))
+        keys = self.RELATIONS * len(SIDES) + self.SIDE_CODES
+        for key in np.unique(keys):
+            rows = np.flatnonzero(keys == key)
+            relation, side = int(key) // len(SIDES), SIDES[int(key) % len(SIDES)]
+            if truths is None:
+                expected[rows] = scorer.score_candidates_batch(
+                    self.ANCHORS[rows], relation, side, candidates
+                )
+            else:
+                expected[rows], paired[rows] = scorer.score_candidates_batch(
+                    self.ANCHORS[rows], relation, side, candidates, truths=truths[rows]
+                )
+        return expected, paired
+
+    @pytest.mark.parametrize("candidates", [np.array([2, 9, 15, 31, 9]), None])
+    def test_mixed_batch_matches_per_group_calls(self, scorer, candidates):
+        scores = scorer.score_candidates_batch(
+            self.ANCHORS, self.RELATIONS, self.SIDE_CODES, candidates
+        )
+        expected, _ = self._per_group(scorer, candidates)
+        if isinstance(scorer, (RandomModel, OracleModel)):
+            np.testing.assert_array_equal(scores, expected)
+        else:
+            np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+
+    def test_mixed_batch_paired_truths(self, scorer):
+        truths = np.array([0, 9, 39, 2, 2, 17, 3, 8])
+        candidates = np.array([2, 9, 15, 31])
+        scores, truth_scores = scorer.score_candidates_batch(
+            self.ANCHORS, self.RELATIONS, self.SIDE_CODES, candidates, truths=truths
+        )
+        expected, paired = self._per_group(scorer, candidates, truths)
+        if isinstance(scorer, (RandomModel, OracleModel)):
+            np.testing.assert_array_equal(scores, expected)
+            np.testing.assert_array_equal(truth_scores, paired)
+        else:
+            np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(truth_scores, paired, rtol=0, atol=1e-12)
+
+    def test_one_side_per_row_array_equals_the_scalar_side(self, scorer):
+        for code, side in enumerate(SIDES):
+            codes = np.full(len(self.ANCHORS), code)
+            np.testing.assert_array_equal(
+                scorer.score_candidates_batch(self.ANCHORS, 4, codes),
+                scorer.score_candidates_batch(self.ANCHORS, 4, side),
+            )
+
+
 class TestDeterminism:
     def test_same_seed_same_scores(self, model):
         twin = build_model(model.name, NUM_ENTITIES, NUM_RELATIONS, dim=8, seed=3)
@@ -299,6 +362,26 @@ class TestValidation:
             scorer.score_all(0, 0, "sideways")
         with pytest.raises(ValueError, match="side"):
             scorer.score_candidates_batch([0], 0, "sideways", [1])
+
+    @pytest.mark.parametrize("relation", [-1, NUM_RELATIONS])
+    def test_out_of_range_per_row_relation_rejected(self, scorer, relation):
+        with pytest.raises(IndexError, match="relation"):
+            scorer.score_candidates_batch([0, 1], np.array([0, relation]), TAIL)
+        with pytest.raises(IndexError, match="relation"):
+            scorer.score_candidates_batch([0, 1], np.array([relation, 0]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("code", [-1, len(SIDES)])
+    def test_bad_side_code_rejected(self, scorer, code):
+        with pytest.raises(ValueError, match="side codes"):
+            scorer.score_candidates_batch([0, 1], 0, np.array([0, code]))
+        with pytest.raises(ValueError, match="side codes"):
+            scorer.score_candidates_batch([0, 1], np.array([0, 1]), np.array([code, 1]), [1])
+
+    def test_per_row_arrays_need_one_entry_per_anchor(self, scorer):
+        with pytest.raises(ValueError, match="one relation per anchor"):
+            scorer.score_candidates_batch([0, 1, 2], np.array([0, 1]), TAIL)
+        with pytest.raises(ValueError, match="one side per anchor"):
+            scorer.score_candidates_batch([0, 1, 2], 0, np.array([0, 1]))
 
     def test_out_of_range_batch_candidates_rejected(self, scorer):
         with pytest.raises(IndexError, match="candidate"):
