@@ -24,7 +24,6 @@ not asserted.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -154,32 +153,20 @@ def test_parallel_engine_speedup(emit, emit_json):
     shutdown_engine_pools()  # leave no pool (or segment) behind for later benches
 
 
-#: Telemetry acceptance: a traced steady-state run may cost at most 5%
-#: over the untraced run (plus a small absolute slack for timer noise),
-#: and the workers' merged busy seconds must account for >= 80% of the
-#: run's wall time — proof the spans measure where the time really goes.
-TELEMETRY_OVERHEAD_FACTOR = 1.05
-TELEMETRY_OVERHEAD_SLACK = 0.02
+#: Telemetry acceptance: the workers' merged busy seconds must account
+#: for >= 80% of a steady-state run's wall time — proof the spans measure
+#: where the time really goes.
 MIN_BUSY_ACCOUNTING = 0.8
 
 
-def _median(values):
-    return sorted(values)[len(values) // 2]
+def test_worker_telemetry_accounting(emit, emit_json):
+    """Worker telemetry: complete accounting, exact ranks.
 
-
-def test_worker_telemetry_accounting_and_overhead(emit, emit_json):
-    """Worker telemetry: complete accounting, negligible cost, exact ranks.
-
-    Two gated claims on the pool workers' per-chunk telemetry:
-
-    1. **Accounting** — over one steady-state CPU-bound run, the
-       ``repro_engine_worker_busy_seconds_total`` deltas merged from the
-       workers cover >= 80% of the run's wall time (workers overlap, so
-       the ratio can legitimately exceed 1 on multi-core hosts).
-    2. **Overhead** — the median of 3 telemetry-on runs costs <= 5% over
-       the median of 3 interleaved telemetry-off runs (the
-       ``REPRO_ENGINE_TELEMETRY=0`` kill-switch path), and every run's
-       ranks are bitwise-identical either way.
+    Over one steady-state CPU-bound run, the
+    ``repro_engine_worker_busy_seconds_total`` amounts merged from the
+    workers cover >= 80% of the run's wall time (workers overlap, so the
+    ratio can legitimately exceed 1 on multi-core hosts), and the run's
+    ranks are bitwise the serial path's.
     """
     dataset = _large_synthetic()
     graph = dataset.graph
@@ -194,50 +181,21 @@ def test_worker_telemetry_accounting_and_overhead(emit, emit_json):
             scrape(registry), "repro_engine_worker_busy_seconds_total"
         )
 
-    def _timed(telemetry: str):
-        os.environ["REPRO_ENGINE_TELEMETRY"] = telemetry
-        try:
-            return _timed_full(model, graph, workers=WORKERS)
-        finally:
-            del os.environ["REPRO_ENGINE_TELEMETRY"]
-
     serial, _ = _timed_full(model, graph, workers=1)
-    warmup, _ = _timed("1")  # pool start + state publish paid here
+    warmup, _ = _timed_full(model, graph, workers=WORKERS)  # pool start + publish
     assert warmup.ranks == serial.ranks
 
-    # -- Accounting: merged busy seconds vs one steady-state run's wall. -
     busy_before = _busy_total()
-    accounted_run, accounting_wall = _timed("1")
+    accounted_run, accounting_wall = _timed_full(model, graph, workers=WORKERS)
     busy_delta = _busy_total() - busy_before
     accounting = busy_delta / max(accounting_wall, 1e-9)
     assert accounted_run.ranks == serial.ranks
-
-    # -- Overhead: interleaved on/off runs, median of 3 each. ------------
-    baseline_seconds: list[float] = []
-    traced_seconds: list[float] = []
-    for _ in range(3):
-        off_run, off_wall = _timed("0")
-        on_run, on_wall = _timed("1")
-        assert off_run.ranks == serial.ranks
-        assert on_run.ranks == serial.ranks
-        baseline_seconds.append(off_wall)
-        traced_seconds.append(on_wall)
-    baseline = _median(baseline_seconds)
-    traced = _median(traced_seconds)
-    overhead = traced / max(baseline, 1e-9)
 
     rows = [
         {
             "Claim": "busy-seconds accounting of one run's wall time",
             "Measured": f"{accounting:.2f}x",
-            "Floor/ceiling": f">= {MIN_BUSY_ACCOUNTING}x",
-            "Ranks equal": "yes",
-        },
-        {
-            "Claim": "telemetry-on vs telemetry-off wall time (median of 3)",
-            "Measured": f"{overhead:.3f}x",
-            "Floor/ceiling": f"<= {TELEMETRY_OVERHEAD_FACTOR}x + "
-            f"{TELEMETRY_OVERHEAD_SLACK}s",
+            "Floor": f">= {MIN_BUSY_ACCOUNTING}x",
             "Ranks equal": "yes",
         },
     ]
@@ -259,11 +217,7 @@ def test_worker_telemetry_accounting_and_overhead(emit, emit_json):
             "busy_accounting_ratio": accounting,
             "busy_seconds": busy_delta,
             "accounting_wall_seconds": accounting_wall,
-            "telemetry_on_seconds": traced,
-            "telemetry_off_seconds": baseline,
-            "telemetry_overhead_ratio": overhead,
             "min_busy_accounting": MIN_BUSY_ACCOUNTING,
-            "max_overhead_factor": TELEMETRY_OVERHEAD_FACTOR,
             "ranks_equal": True,
         },
         config={
@@ -271,15 +225,9 @@ def test_worker_telemetry_accounting_and_overhead(emit, emit_json):
             "chunk_size": CHUNK_SIZE,
             "model": "distmult",
             "dim": 32,
-            "runs_per_mode": 3,
-            "overhead_definition": (
-                "median telemetry-on seconds / median telemetry-off "
-                "seconds, interleaved steady-state shm runs"
-            ),
         },
     )
     assert accounting >= MIN_BUSY_ACCOUNTING
-    assert traced <= baseline * TELEMETRY_OVERHEAD_FACTOR + TELEMETRY_OVERHEAD_SLACK
     shutdown_engine_pools()
 
 

@@ -16,11 +16,10 @@ its own task queue.  A pool executes *runs*:
    serial path and writes the ranks **directly into the shared result
    buffer** — only a ``("done", index, scored, telemetry)`` tuple rides
    the result queue;
-3. the parent slices the buffer back into schedule order and merges the
-   workers' shipped telemetry deltas into per-worker-labelled
-   ``repro_engine_worker_*`` metric families and ``engine.worker.*``
-   trace spans (:func:`resolve_telemetry` / ``$REPRO_ENGINE_TELEMETRY``
-   turn the shipping off).
+3. the parent slices the buffer back into schedule order and folds the
+   amounts each worker measured — shipped on every ready and done reply
+   — into per-worker-labelled ``repro_engine_worker_*`` metric families
+   and ``engine.worker.*`` trace spans.
 
 Fault model: a worker that dies mid-run (OOM-kill, segfault, ``os._exit``)
 is detected by liveness polling on the result-queue wait and surfaces as
@@ -60,7 +59,7 @@ POLL_INTERVAL = 0.1
 STATE_ATTACH_TIMEOUT = 120.0
 
 #: Help text for the merged per-worker counter families (one labelled
-#: series per worker, merged parent-side from shipped deltas).
+#: series per worker, merged parent-side from the workers' replies).
 WORKER_COUNTER_HELP: dict[str, str] = {
     "repro_engine_worker_chunks_total": "Chunks scored, per pool worker",
     "repro_engine_worker_queries_total": "Queries ranked, per pool worker",
@@ -91,20 +90,6 @@ _STAGE_SPANS: dict[str, str] = {
     "repro_engine_worker_write_seconds_total": "engine.worker.write",
     "repro_engine_worker_attach_seconds_total": "engine.worker.attach",
 }
-
-
-def resolve_telemetry(telemetry: bool | None = None) -> bool:
-    """``telemetry`` argument > ``$REPRO_ENGINE_TELEMETRY`` > on.
-
-    Worker-side telemetry is on by default (its cost is a handful of
-    clock reads per chunk, asserted ≤5% end-to-end by
-    ``bench_parallel_engine``); set ``REPRO_ENGINE_TELEMETRY=0`` to get
-    the bare score-and-write worker loop.
-    """
-    if telemetry is not None:
-        return telemetry
-    raw = (os.environ.get("REPRO_ENGINE_TELEMETRY") or "").strip().lower()
-    return raw not in ("0", "false", "off", "no")
 
 
 class EngineWorkerError(RuntimeError):
@@ -219,15 +204,15 @@ class PersistentWorkerPool:
             if current is not None and current.refresh(state):
                 return current
             published = publish_state(state)
-            attach_seconds: dict[int, float] = {}
+            ready: dict[int, dict] = {}
             try:
                 for task_queue in self._task_queues:
                     task_queue.put(("state", published.manifest))
                 deadline = time.monotonic() + STATE_ATTACH_TIMEOUT
-                while len(attach_seconds) < self.workers:
+                while len(ready) < self.workers:
                     message = self._next_message(deadline, waiting_for="state attach")
                     if message[0] == "ready":
-                        attach_seconds[message[1]] = float(message[3])
+                        ready[message[1]] = message[3]
                     elif message[0] == "error":
                         raise EngineWorkerError(
                             f"worker failed to attach shared state:\n{message[2]}"
@@ -239,29 +224,22 @@ class PersistentWorkerPool:
                 current.close()
             self._published = published
             self.states_published += 1
-            registry = get_registry()
-            registry.counter(
+            get_registry().counter(
                 "repro_engine_state_publish_total",
                 "Shared-memory arenas created for evaluation states",
                 labels=("pool",),
             ).inc(pool=self.label)
-            # Attach time is measured worker-side and shipped on the "ready"
-            # ack — the only stage that happens outside a chunk reply.
-            for worker_id, seconds in attach_seconds.items():
-                registry.merge_counters(
-                    {
-                        "repro_engine_worker_attach_seconds_total": seconds,
-                        "repro_engine_worker_busy_seconds_total": seconds,
-                    },
-                    labels={"pool": self.label, "worker": str(worker_id)},
-                    help_texts=WORKER_COUNTER_HELP,
-                )
+            self._merge_worker_telemetry(ready.items())
+            attach_seconds = sum(
+                telemetry["counters"]["repro_engine_worker_attach_seconds_total"]
+                for telemetry in ready.values()
+            )
             log_event(
                 "engine.state.publish",
                 pool=self.label,
                 state_id=published.manifest.state_id,
                 shm_bytes=published.arena.nbytes,
-                attach_seconds=round(sum(attach_seconds.values()), 6),
+                attach_seconds=round(attach_seconds, 6),
             )
             return published
 
@@ -273,7 +251,6 @@ class PersistentWorkerPool:
         state: "EvaluationState",
         tasks: Sequence["ChunkTask"],
         timeout: float | None = None,
-        telemetry: bool | None = None,
     ) -> list[tuple[np.ndarray, int]]:
         """Score ``tasks`` against ``state``; results in schedule order.
 
@@ -282,9 +259,8 @@ class PersistentWorkerPool:
         interrupt of the caller — marks the pool broken and shuts it
         down before re-raising, so shared segments never leak.
 
-        With telemetry on (:func:`resolve_telemetry` — the default) each
-        task carries its enqueue timestamp plus the caller's trace id,
-        and each reply carries the worker's counter delta; the deltas
+        Each task carries its enqueue timestamp plus the caller's trace
+        id, and each reply carries the amounts its worker measured; they
         are merged into the process registry as per-worker-labelled
         ``repro_engine_worker_*`` families and folded into the active
         trace as ``engine.worker.*`` spans (plus the workers' own
@@ -293,24 +269,19 @@ class PersistentWorkerPool:
         with self._lock:
             if self.closed or self.broken:
                 raise EngineWorkerError("worker pool is no longer usable")
-            telemetry_on = resolve_telemetry(telemetry)
             tracer = get_tracer()
-            timeline = telemetry_on and tracer.enabled and tracer.timeline
+            timeline = tracer.enabled and tracer.timeline
             trace_id = current_trace_id() if timeline else None
-            deltas: list[tuple[int, dict]] = []
+            replies: list[tuple[int, dict]] = []
             try:
                 published = self.ensure_state(state)
                 manifest = published.manifest
                 for index, task in enumerate(tasks):
-                    meta = (
-                        {
-                            "enqueue_ts": time.time(),
-                            "timeline": timeline,
-                            "trace_id": trace_id,
-                        }
-                        if telemetry_on
-                        else None
-                    )
+                    meta = {
+                        "enqueue_ts": time.time(),
+                        "timeline": timeline,
+                        "trace_id": trace_id,
+                    }
                     self._task_queues[index % self.workers].put(
                         ("task", manifest.state_id, index, task, meta)
                     )
@@ -320,8 +291,7 @@ class PersistentWorkerPool:
                     message = self._next_message(deadline, waiting_for="chunk results")
                     if message[0] == "done":
                         scored[message[1]] = message[2]
-                        if message[3] is not None:
-                            deltas.append((message[1] % self.workers, message[3]))
+                        replies.append((message[1] % self.workers, message[3]))
                     elif message[0] == "error":
                         raise EngineWorkerError(
                             f"engine worker failed on chunk {message[1]}:\n{message[2]}"
@@ -346,37 +316,36 @@ class PersistentWorkerPool:
                 "Age of each persistent engine pool at its last run",
                 labels=("pool",),
             ).set(round(time.time() - self.started_at, 3), pool=self.label)
-            if deltas:
-                self._merge_worker_telemetry(deltas, registry, tracer)
+            self._merge_worker_telemetry(replies)
             return results
 
-    def _merge_worker_telemetry(self, deltas, registry, tracer) -> None:
-        """Fold shipped worker deltas into the parent registry and trace.
+    def _merge_worker_telemetry(self, replies) -> None:
+        """Fold the workers' ``(worker_id, telemetry)`` replies into the
+        parent registry and trace.
 
         Counters land as ``repro_engine_worker_*{pool=,worker=}`` series
         (so ``/metrics`` exposes them via the serve layer's
-        ``repro_engine_`` passthrough); stage seconds also fold into the
-        active span tree as ``engine.worker.*`` children, and any
-        timestamped worker events append verbatim — their worker-side
-        ``pid``/``tid``/``trace_id`` preserved — so a Chrome export
-        shows every process on one timeline.
+        ``repro_engine_`` passthrough); each reply's stage seconds also
+        fold into the active span tree as one ``engine.worker.*`` child
+        span, and any timestamped worker events append verbatim — their
+        worker-side ``pid``/``tid``/``trace_id`` preserved — so a Chrome
+        export shows every process on one timeline.
         """
-        for worker_id, delta in deltas:
-            counters = delta.get("counters", {})
-            if counters:
-                registry.merge_counters(
-                    counters,
-                    labels={"pool": self.label, "worker": str(worker_id)},
-                    help_texts=WORKER_COUNTER_HELP,
-                )
+        registry, tracer = get_registry(), get_tracer()
+        for worker_id, telemetry in replies:
+            counters = telemetry["counters"]
+            registry.merge_counters(
+                counters,
+                labels={"pool": self.label, "worker": str(worker_id)},
+                help_texts=WORKER_COUNTER_HELP,
+            )
             if not tracer.enabled:
                 continue
-            chunks = int(counters.get("repro_engine_worker_chunks_total", 1)) or 1
             for counter_name, span_name in _STAGE_SPANS.items():
                 seconds = counters.get(counter_name)
                 if seconds:
-                    tracer.record(span_name, seconds, count=chunks, event=False)
-            for event in delta.get("events", ()):
+                    tracer.record(span_name, seconds, event=False)
+            for event in telemetry.get("events", ()):
                 tracer.add_event(
                     event["name"],
                     event["ts"],

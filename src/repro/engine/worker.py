@@ -12,7 +12,10 @@ objects across a persistent worker pool (:mod:`repro.engine.pool`).  The
 model parameters and the plan's arrays are published into shared memory
 once per plan and model layout (:mod:`repro.engine.shm`); each long-lived
 worker (:func:`worker_main`) attaches them, so each task only carries four
-integers and each chunk's ranks go straight into a shared result buffer.
+integers and its enqueue time and trace id, each chunk's ranks go
+straight into a shared result buffer, and each reply carries only the
+amounts the worker measured for it (stage seconds, query and entity
+counts).
 
 :func:`score_chunk` is the single scoring kernel both evaluation paths
 share: one validated score call per chunk (on the sampled path it also
@@ -335,25 +338,24 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
     * ``("state", manifest)`` — attach a freshly published state
       (:func:`repro.engine.shm.attach_state`), replacing any previous
       one, and acknowledge with ``("ready", worker_id, state_id,
-      attach_seconds)``;
+      telemetry)``;
     * ``("task", state_id, index, task, meta)`` — score one chunk with
       :func:`score_chunk` against the attached state, write the ranks
       directly into the shared result buffer at the task's own table
-      rows,
-      and reply ``("done", index, entities_scored, telemetry)`` — the
-      ranks themselves never cross the queue;
+      rows, and reply ``("done", index, entities_scored, telemetry)`` —
+      the ranks themselves never cross the queue;
     * ``("stop",)`` — detach and exit.
 
-    Telemetry: the worker runs its **own** ``MetricsRegistry`` +
-    ``Tracer`` (never the parent's process-globals — under ``fork``
-    those can snapshot held locks).  When a task carries ``meta`` the
-    worker times its stages (queue wait from ``meta["enqueue_ts"]``,
-    scoring, the rank write), folds them into its private
-    ``repro_engine_worker_*`` counters, and ships the counter delta
-    since the previous reply — plus timestamped span events stamped
-    with ``meta["trace_id"]`` when ``meta["timeline"]`` asks for them —
-    back as the reply's ``telemetry`` dict.  ``meta=None`` is the
-    zero-overhead path: score, write, reply, nothing timed.
+    Telemetry: every reply ships the amounts the worker measured for it
+    as ``{"counters": {name: amount}}`` under the
+    ``repro_engine_worker_*`` names — the attach seconds on a ready
+    reply; on a done reply the chunk's queue wait (from
+    ``meta["enqueue_ts"]``), score and write seconds and its query and
+    entity counts.  When ``meta["timeline"]`` asks for them, a done reply
+    also carries the chunk's timestamped span events under ``"events"``,
+    stamped with ``meta["trace_id"]``.  The worker's tracer is its own,
+    never the parent's process-global one (under ``fork`` that could
+    snapshot held locks).
 
     Any failure is reported as ``("error", index, traceback)`` instead of
     raised, so the parent always gets a message rather than a dead queue.
@@ -367,16 +369,13 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
 
     from repro.engine.shm import attach_state
     from repro.obs.context import TraceContext, use_context
-    from repro.obs.metrics import MetricsRegistry, counter_deltas
     from repro.obs.trace import Tracer
 
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover — exotic platforms
         pass
-    registry = MetricsRegistry()
     tracer = Tracer(enabled=True, timeline=False)
-    shipped: dict[str, float] = {}
     attached = None
     while True:
         message = task_queue.get()
@@ -392,8 +391,12 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
                 attach_start = time.perf_counter()
                 attached = attach_state(message[1])
                 attach_seconds = time.perf_counter() - attach_start
+                counters = {
+                    "repro_engine_worker_attach_seconds_total": attach_seconds,
+                    "repro_engine_worker_busy_seconds_total": attach_seconds,
+                }
                 result_queue.put(
-                    ("ready", worker_id, attached.state_id, attach_seconds)
+                    ("ready", worker_id, attached.state_id, {"counters": counters})
                 )
             elif kind == "task":
                 _, state_id, index, task, meta = message
@@ -403,17 +406,10 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
                         f"{state_id} but has "
                         f"{attached.state_id if attached else 'no state'} attached"
                     )
-                if meta is None:
-                    ranks, scored = score_chunk(attached.state, task)
-                    attached.result[task.start : task.stop] = ranks
-                    result_queue.put(("done", index, scored, None))
-                    continue
                 received = time.time()
-                tracer.timeline = bool(meta.get("timeline"))
-                trace_id = meta.get("trace_id")
-                context = (
-                    TraceContext(trace_id=trace_id) if trace_id else None
-                )
+                tracer.timeline = bool(meta["timeline"])
+                trace_id = meta["trace_id"]
+                context = TraceContext(trace_id=trace_id) if trace_id else None
                 with use_context(context):
                     wait = max(0.0, received - float(meta["enqueue_ts"]))
                     tracer.record("engine.worker.queue_wait", wait)
@@ -436,11 +432,7 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
                         score_seconds + write_seconds
                     ),
                 }
-                for name, amount in counters.items():
-                    registry.counter(name).inc(amount)
-                snapshot = registry.counter_values()
-                telemetry = {"counters": counter_deltas(snapshot, shipped)}
-                shipped = snapshot
+                telemetry = {"counters": counters}
                 if tracer.timeline:
                     telemetry["events"] = tracer.events()
                     tracer.reset()

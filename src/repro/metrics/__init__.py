@@ -14,7 +14,6 @@ from repro.metrics.ranking import (
     aggregate_ranks,
     average_precision,
     rank_of,
-    ranks_from_score_matrix,
     roc_auc,
 )
 from repro.metrics.tradeoff import TradeoffPoint, candidate_recall, reduction_rate
@@ -33,7 +32,6 @@ __all__ = [
     "mean_confidence_interval",
     "pearson",
     "rank_of",
-    "ranks_from_score_matrix",
     "reduction_rate",
     "roc_auc",
 ]

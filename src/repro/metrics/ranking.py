@@ -39,39 +39,6 @@ def rank_of(true_score: float, candidate_scores: np.ndarray) -> float:
     return 1.0 + better + ties / 2.0
 
 
-def ranks_from_score_matrix(
-    scores: np.ndarray,
-    true_indices: np.ndarray,
-    filter_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Ranks of ``true_indices`` per row of a ``(q, n)`` score matrix.
-
-    ``filter_mask`` (same shape, boolean) marks candidates to exclude
-    (known true answers); the true answer's own column is never excluded.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> scores = np.asarray([[0.9, 0.4, 0.1], [0.2, 0.8, 0.5]])
-    >>> ranks_from_score_matrix(scores, np.asarray([0, 2])).tolist()
-    [1.0, 2.0]
-    >>> mask = np.asarray([[False] * 3, [False, True, False]])
-    >>> ranks_from_score_matrix(scores, np.asarray([0, 2]), mask).tolist()
-    [1.0, 1.0]
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    q = scores.shape[0]
-    rows = np.arange(q)
-    true_scores = scores[rows, true_indices]
-    if filter_mask is not None:
-        scores = np.where(filter_mask, -np.inf, scores)
-        # Ensure the true column survives filtering.
-        scores[rows, true_indices] = true_scores
-    better = (scores > true_scores[:, None]).sum(axis=1)
-    ties = (scores == true_scores[:, None]).sum(axis=1) - 1  # minus self
-    return 1.0 + better + ties / 2.0
-
-
 @dataclass(frozen=True)
 class RankingMetrics:
     """Aggregated ranking metrics over a set of queries.

@@ -173,7 +173,7 @@ class ConvE(KGEModel):
         images = np.concatenate([self.entity.data[anchors], relation_rows], axis=1)
         patches = images[:, self._patches]  # (b, P, k*k)
         conv = np.maximum(patches @ self.filters.data.T, 0.0)  # (b, P, F)
-        flat = conv.reshape(anchors.shape[0], -1)
+        flat = conv.reshape(anchors.shape[0], self.fc.data.shape[0])
         return np.maximum(flat @ self.fc.data, 0.0)  # (b, dim)
 
     def score_rows(self, queries: Array, candidates: Array | None = None) -> Array:

@@ -51,9 +51,10 @@ class RandomModel(HashScorer):
         self, anchors: Array, relation: int, side: Side, candidates: Array | None
     ) -> Array:
         side_bit = 0 if side == "head" else 1
-        rows = []
-        for anchor in anchors:
+        width = self.num_entities if candidates is None else candidates.shape[0]
+        out = np.empty((anchors.shape[0], width))
+        for row, anchor in enumerate(anchors):
             rng = np.random.default_rng(_mix(self.seed, int(anchor), relation, side_bit))
             scores = rng.standard_normal(self.num_entities)
-            rows.append(scores if candidates is None else scores[candidates])
-        return np.stack(rows)
+            out[row] = scores if candidates is None else scores[candidates]
+        return out

@@ -364,48 +364,20 @@ class MetricsRegistry:
         with self._lock:
             return sorted(self._metrics)
 
-    def counter_values(self) -> dict[str, float]:
-        """Every counter's total, summed across its label series.
-
-        This is the worker-side half of cross-process merging: a pool
-        worker snapshots its private registry with this, ships the
-        difference since its last snapshot (:func:`counter_deltas`)
-        back on the result queue, and the parent folds the delta into
-        its own registry with :meth:`merge_counters`.
-
-        Examples
-        --------
-        >>> registry = MetricsRegistry()
-        >>> registry.counter("chunks_total").inc(3)
-        >>> registry.counter_values()
-        {'chunks_total': 3.0}
-        """
-        with self._lock:
-            counters = [
-                metric
-                for metric in self._metrics.values()
-                if isinstance(metric, Counter)
-            ]
-        values: dict[str, float] = {}
-        for counter in counters:
-            with counter._lock:
-                values[counter.name] = float(sum(counter._series.values()))
-        return values
-
     def merge_counters(
         self,
-        deltas: dict[str, float],
+        amounts: dict[str, float],
         labels: dict[str, object] | None = None,
         help_texts: dict[str, str] | None = None,
     ) -> None:
-        """Fold counter deltas from another registry into this one.
+        """Fold amounts measured elsewhere into this registry's counters.
 
         Each ``name -> amount`` pair increments the same-named counter
         here, created on demand with ``labels``' names as its label set
-        — the parent process calls this with ``labels={"worker": "0"}``
-        so one worker's unlabelled counters surface as one labelled
-        series per worker.  Non-positive deltas are skipped (counters
-        only increase).
+        — the engine pool calls this with each worker reply's amounts
+        and ``labels={"pool": ..., "worker": "0"}``, so every worker
+        surfaces as one labelled series.  Non-positive amounts are
+        skipped (counters only increase).
 
         Examples
         --------
@@ -416,7 +388,7 @@ class MetricsRegistry:
         """
         labels = dict(labels or {})
         label_names = tuple(labels)
-        for name, amount in deltas.items():
+        for name, amount in amounts.items():
             if not amount > 0.0:
                 continue
             help_text = (help_texts or {}).get(name, "")
@@ -444,28 +416,6 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return f"MetricsRegistry({len(self)} metrics)"
-
-
-def counter_deltas(
-    current: dict[str, float], previous: dict[str, float]
-) -> dict[str, float]:
-    """The positive differences between two counter snapshots.
-
-    The worker-side half of delta shipping: snapshot
-    :meth:`MetricsRegistry.counter_values` before and after, diff, ship
-    only what moved.  Counters that did not change are omitted.
-
-    Examples
-    --------
-    >>> counter_deltas({"a": 5.0, "b": 2.0}, {"a": 3.0, "b": 2.0})
-    {'a': 2.0}
-    """
-    deltas: dict[str, float] = {}
-    for name, value in current.items():
-        moved = value - previous.get(name, 0.0)
-        if moved > 0.0:
-            deltas[name] = moved
-    return deltas
 
 
 def parse_prometheus(text: str) -> dict[tuple[str, tuple[tuple[str, str], ...]], float]:

@@ -1,12 +1,12 @@
-"""Worker-side telemetry: shipped deltas, merged families, exact ranks.
+"""Worker-side telemetry: shipped amounts, merged families, exact ranks.
 
-Each persistent-pool worker runs a private registry + tracer and ships
-counter deltas (and, with timelines on, timestamped span events) back on
-its chunk replies; the parent merges them into per-worker-labelled
+Each persistent-pool worker times every chunk and ships the amounts it
+measured (and, with timelines on, timestamped span events) back on its
+replies; the parent merges them into per-worker-labelled
 ``repro_engine_worker_*`` families and folds stage seconds into the
 active trace.  These tests pin the contract: both workers get series,
-telemetry never changes the ranks, ``REPRO_ENGINE_TELEMETRY=0`` turns
-the shipping off, and cross-process events share the caller's trace id.
+the merged counts add up exactly to the run, the pool's ranks are the
+serial kernel's, and cross-process events share the caller's trace id.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.engine import PersistentWorkerPool, build_state, plan_chunks
-from repro.engine.pool import WORKER_COUNTER_HELP, resolve_telemetry
+from repro.engine.pool import WORKER_COUNTER_HELP
+from repro.engine.worker import score_chunk
 from repro.models import build_model
 from repro.obs import get_registry, set_tracing
 from repro.obs.context import TraceContext, use_context
@@ -53,22 +54,33 @@ def chunk_tasks(state, chunk_size: int = 1):
     return plan_chunks(state.plan, chunk_size)
 
 
-def _chunks_counter():
-    return get_registry().counter(
-        "repro_engine_worker_chunks_total", labels=("pool", "worker")
-    )
+def _worker_total(pool, family: str) -> float:
+    """``family`` summed over both workers of ``pool``."""
+    counter = get_registry().counter(family, labels=("pool", "worker"))
+    return sum(counter.value(pool=pool.label, worker=worker) for worker in ("0", "1"))
+
+
+def _assert_serial_ranks(state, tasks, results):
+    """Each pool result is bitwise the serial kernel's on the same task."""
+    assert len(results) == len(tasks)
+    for task, (ranks, scored) in zip(tasks, results):
+        serial_ranks, serial_scored = score_chunk(state, task)
+        assert scored == serial_scored
+        np.testing.assert_array_equal(ranks, serial_ranks)
 
 
 class TestMergedFamilies:
     def test_every_worker_gets_a_labelled_series(self, pool, state):
         tasks = chunk_tasks(state)
         assert len(tasks) >= 2  # round-robin must reach both workers
-        counter = _chunks_counter()
+        counter = get_registry().counter(
+            "repro_engine_worker_chunks_total", labels=("pool", "worker")
+        )
         before = {
             worker: counter.value(pool=pool.label, worker=worker)
             for worker in ("0", "1")
         }
-        pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT, telemetry=True)
+        pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
         gained = {
             worker: counter.value(pool=pool.label, worker=worker) - before[worker]
             for worker in ("0", "1")
@@ -76,8 +88,26 @@ class TestMergedFamilies:
         assert gained["0"] > 0 and gained["1"] > 0
         assert gained["0"] + gained["1"] == len(tasks)
 
+    def test_counts_sum_exactly_to_the_run(self, pool, state):
+        tasks = chunk_tasks(state, chunk_size=3)
+        families = (
+            "repro_engine_worker_chunks_total",
+            "repro_engine_worker_queries_total",
+            "repro_engine_worker_entities_total",
+        )
+        before = {family: _worker_total(pool, family) for family in families}
+        results = pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
+        gained = {
+            family: _worker_total(pool, family) - before[family] for family in families
+        }
+        assert gained == {
+            "repro_engine_worker_chunks_total": len(tasks),
+            "repro_engine_worker_queries_total": sum(task.num_queries for task in tasks),
+            "repro_engine_worker_entities_total": sum(scored for _, scored in results),
+        }
+
     def test_stage_families_appear_on_the_exposition(self, pool, state):
-        pool.run_tasks(state, chunk_tasks(state), timeout=RUN_TIMEOUT, telemetry=True)
+        pool.run_tasks(state, chunk_tasks(state), timeout=RUN_TIMEOUT)
         text = get_registry().render()
         for family in (
             "repro_engine_worker_chunks_total",
@@ -90,78 +120,39 @@ class TestMergedFamilies:
             assert f'{family}{{pool="{pool.label}",worker="0"}}' in text
 
     def test_attach_seconds_ship_on_the_ready_ack(self, pool, state):
-        attach = get_registry().counter(
-            "repro_engine_worker_attach_seconds_total", labels=("pool", "worker")
-        )
-        before = sum(
-            attach.value(pool=pool.label, worker=worker) for worker in ("0", "1")
-        )
+        family = "repro_engine_worker_attach_seconds_total"
+        before = _worker_total(pool, family)
         pool.ensure_state(state)
-        after = sum(
-            attach.value(pool=pool.label, worker=worker) for worker in ("0", "1")
-        )
-        assert after > before
+        assert _worker_total(pool, family) > before
 
-    def test_off_ships_nothing(self, pool, state):
-        tasks = chunk_tasks(state)
-        counter = _chunks_counter()
-        before = counter.value(pool=pool.label, worker="0") + counter.value(
-            pool=pool.label, worker="1"
-        )
-        pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT, telemetry=False)
-        after = counter.value(pool=pool.label, worker="0") + counter.value(
-            pool=pool.label, worker="1"
-        )
-        assert after == before
+    def test_attach_folds_into_the_trace(self, pool, state):
+        tracer = set_tracing(True, timeline=False)
+        pool.ensure_state(state)
+        spans = {node["name"]: node for node in tracer.summary()["spans"]}
+        assert spans["engine.worker.attach"]["count"] == pool.workers
+        assert spans["engine.worker.attach"]["seconds"] > 0.0
 
 
 class TestExactness:
-    def test_ranks_bitwise_equal_telemetry_on_off(self, pool, state):
-        tasks = chunk_tasks(state)
-        with_telemetry = pool.run_tasks(
-            state, tasks, timeout=RUN_TIMEOUT, telemetry=True
-        )
-        without = pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT, telemetry=False)
-        for (ranks_on, scored_on), (ranks_off, scored_off) in zip(
-            with_telemetry, without
-        ):
-            assert scored_on == scored_off
-            np.testing.assert_array_equal(ranks_on, ranks_off)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ranks_bitwise_equal_serial_score_chunk(self, state, workers):
+        pool = PersistentWorkerPool(workers)
+        try:
+            for chunk_size in (1, 4):
+                tasks = chunk_tasks(state, chunk_size)
+                results = pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
+                _assert_serial_ranks(state, tasks, results)
+        finally:
+            pool.shutdown(force=True)
 
     def test_timeline_run_matches_untimed_run(self, pool, state):
         tasks = chunk_tasks(state)
-        baseline = pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT, telemetry=False)
+        untimed = pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
         set_tracing(True)  # timelines on: workers ship events too
-        traced = pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT, telemetry=True)
-        for (ranks_a, _), (ranks_b, _) in zip(baseline, traced):
-            np.testing.assert_array_equal(ranks_a, ranks_b)
-
-
-class TestResolveTelemetry:
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY", "0")
-        assert resolve_telemetry(True) is True
-        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY", "1")
-        assert resolve_telemetry(False) is False
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no", " OFF "])
-    def test_env_disables(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY", value)
-        assert resolve_telemetry() is False
-
-    def test_default_and_truthy_env_enable(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_TELEMETRY", raising=False)
-        assert resolve_telemetry() is True
-        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY", "1")
-        assert resolve_telemetry() is True
-
-    def test_env_kill_switch_reaches_the_pool(self, pool, state, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY", "0")
-        tasks = chunk_tasks(state)
-        counter = _chunks_counter()
-        before = counter.value(pool=pool.label, worker="0")
-        pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)  # telemetry=None: env rules
-        assert counter.value(pool=pool.label, worker="0") == before
+        timed = pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
+        set_tracing(False)
+        _assert_serial_ranks(state, tasks, untimed)
+        _assert_serial_ranks(state, tasks, timed)
 
 
 class TestTimeline:
@@ -169,7 +160,7 @@ class TestTimeline:
         tracer = set_tracing(True)
         tasks = chunk_tasks(state)
         with use_context(TraceContext(trace_id="tel-e2e")):
-            pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT, telemetry=True)
+            pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
         worker_events = [
             event
             for event in tracer.events()
@@ -190,7 +181,7 @@ class TestTimeline:
     def test_stage_spans_fold_without_duplicate_events(self, pool, state):
         tracer = set_tracing(True, timeline=False)
         tasks = chunk_tasks(state)
-        pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT, telemetry=True)
+        pool.run_tasks(state, tasks, timeout=RUN_TIMEOUT)
         assert tracer.events() == []  # aggregate fold only, no synthesized events
         spans = {node["name"]: node for node in tracer.summary()["spans"]}
         assert spans["engine.worker.score"]["count"] == len(tasks)
@@ -203,9 +194,7 @@ class TestLifecycleLogging:
         try:
             configure_logging(stream)
             pool = PersistentWorkerPool(2)
-            pool.run_tasks(
-                state, chunk_tasks(state), timeout=RUN_TIMEOUT, telemetry=True
-            )
+            pool.run_tasks(state, chunk_tasks(state), timeout=RUN_TIMEOUT)
             pool.shutdown()
         finally:
             configure_logging(None)

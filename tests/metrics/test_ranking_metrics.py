@@ -10,7 +10,6 @@ from repro.metrics import (
     aggregate_ranks,
     average_precision,
     rank_of,
-    ranks_from_score_matrix,
     roc_auc,
 )
 
@@ -30,28 +29,6 @@ class TestRankOf:
 
     def test_empty_candidates(self):
         assert rank_of(0.5, np.empty(0)) == 1.0
-
-
-class TestRanksFromMatrix:
-    def test_matches_rank_of(self, rng):
-        scores = rng.standard_normal((6, 10))
-        truths = rng.integers(10, size=6)
-        ranks = ranks_from_score_matrix(scores, truths)
-        for i in range(6):
-            others = np.delete(scores[i], truths[i])
-            assert ranks[i] == pytest.approx(rank_of(scores[i, truths[i]], others))
-
-    def test_filter_mask_excludes(self, rng):
-        scores = np.array([[0.9, 0.5, 0.8]])
-        mask = np.array([[True, False, False]])  # filter the best candidate
-        ranks = ranks_from_score_matrix(scores, np.array([1]), mask)
-        assert ranks[0] == 2.0
-
-    def test_truth_survives_own_filter(self):
-        scores = np.array([[0.9, 0.5]])
-        mask = np.array([[False, True]])  # truth marked known
-        ranks = ranks_from_score_matrix(scores, np.array([1]), mask)
-        assert ranks[0] == 2.0
 
 
 class TestAggregate:

@@ -10,6 +10,7 @@ These are the invariants the evaluation framework relies on being true of
 * ``score_candidates_batch`` equals row-wise ``score_candidates``;
 * its ``truths=`` form returns the same scores plus each truth's score
   against its own query row (bitwise, for the hash scorers);
+* an empty anchor batch scores as a ``(0, k)`` array, with truths or without;
 * per-row ``relation`` and ``side`` arrays score each row as its own
   ``(relation, side)`` group would (bitwise, for the hash scorers);
 * the training forward's generalisations agree with the inference calls:
@@ -160,23 +161,29 @@ class TestTruthScores:
     @pytest.mark.parametrize("candidates", [np.array([2, 9, 15, 31, 9]), None])
     @pytest.mark.parametrize("side", [HEAD, TAIL])
     def test_paired_truths_match_single_truth_calls(self, scorer, side, candidates):
-        anchors = np.array([1, 8, 23, 8])
-        truths = np.array([0, 9, 39, 2])
-        scores, truth_scores = scorer.score_candidates_batch(
-            anchors, 4, side, candidates, truths=truths
-        )
-        np.testing.assert_array_equal(
-            scores, scorer.score_candidates_batch(anchors, 4, side, candidates)
-        )
-        assert truth_scores.shape == (4,) and truth_scores.dtype == scores.dtype
-        single = [
-            scorer.score_candidates(int(a), 4, side, [int(t)])[0]
-            for a, t in zip(anchors, truths)
-        ]
-        if isinstance(scorer, (RandomModel, OracleModel)):
-            np.testing.assert_array_equal(truth_scores, single)
-        else:
-            np.testing.assert_allclose(truth_scores, single, rtol=0, atol=1e-12)
+        k = NUM_ENTITIES if candidates is None else len(candidates)
+        empty = np.empty(0, dtype=np.int64)
+        for anchors, truths in (
+            (np.array([1, 8, 23, 8]), np.array([0, 9, 39, 2])),
+            (empty, empty),
+        ):
+            scores, truth_scores = scorer.score_candidates_batch(
+                anchors, 4, side, candidates, truths=truths
+            )
+            assert scores.shape == (len(anchors), k)
+            np.testing.assert_array_equal(
+                scores, scorer.score_candidates_batch(anchors, 4, side, candidates)
+            )
+            assert truth_scores.shape == (len(anchors),)
+            assert truth_scores.dtype == scores.dtype
+            single = [
+                scorer.score_candidates(int(a), 4, side, [int(t)])[0]
+                for a, t in zip(anchors, truths)
+            ]
+            if isinstance(scorer, (RandomModel, OracleModel)):
+                np.testing.assert_array_equal(truth_scores, single)
+            else:
+                np.testing.assert_allclose(truth_scores, single, rtol=0, atol=1e-12)
 
     def test_out_of_range_truth_rejected(self, scorer):
         for truth in (NUM_ENTITIES, -1):

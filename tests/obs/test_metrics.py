@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    counter_deltas,
     parse_prometheus,
 )
 
@@ -178,27 +177,7 @@ class TestConcurrency:
 
 
 class TestWorkerMerge:
-    """The shm-pool shipping path: snapshot, diff, merge with labels."""
-
-    def test_counter_values_sums_across_label_series(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("chunks_total", labels=("side",))
-        counter.inc(2, side="a")
-        counter.inc(3, side="b")
-        registry.counter("plain_total").inc(4)
-        registry.gauge("depth").set(9)  # gauges are not counters
-        assert registry.counter_values() == {
-            "chunks_total": 5.0,
-            "plain_total": 4.0,
-        }
-
-    def test_counter_deltas_diffs_positive_only(self):
-        previous = {"a_total": 2.0, "b_total": 5.0}
-        current = {"a_total": 3.5, "b_total": 5.0, "c_total": 1.0}
-        assert counter_deltas(current, previous) == {
-            "a_total": 1.5,
-            "c_total": 1.0,
-        }
+    """The shm-pool merge path: worker-measured amounts, merged with labels."""
 
     def test_merge_counters_applies_labels(self):
         registry = MetricsRegistry()
