@@ -36,7 +36,7 @@ from repro.datasets import SyntheticConfig, generate
 from repro.engine import shutdown_engine_pools
 from repro.models import build_model
 from repro.obs import get_registry
-from repro.obs.top import scrape, sum_family
+from repro.obs.top import label_values, scrape, sum_family
 
 #: Acceptance floor at 4 workers: latency-bound fan-out vs 1 worker.
 MIN_SPEEDUP = 2.0
@@ -165,8 +165,11 @@ def test_worker_telemetry_accounting(emit, emit_json):
     Over one steady-state CPU-bound run, the
     ``repro_engine_worker_busy_seconds_total`` amounts merged from the
     workers cover >= 80% of the run's wall time (workers overlap, so the
-    ratio can legitimately exceed 1 on multi-core hosts), and the run's
-    ranks are bitwise the serial path's.
+    ratio can legitimately exceed 1 on multi-core hosts), no one worker's
+    amount exceeds that wall time, and the run's ranks are bitwise the
+    serial path's.  The run publishes no state, so every busy second it
+    adds was spent on one of its chunks: a worker busier than the run is
+    long means replies were merged more than once.
     """
     dataset = _large_synthetic()
     graph = dataset.graph
@@ -175,19 +178,25 @@ def test_worker_telemetry_accounting(emit, emit_json):
     )
     graph.filter_index  # noqa: B018 — warm once, outside every timed region
     registry = get_registry()
+    family = "repro_engine_worker_busy_seconds_total"
 
-    def _busy_total() -> float:
-        return sum_family(
-            scrape(registry), "repro_engine_worker_busy_seconds_total"
-        )
+    def _busy_by_worker() -> dict[str, float]:
+        samples = scrape(registry)
+        return {
+            worker: sum_family(samples, family, worker=worker)
+            for worker in label_values(samples, family, "worker")
+        }
 
     serial, _ = _timed_full(model, graph, workers=1)
     warmup, _ = _timed_full(model, graph, workers=WORKERS)  # pool start + publish
     assert warmup.ranks == serial.ranks
 
-    busy_before = _busy_total()
+    busy_before = _busy_by_worker()
     accounted_run, accounting_wall = _timed_full(model, graph, workers=WORKERS)
-    busy_delta = _busy_total() - busy_before
+    worker_deltas = [
+        busy - busy_before.get(worker, 0.0) for worker, busy in _busy_by_worker().items()
+    ]
+    busy_delta = sum(worker_deltas)
     accounting = busy_delta / max(accounting_wall, 1e-9)
     assert accounted_run.ranks == serial.ranks
 
@@ -228,6 +237,7 @@ def test_worker_telemetry_accounting(emit, emit_json):
         },
     )
     assert accounting >= MIN_BUSY_ACCOUNTING
+    assert max(worker_deltas) <= accounting_wall, (worker_deltas, accounting_wall)
     shutdown_engine_pools()
 
 

@@ -15,7 +15,7 @@ Both reduce to the same pipeline —
 The only difference between the two paths is the candidate axis, and it
 decides how chunks are cut.  The sampled path ranks against a pre-drawn
 pool per ``(relation, side)`` (known answers are moved onto the pool axis
-by :func:`pool_positions`), so its chunks never leave a group: the group's
+by :func:`pooled_answers`), so its chunks never leave a group: the group's
 queries share one pool and one matrix product.  The full protocol ranks
 against *every* entity, the same axis for every query, so its chunks are
 runs of consecutive table rows across groups and sides: one full-height
@@ -192,18 +192,15 @@ def collect_known_answers(
     rows, cols = index.sides[side].gather(wanted)
     has_truth = np.zeros(truths.size, dtype=bool)
     has_truth[rows[cols == truths[rows]]] = True
-    num_relations, num_entities = index.num_relations, index.num_entities
     if pools is not None:
-        rows, cols = pooled_answers(pools, wanted, rows, cols, num_relations, num_entities)
+        rows, cols = pooled_answers(pools, wanted, rows, cols, index.num_relations)
     if has_truth.all():
         return rows, cols
     missing = np.flatnonzero(~has_truth)
     missing_cols = truths[missing]
     if pools is not None:
-        inside, missing_cols = pool_columns(
-            pools, wanted[missing] % num_relations, missing_cols, num_entities
-        )
-        missing = missing[inside]
+        inside, positions = pools.locate(wanted[missing] % index.num_relations, missing_cols)
+        missing, missing_cols = missing[inside], positions[inside]
     rows = np.concatenate([rows, missing])
     cols = np.concatenate([cols, missing_cols])
     order = np.argsort(rows, kind="stable")
@@ -216,24 +213,21 @@ def pooled_answers(
     rows: np.ndarray,
     cols: np.ndarray,
     num_relations: int,
-    num_entities: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gathered ``(rows, entity)`` answers of the query keys ``wanted``
     moved onto their relation's pool axis, the unpooled ones dropped.
 
     Queries sharing a key read the same answers, so only the first query
-    of each key is searched in the pools (:func:`pool_columns`), and every
-    query of the key then reads that query's pooled positions.
+    of each key is searched in the pools (:meth:`KeyedCSR.locate`), and
+    every query of the key then reads that query's pooled positions.
     """
     counts = np.bincount(rows, minlength=wanted.size)
     _, first, inverse = np.unique(wanted, return_index=True, return_inverse=True)
     key_rows, slots = segment_slots((np.cumsum(counts) - counts)[first], counts[first])
-    inside, positions = pool_columns(
-        pools, wanted[first[key_rows]] % num_relations, cols[slots], num_entities
-    )
+    inside, positions = pools.locate(wanted[first[key_rows]] % num_relations, cols[slots])
     kept = np.bincount(key_rows[inside], minlength=first.size)
     rows, at = segment_slots((np.cumsum(kept) - kept)[inverse], kept[inverse])
-    return rows, positions[at]
+    return rows, positions[inside][at]
 
 
 def pool_positions(pool: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,25 +243,6 @@ def pool_positions(pool: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.nd
     positions = np.searchsorted(pool, ids)
     np.minimum(positions, pool.size - 1, out=positions)
     return pool[positions] == ids, positions
-
-
-def pool_columns(
-    pools: KeyedCSR, relations: np.ndarray, entities: np.ndarray, num_entities: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Which ``(relations[j], entities[j])`` pairs are pooled, and the
-    pooled ones' positions on their relation's pool axis.
-
-    The pool index packed as ``relation * |E| + entity`` is sorted, so one
-    search places every pair: the many-relation :func:`pool_positions`.
-    """
-    if pools.values.size == 0:
-        return np.zeros(entities.size, dtype=bool), np.empty(0, dtype=np.int64)
-    stored = np.repeat(pools.keys, np.diff(pools.offsets)) * num_entities + pools.values
-    probes = relations * num_entities + entities
-    at = np.minimum(np.searchsorted(stored, probes), stored.size - 1)
-    inside = stored[at] == probes
-    starts = pools.offsets[np.searchsorted(pools.keys, relations[inside])]
-    return inside, at[inside] - starts
 
 
 def chunk_filtered_ranks(

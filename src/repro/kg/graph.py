@@ -19,7 +19,18 @@ framework needs.  Each index is a :class:`KeyedCSR` from the one
   (:class:`~repro.core.candidates.CandidateSets`,
   :class:`~repro.core.sampling.NegativePools`) — one per side, keyed by
   ``relation`` (:func:`keyed_by_relation`): the thresholded set and the
-  sampled pool of each ``(relation, side)``.
+  sampled pool of each ``(relation, side)``;
+* *known triples* (:func:`repro.models.training.known_triple_index`) —
+  keyed by ``relation * num_entities + head``: the tails the trainer's
+  false-negative filters reject.
+
+Only :class:`KeyedCSR` knows how its pairs are laid out and searched.
+Every index answers the same lookups: :meth:`~KeyedCSR.segment` and
+:meth:`~KeyedCSR.gather` (the values under one key, or a batch of keys),
+:meth:`~KeyedCSR.spans` and :meth:`~KeyedCSR.lengths` (where those
+segments sit, and their sizes), and :meth:`~KeyedCSR.locate` and
+:meth:`~KeyedCSR.contains` (whether each ``(key, value)`` pair is stored,
+and its position within its key's segment).
 
 Heads and tails are handled uniformly through the ``side`` argument:
 ``"head"`` means we predict the head of ``(?, r, t)`` and ``"tail"`` means we
@@ -29,6 +40,7 @@ predict the tail of ``(h, r, ?)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
@@ -294,40 +306,59 @@ class KeyedCSR:
     offsets: np.ndarray
     values: np.ndarray
 
+    def spans(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, lengths)``: where the segment of each key of ``wanted``
+        starts in ``values`` and its int64 size (0 for a missing key)."""
+        starts = self.offsets[np.searchsorted(self.keys, wanted)]
+        return starts, self.offsets[np.searchsorted(self.keys, wanted, side="right")] - starts
+
     def segment(self, key: int) -> np.ndarray:
         """The values stored under ``key`` (empty when it has none)."""
-        start = self.offsets[np.searchsorted(self.keys, key)]
-        stop = self.offsets[np.searchsorted(self.keys, key, side="right")]
-        return self.values[start:stop]
+        start, length = self.spans(key)
+        return self.values[start : start + length]
 
     def lengths(self, wanted: np.ndarray) -> np.ndarray:
         """The batched ``segment(key).size``: int64 segment sizes of ``wanted``."""
-        starts = self.offsets[np.searchsorted(self.keys, wanted)]
-        return self.offsets[np.searchsorted(self.keys, wanted, side="right")] - starts
+        return self.spans(wanted)[1]
 
     def gather(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The batched :meth:`segment`: ``(rows, values)``, flattened, where
         ``values[j]`` is stored under ``wanted[rows[j]]``."""
-        starts = self.offsets[np.searchsorted(self.keys, wanted)]
-        lengths = self.offsets[np.searchsorted(self.keys, wanted, side="right")] - starts
-        rows, slots = segment_slots(starts, lengths)
+        rows, slots = segment_slots(*self.spans(wanted))
         return rows, self.values[slots]
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, int]:
+        """``(packed, bound)``: every stored pair as ``key ordinal * bound +
+        value`` (int64, sorted in ``(key, value)`` order), ``bound`` one past
+        the largest value.  :meth:`locate` rejects probe values outside
+        ``[0, bound)``, which would alias a neighbouring key's pair.  Built
+        on the first :meth:`locate`, whatever the key range."""
+        bound = int(self.values.max()) + 1
+        ordinals = np.repeat(np.arange(self.keys.size), np.diff(self.offsets))
+        return ordinals * bound + self.values, bound
+
+    def locate(self, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where the pairs ``(keys[i], values[i])`` are stored, as
+        ``(inside, positions)`` of the shape of ``keys``: ``inside[i]`` says
+        whether ``values[i]`` is stored under ``keys[i]`` and, where it is,
+        ``positions[i]`` (int64) is its index within that key's segment.
+        One search of the packed pairs places every probe."""
+        if self.values.size == 0:
+            return np.zeros(np.shape(keys), dtype=bool), np.zeros(np.shape(keys), dtype=np.int64)
+        packed, bound = self._pairs
+        values = np.asarray(values)
+        slot = np.searchsorted(self.keys, keys)
+        probes = slot * bound + values
+        at = np.minimum(np.searchsorted(packed, probes), packed.size - 1)
+        slot = np.minimum(slot, self.keys.size - 1)
+        inside = (self.keys[slot] == keys) & (values >= 0) & (values < bound)
+        inside &= packed[at] == probes
+        return inside, at - self.offsets[slot]
 
     def contains(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Per pair ``i``, whether ``values[i]`` is stored under ``keys[i]``."""
-        if self.values.size == 0:
-            return np.zeros(np.shape(keys), dtype=bool)
-        values = np.asarray(values)
-        # Stored pairs ranked as key ordinal * bound + value (int64) are
-        # sorted; a value outside [0, bound) would alias a neighbour's.
-        bound = int(self.values.max()) + 1
-        ordinals = np.repeat(np.arange(self.keys.size), np.diff(self.offsets))
-        stored = ordinals * bound + self.values
-        slot = np.searchsorted(self.keys, keys)
-        probes = slot * bound + values
-        at = np.minimum(np.searchsorted(stored, probes), stored.size - 1)
-        known = self.keys[np.minimum(slot, self.keys.size - 1)] == keys
-        return known & (values >= 0) & (values < bound) & (stored[at] == probes)
+        return self.locate(keys, values)[0]
 
     def arrays(self, prefix: str) -> dict[str, np.ndarray]:
         """The three buffers, named ``{prefix}_keys`` etc., for export."""

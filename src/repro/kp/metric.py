@@ -74,8 +74,7 @@ def _corrupt(
         for side in SIDES:
             rows = np.flatnonzero(corrupt_head == (side == HEAD))
             csr = pools.pools[side]
-            sizes = csr.lengths(triples[rows, 1])
-            starts = csr.offsets[np.searchsorted(csr.keys, triples[rows, 1])]
+            starts, sizes = csr.spans(triples[rows, 1])
             kept = sizes > 0
             bounds[rows[kept]] = sizes[kept]
             pooled.append((rows[kept], starts[kept], csr.values))

@@ -150,7 +150,7 @@ class ConvE(KGEModel):
         image = concat([h, r], axis=-1)  # (b, 2*dim) == flattened stacked image
         patches = gather_cols(image, self._patches)  # (b, P, k*k)
         conv = relu(einsum("bpk,fk->bpf", patches, self.filters))
-        flat = reshape(conv, (conv.shape[0], -1))
+        flat = reshape(conv, (conv.shape[0], self.fc.data.shape[0]))
         return relu(einsum("bm,md->bd", flat, self.fc))
 
     # ------------------------------------------------------------------

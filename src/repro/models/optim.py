@@ -4,10 +4,11 @@ Adam (the paper's training optimizer, Appendix D), Adagrad and plain SGD.
 State is kept per parameter tensor in the order the model registered them,
 so an optimizer is bound to exactly one model's parameter list.
 
-Every optimizer exposes two update surfaces:
+Every optimizer has one update rule, applied to a set of rows of each
+parameter (:meth:`Optimizer._update`), and two ways to drive it:
 
-* :meth:`Optimizer.step` — the classic dense step over ``param.grad``,
-  used by the autodiff training path;
+* :meth:`Optimizer.step` — the dense step over ``param.grad``, used by
+  the autodiff training path: every row at once;
 * :meth:`Optimizer.step_rows` — sparse row-indexed updates for fused
   training (:mod:`repro.models.fused`): gradients arrive as
   ``(param, rows, row_grads)`` triples touching only the embedding rows of
@@ -15,8 +16,8 @@ Every optimizer exposes two update surfaces:
   (:func:`coalesce_rows`), then state and parameters are updated for the
   touched rows only.  For stateful optimizers this is the standard *lazy*
   semantics (as in torch's SparseAdam): momentum/second-moment decay is
-  applied to a row only when it is touched, so a sparse trajectory matches
-  the dense one exactly whenever every row is touched every step, and
+  applied to a row only when it is touched, so a sparse trajectory equals
+  the dense one bitwise whenever every row is touched every step, and
   diverges only through stale decay on untouched rows.
 
 Optimizer state always lives in the parameters' dtype, so float32 models
@@ -86,6 +87,8 @@ class Optimizer:
         self.params = stack_parameters(params)
         self.lr = lr
         self.weight_decay = weight_decay
+        #: Calls of :meth:`step` and :meth:`step_rows` so far.
+        self._steps = 0
         self._index = {id(param): i for i, param in enumerate(self.params)}
 
     def zero_grad(self) -> None:
@@ -100,15 +103,35 @@ class Optimizer:
                 "step_rows received a tensor this optimizer is not bound to"
             ) from None
 
-    def _decayed(self, param: Tensor, rows: Array, grads: Array) -> Array:
+    def _decayed(self, param: Tensor, rows: Array | slice, grads: Array) -> Array:
         if self.weight_decay > 0.0:
             return grads + self.weight_decay * param.data[rows]
         return grads
 
     def step(self) -> None:
-        raise NotImplementedError
+        """Update every parameter with a gradient from its dense ``grad``.
+
+        A dense gradient has no duplicate rows, so it goes to the update
+        rule as is, with every row selected."""
+        self._steps += 1
+        every = slice(None)  # a basic slice: the rule reads and writes views
+        for slot, param in enumerate(self.params):
+            if param.grad is not None:
+                self._update(slot, param, every, self._decayed(param, every, param.grad))
 
     def step_rows(self, updates: list[RowUpdate]) -> None:
+        """Update the rows named by each ``(param, rows, row_grads)``,
+        duplicate rows summed first (:func:`coalesce_rows`)."""
+        self._steps += 1
+        for param, rows, grads in updates:
+            slot = self._slot(param)
+            rows, grads = coalesce_rows(rows, grads)
+            if rows.size:
+                self._update(slot, param, rows, self._decayed(param, rows, grads))
+
+    def _update(self, slot: int, param: Tensor, rows: Array | slice, grads: Array) -> None:
+        """The update rule: apply ``grads`` (decay included) to ``rows`` of
+        ``param``, whose state sits at index ``slot``."""
         raise NotImplementedError
 
 
@@ -128,36 +151,15 @@ class SGD(Optimizer):
         self.momentum = momentum
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum > 0.0:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            param.data -= self.lr * update
-
-    def step_rows(self, updates: list[RowUpdate]) -> None:
-        for param, rows, grads in updates:
-            slot = self._slot(param)
-            rows, grads = coalesce_rows(rows, grads)
-            if rows.size == 0:
-                continue
-            grads = self._decayed(param, rows, grads)
-            if self.momentum > 0.0:
-                velocity = self._velocity[slot]
-                rolled = self.momentum * velocity[rows] + grads
-                velocity[rows] = rolled
-                update = rolled
-            else:
-                update = grads
-            param.data[rows] -= self.lr * update
+    def _update(self, slot: int, param: Tensor, rows: Array | slice, grads: Array) -> None:
+        if self.momentum > 0.0:
+            velocity = self._velocity[slot]
+            rolled = self.momentum * velocity[rows] + grads
+            velocity[rows] = rolled
+            update = rolled
+        else:
+            update = grads
+        param.data[rows] -= self.lr * update
 
 
 class Adam(Optimizer):
@@ -178,46 +180,18 @@ class Adam(Optimizer):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self) -> None:
-        self._step_count += 1
-        bias1 = 1.0 - self.beta1**self._step_count
-        bias2 = 1.0 - self.beta2**self._step_count
-        for param, m, v in zip(self.params, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def step_rows(self, updates: list[RowUpdate]) -> None:
-        self._step_count += 1
-        bias1 = 1.0 - self.beta1**self._step_count
-        bias2 = 1.0 - self.beta2**self._step_count
-        for param, rows, grads in updates:
-            slot = self._slot(param)
-            rows, grads = coalesce_rows(rows, grads)
-            if rows.size == 0:
-                continue
-            grads = self._decayed(param, rows, grads)
-            m, v = self._m[slot], self._v[slot]
-            m_rows = self.beta1 * m[rows] + (1.0 - self.beta1) * grads
-            v_rows = self.beta2 * v[rows] + (1.0 - self.beta2) * grads * grads
-            m[rows] = m_rows
-            v[rows] = v_rows
-            param.data[rows] -= (
-                self.lr * (m_rows / bias1) / (np.sqrt(v_rows / bias2) + self.eps)
-            )
+    def _update(self, slot: int, param: Tensor, rows: Array | slice, grads: Array) -> None:
+        bias1 = 1.0 - self.beta1**self._steps
+        bias2 = 1.0 - self.beta2**self._steps
+        m, v = self._m[slot], self._v[slot]
+        m_rows = self.beta1 * m[rows] + (1.0 - self.beta1) * grads
+        v_rows = self.beta2 * v[rows] + (1.0 - self.beta2) * grads * grads
+        m[rows] = m_rows
+        v[rows] = v_rows
+        param.data[rows] -= self.lr * (m_rows / bias1) / (np.sqrt(v_rows / bias2) + self.eps)
 
 
 class Adagrad(Optimizer):
@@ -239,27 +213,11 @@ class Adagrad(Optimizer):
         self.eps = eps
         self._sum_sq = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self) -> None:
-        for param, sum_sq in zip(self.params, self._sum_sq):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * param.data
-            sum_sq += grad * grad
-            param.data -= self.lr * grad / (np.sqrt(sum_sq) + self.eps)
-
-    def step_rows(self, updates: list[RowUpdate]) -> None:
-        for param, rows, grads in updates:
-            slot = self._slot(param)
-            rows, grads = coalesce_rows(rows, grads)
-            if rows.size == 0:
-                continue
-            grads = self._decayed(param, rows, grads)
-            sum_sq = self._sum_sq[slot]
-            rolled = sum_sq[rows] + grads * grads
-            sum_sq[rows] = rolled
-            param.data[rows] -= self.lr * grads / (np.sqrt(rolled) + self.eps)
+    def _update(self, slot: int, param: Tensor, rows: Array | slice, grads: Array) -> None:
+        sum_sq = self._sum_sq[slot]
+        rolled = sum_sq[rows] + grads * grads
+        sum_sq[rows] = rolled
+        param.data[rows] -= self.lr * grads / (np.sqrt(rolled) + self.eps)
 
 
 def build_optimizer(name: str, params: list[Tensor], lr: float, **kwargs) -> Optimizer:

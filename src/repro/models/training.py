@@ -25,7 +25,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from repro.autodiff.engine import reshape
-from repro.kg.graph import KnowledgeGraph
+from repro.kg.graph import KeyedCSR, KnowledgeGraph, build_keyed_csr, id_dtype
 from repro.obs import get_tracer
 from repro.models.base import KGEModel
 from repro.models.fused import LossGrad, fused_step, get_fused_loss, trains_fused
@@ -52,38 +52,27 @@ class NegativeSampler(Protocol):
         ...
 
 
-class KnownTriples:
-    """A triple set as sorted packed int64 keys: one vectorized membership
-    pass per batch, for both false-negative filters (the trainer's default
-    one-redraw filter and :meth:`UniformNegativeSampler.resample_collisions`).
+def triple_keys(heads: np.ndarray, relations: np.ndarray, num_entities: int) -> np.ndarray:
+    """The int64 key ``relation * |E| + head`` under which a known-triple
+    index (:func:`known_triple_index`) stores each triple's tail.
 
-    ``triples`` is an ``(n, 3)`` integer array; keys are collision-free for
-    entity ids below ``num_entities`` and relations up to the largest known.
+    Collision-free for heads below ``num_entities``; a relation no known
+    triple has is a missing key, so it needs no mask.
     """
+    return np.asarray(relations, dtype=np.int64) * num_entities + heads
 
-    def __init__(self, triples: np.ndarray, num_entities: int):
-        triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        self.num_entities = num_entities
-        self.relation_factor = int(triples[:, 1].max()) + 1 if len(triples) else 1
-        self.keys = np.unique(self._pack(triples[:, 0], triples[:, 1], triples[:, 2]))
 
-    def _pack(self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        return (
-            np.asarray(heads, dtype=np.int64) * self.relation_factor
-            + np.asarray(relations, dtype=np.int64)
-        ) * self.num_entities + np.asarray(tails, dtype=np.int64)
-
-    def contains(
-        self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray
-    ) -> np.ndarray:
-        """Elementwise: whether ``(heads, relations, tails)`` is a known triple."""
-        if not self.keys.size:
-            return np.zeros(np.shape(heads), dtype=bool)
-        keys = self._pack(heads, relations, tails)
-        at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
-        # Relations beyond the known range cannot collide by construction;
-        # mask them out of the packed-key lookup.
-        return (np.asarray(relations) < self.relation_factor) & (self.keys[at] == keys)
+def known_triple_index(triples: np.ndarray, num_entities: int) -> KeyedCSR:
+    """An ``(n, 3)`` triple set as one :class:`~repro.kg.graph.KeyedCSR`:
+    one vectorised ``contains(triple_keys(h, r), t)`` per batch, for both
+    false-negative filters (the trainer's default one-redraw filter and
+    :meth:`UniformNegativeSampler.resample_collisions`)."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    return build_keyed_csr(
+        triple_keys(triples[:, 0], triples[:, 1], num_entities),
+        triples[:, 2],
+        id_dtype(num_entities),
+    )
 
 
 class UniformNegativeSampler:
@@ -113,14 +102,14 @@ class UniformNegativeSampler:
         self.num_entities = num_entities
         self.filter_positives = filter_positives
         self.max_rounds = max_rounds
-        self._known: KnownTriples | None = None
+        self._known: KeyedCSR | None = None
         if known_triples is not None:
             triples = (
                 known_triples.all_triples.array
                 if isinstance(known_triples, KnowledgeGraph)
                 else np.asarray(list(known_triples), dtype=np.int64)
             )
-            self._known = KnownTriples(triples, num_entities)
+            self._known = known_triple_index(triples, num_entities)
 
     def corrupt(
         self,
@@ -152,7 +141,8 @@ class UniformNegativeSampler:
             raise ValueError("sampler was built without known_triples")
         head_slots = np.broadcast_to(corrupt_head[:, None], neg_heads.shape)
         for _ in range(self.max_rounds):
-            colliding = self._known.contains(neg_heads, neg_relations, neg_tails)
+            keys = triple_keys(neg_heads, neg_relations, self.num_entities)
+            colliding = self._known.contains(keys, neg_tails)
             if not colliding.any():
                 return 0
             redraw_heads = colliding & head_slots
@@ -165,7 +155,8 @@ class UniformNegativeSampler:
                 neg_tails[redraw_tails] = rng.integers(
                     self.num_entities, size=int(redraw_tails.sum())
                 )
-        return int(self._known.contains(neg_heads, neg_relations, neg_tails).sum())
+        keys = triple_keys(neg_heads, neg_relations, self.num_entities)
+        return int(self._known.contains(keys, neg_tails).sum())
 
 
 class RecommenderNegativeSampler:
@@ -361,7 +352,7 @@ class Trainer:
         if inverse_offset is not None:
             triples = self._augment_inverse(triples, inverse_offset)
         known_triples = (
-            KnownTriples(triples, graph.num_entities)
+            known_triple_index(triples, graph.num_entities)
             if config.filter_false_negatives
             and not getattr(sampler, "filter_positives", False)
             else None
@@ -409,7 +400,7 @@ class Trainer:
         neg_relations: np.ndarray,
         neg_tails: np.ndarray,
         corrupt_head: np.ndarray,
-        known_triples: KnownTriples,
+        known_triples: KeyedCSR,
         rng: np.random.Generator,
         num_entities: int,
     ) -> None:
@@ -419,7 +410,8 @@ class Trainer:
         is replaced with one scalar uniform redraw (in place); a second
         collision is left alone — vanishingly rare and harmless.
         """
-        colliding = known_triples.contains(neg_heads, neg_relations, neg_tails)
+        keys = triple_keys(neg_heads, neg_relations, num_entities)
+        colliding = known_triples.contains(keys, neg_tails)
         for i, j in zip(*np.nonzero(colliding)):
             replacement = int(rng.integers(num_entities))
             if corrupt_head[i]:
@@ -435,7 +427,7 @@ class Trainer:
         loss_fn,
         optimizer,
         rng: np.random.Generator,
-        known_triples: KnownTriples | None = None,
+        known_triples: KeyedCSR | None = None,
         fused: LossGrad | None = None,
     ) -> float:
         config = self.config

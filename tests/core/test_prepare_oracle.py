@@ -546,12 +546,22 @@ class TestKeyedCSR:
                 v in oracle.get(k, ()) for k, v in zip(probe_keys.tolist(), probe_values.tolist())
             ]
             assert csr.contains(probe_keys, probe_values).tolist() == want
+            inside, positions = csr.locate(probe_keys, probe_values)
+            assert inside.tolist() == want and positions.dtype == np.int64
+            for key, value, position in zip(
+                probe_keys[inside].tolist(), probe_values[inside].tolist(), positions[inside]
+            ):
+                assert sorted(oracle[key]).index(value) == position
+            grid = csr.contains(probe_keys.reshape(20, 10), probe_values.reshape(20, 10))
+            assert grid.ravel().tolist() == want
 
     def test_empty(self):
         csr = build_keyed_csr(np.empty(0, np.int64), np.empty(0, np.int64), np.dtype(np.int32))
         assert csr.offsets.tolist() == [0]
         assert csr.segment(3).dtype == np.int32 and csr.segment(3).size == 0
         assert csr.contains(np.array([1, 2]), np.array([0, 0])).tolist() == [False, False]
+        inside, positions = csr.locate(np.array([[1], [2]]), np.array([[0], [0]]))
+        assert inside.shape == positions.shape == (2, 1) and not inside.any()
 
 
 def assert_same_csr(got: KeyedCSR, want: KeyedCSR) -> None:

@@ -148,22 +148,25 @@ _FACTORIES = {
 class TestStepRows:
     @pytest.mark.parametrize("kind", sorted(_FACTORIES))
     def test_sparse_equals_dense_on_a_dense_batch(self, kind):
-        """Touching every row every step, step_rows must equal step."""
-        rng = np.random.default_rng(0)
-        table = rng.standard_normal((6, 4))
-        grads = [rng.standard_normal((6, 4)) for _ in range(5)]
+        """Touching every row every step, step_rows must equal step bitwise,
+        for float64 and float32 tables and for 1-D parameters."""
+        for shape, dtype in (((6, 4), np.float64), ((6, 4), np.float32), ((6,), np.float64)):
+            rng = np.random.default_rng(0)
+            table = rng.standard_normal(shape).astype(dtype)
+            grads = [rng.standard_normal(shape).astype(dtype) for _ in range(5)]
 
-        dense_param = parameter(table.copy())
-        dense = _FACTORIES[kind]([dense_param])
-        sparse_param = parameter(table.copy())
-        sparse = _FACTORIES[kind]([sparse_param])
-        rows = np.arange(6)
-        for grad in grads:
-            dense_param.grad = grad.copy()
-            dense.step()
-            dense_param.zero_grad()
-            sparse.step_rows([(sparse_param, rows, grad.copy())])
-        np.testing.assert_allclose(sparse_param.data, dense_param.data, atol=1e-12)
+            dense_param = parameter(table.copy())
+            dense = _FACTORIES[kind]([dense_param])
+            sparse_param = parameter(table.copy())
+            sparse = _FACTORIES[kind]([sparse_param])
+            rows = np.arange(shape[0])
+            for grad in grads:
+                dense_param.grad = grad.copy()
+                dense.step()
+                dense_param.zero_grad()
+                sparse.step_rows([(sparse_param, rows, grad.copy())])
+            assert sparse_param.data.dtype == dense_param.data.dtype == dtype
+            np.testing.assert_array_equal(sparse_param.data, dense_param.data)
 
     @pytest.mark.parametrize("kind", sorted(_FACTORIES))
     def test_duplicate_rows_accumulate_before_state(self, kind):

@@ -336,6 +336,13 @@ class TestTrainingForward:
             )
 
 
+    @pytest.mark.parametrize("name", available_models())
+    def test_empty_triple_batch_scores_as_empty(self, name):
+        model = build_model(name, NUM_ENTITIES, NUM_RELATIONS, dim=8, seed=3)
+        empty = np.empty(0, dtype=int)
+        assert model.score_triples(empty, empty, empty).data.shape == (0,)
+
+
 class TestValidation:
     def test_out_of_range_ids_rejected(self, model):
         with pytest.raises(IndexError):

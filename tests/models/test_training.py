@@ -10,7 +10,7 @@ from repro.models import (
     UniformNegativeSampler,
     build_model,
 )
-from repro.models.training import EpochRecord, KnownTriples
+from repro.models.training import EpochRecord, known_triple_index, triple_keys
 from repro.recommenders import build_recommender
 
 
@@ -85,13 +85,14 @@ class TestDefaultFilter:
     def test_matches_reference_loop_bitwise(self):
         graph = _dense_graph()
         known = {(int(h), int(r), int(t)) for h, r, t in graph.train}
-        packed = KnownTriples(graph.train.array, graph.num_entities)
+        packed = known_triple_index(graph.train.array, graph.num_entities)
         collisions = 0
         for seed in range(5):
             neg_heads, neg_relations, neg_tails, corrupt_head = _corrupted_batch(
                 graph, np.random.default_rng(seed)
             )
-            collisions += int(packed.contains(neg_heads, neg_relations, neg_tails).sum())
+            keys = triple_keys(neg_heads, neg_relations, graph.num_entities)
+            collisions += int(packed.contains(keys, neg_tails).sum())
             expected = [neg_heads.copy(), neg_tails.copy()]
             ref_rng, rng = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
             _reference_filter(
@@ -107,6 +108,16 @@ class TestDefaultFilter:
             # Same draws consumed: the streams continue identically.
             assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
         assert collisions > 0, "dense graph must produce raw collisions"
+
+    def test_membership_matches_set_including_unseen_relations(self):
+        rng = np.random.default_rng(0)
+        triples = rng.integers(0, [30, 4, 30], size=(200, 3))
+        known = set(map(tuple, triples.tolist()))
+        index = known_triple_index(triples, 30)
+        probes = np.concatenate([triples[:100], rng.integers(0, [30, 6, 30], size=(400, 3))])
+        heads, relations, tails = probes.T.reshape(3, 25, 20)
+        got = index.contains(triple_keys(heads, relations, 30), tails)
+        assert got.ravel().tolist() == [tuple(p) in known for p in probes.tolist()]
 
     def test_training_matches_reference_loop_bitwise(self, monkeypatch):
         graph = _dense_graph()

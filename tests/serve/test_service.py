@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.estimators import sampled_rank
 from repro.core.ranking import evaluate_full
 from repro.datasets import load
 from repro.models import build_model
@@ -125,6 +126,32 @@ class TestScoreExactness:
         for row in rows:
             query = (row["head_id"], row["relation_id"], row["tail_id"], row["side"])
             assert truth.ranks[query] == row["rank"]
+
+    def test_filtered_ranks_equal_sampled_rank(self, tmp_path, dataset):
+        """``candidates="filtered"`` ranks each query within its candidate
+        set as the sampled protocol's scalar rank does, and over every
+        entity where the set is empty.  At dim 1 a batched and a scalar
+        product round alike, so the ranks compare exactly."""
+        graph = dataset.graph
+        model = build_model("distmult", graph.num_entities, graph.num_relations, dim=1, seed=0)
+        registry = ModelRegistry(
+            ExperimentStore(tmp_path / "store"), graph, types=dataset.types
+        )
+        registry.register("dm1", model)
+        full = evaluate_full(model, graph)
+        with LinkPredictionService(registry) as service:
+            rows = service.score("dm1", graph.test.as_tuples(), candidates="filtered")
+            sets = registry.candidates("dm1")
+        assert len(rows) == 2 * len(graph.test)
+        for row in rows:
+            h, r, t, side = row["head_id"], row["relation_id"], row["tail_id"], row["side"]
+            candidates = sets.candidates(r, side)
+            if candidates.size == 0:
+                assert row["rank"] == full.ranks[(h, r, t, side)]
+                continue
+            anchor, truth = (t, h) if side == "head" else (h, t)
+            rank, _ = sampled_rank(model, graph, anchor, r, side, truth, candidates)
+            assert row["rank"] == rank
 
     def test_scores_are_the_models(self, service, dataset, model):
         h, r, t = next(iter(dataset.graph.test))
