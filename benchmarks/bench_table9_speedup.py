@@ -7,7 +7,6 @@ per-(dataset, model) table on the training studies plus one large-scale
 row measured directly.
 """
 
-import time
 from functools import partial
 
 import numpy as np
@@ -31,20 +30,7 @@ def test_table9_speedup_small_datasets(benchmark, emit, emit_json, studies):
     assert len(rows) == len(studies)
 
 
-def _best_seconds_interleaved(calls, rounds: int = 5) -> list[float]:
-    """Each call's fastest of ``rounds`` timed runs, the calls alternating
-    round by round: a burst of contention then slows one round of every
-    call, not every round of one, so it cannot decide their ratios."""
-    best = [float("inf")] * len(calls)
-    for _ in range(rounds):
-        for index, call in enumerate(calls):
-            start = time.perf_counter()
-            call()
-            best[index] = min(best[index], time.perf_counter() - start)
-    return best
-
-
-def test_table9_large_scale_row(benchmark, emit, emit_json):
+def test_table9_large_scale_row(benchmark, emit, emit_json, best_seconds_interleaved):
     """The ogbl-wikikg2 column: speed-up grows with scale."""
 
     def measure():
@@ -62,7 +48,7 @@ def test_table9_large_scale_row(benchmark, emit, emit_json):
         calls = []
         for _, _, protocol, model in cases:
             calls += [partial(protocol.evaluate_full, model), partial(protocol.evaluate, model)]
-        seconds = _best_seconds_interleaved(calls)
+        seconds = best_seconds_interleaved(calls)
         return [
             (name, entities, seconds[2 * index], seconds[2 * index + 1])
             for index, (name, entities, _, _) in enumerate(cases)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -123,3 +124,23 @@ def emit_json():
         print(f"\n[perf record] {path}")
 
     return _emit
+
+
+@pytest.fixture
+def best_seconds_interleaved():
+    """``best(calls, rounds=5)``: each call's fastest of ``rounds`` timed
+    runs, the calls alternating round by round.  A burst of host
+    contention then slows one round of every call, not every round of
+    one, so it cannot decide their ratios.  Every timing assert that
+    compares two sides of a bench times them this way."""
+
+    def best(calls, rounds: int = 5) -> list[float]:
+        seconds = [float("inf")] * len(calls)
+        for _ in range(rounds):
+            for index, call in enumerate(calls):
+                start = time.perf_counter()
+                call()
+                seconds[index] = min(seconds[index], time.perf_counter() - start)
+        return seconds
+
+    return best

@@ -227,7 +227,9 @@ def evaluate_tradeoff(
     rr_terms: list[np.ndarray] = []
     for side in SIDES:
         # Sorted unique keys list the side's pairs in (entity, relation) order.
-        keys = np.unique(triples.entities(side) * num_relations + triples.relations)
+        keys = np.unique(
+            triples.entities(side).astype(np.int64) * num_relations + triples.relations
+        )
         entities, relations = np.divmod(keys, num_relations)
         covered.append(sets.sets[side].contains(relations, entities))
         unseen.append(~truths[side].contains(relations, entities))

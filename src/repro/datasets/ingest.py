@@ -28,7 +28,6 @@ Files ending in ``.gz`` are decompressed on the fly.
 from __future__ import annotations
 
 import gzip
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,12 +36,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from repro.kg.graph import INT32_LIMIT
-from repro.kg.triples import (
-    COMPACT_FORMAT,
-    COMPACT_VERSION,
-    SPLITS,
-    unique_rows_in_order,
-)
+from repro.kg.triples import SPLITS, unique_rows_in_order, write_store_metadata
 
 #: Counter tracking triples written to compact stores, labelled by split
 #: (documented in docs/observability.md).
@@ -274,28 +268,7 @@ def ingest_files(
         counter.inc(int(rows.shape[0]), split=split)
         del rows
 
-    with (out / "entities.txt").open("w", encoding="utf-8") as handle:
-        for label in entity_ids:
-            handle.write(label)
-            handle.write("\n")
-    with (out / "relations.txt").open("w", encoding="utf-8") as handle:
-        for label in relation_ids:
-            handle.write(label)
-            handle.write("\n")
-
-    manifest = {
-        "format": COMPACT_FORMAT,
-        "version": COMPACT_VERSION,
-        "name": name,
-        "num_entities": len(entity_ids),
-        "num_relations": len(relation_ids),
-        "id_dtype": "int32",
-        "splits": counts,
-        "stats": stats,
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_store_metadata(out, name, entity_ids, relation_ids, counts, stats)
     return IngestResult(
         directory=out,
         name=name,

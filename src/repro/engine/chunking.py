@@ -82,7 +82,7 @@ def query_table(
     against one candidate set / pool with a single matrix product.
     Built with array passes, not a per-triple loop.
     """
-    triples = unique_rows_in_order(split_triples(graph, split).array)
+    triples = unique_rows_in_order(split_triples(graph, split).array).astype(np.int64, copy=False)
     if not len(triples) or not sides:
         return np.empty((0, 4), dtype=np.int64), [], np.zeros(1, dtype=np.int64)
     side_ids = np.asarray([SIDES.index(side) for side in sides], dtype=np.int64)

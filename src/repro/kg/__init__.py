@@ -20,12 +20,7 @@ from repro.kg.graph import (
     build_graph,
     id_dtype,
 )
-from repro.kg.triples import (
-    CompactGraph,
-    open_compact,
-    save_compact,
-    unique_rows_in_order,
-)
+from repro.kg.triples import open_compact, save_compact, unique_rows_in_order
 from repro.kg.split import SplitFractions, random_split, split_graph, transductive_split
 from repro.kg.stats import DatasetStatistics, dataset_statistics, distinct_query_pairs
 from repro.kg.typing import TypeStore, build_type_store
@@ -35,7 +30,6 @@ __all__ = [
     "HEAD",
     "SIDES",
     "TAIL",
-    "CompactGraph",
     "ConnectivitySummary",
     "DatasetStatistics",
     "FilterIndexCSR",

@@ -4,8 +4,13 @@ A :class:`TripleSet` is an immutable ``(n, 3)`` integer array of
 ``(head, relation, tail)`` triples with convenience accessors.  A
 :class:`KnowledgeGraph` bundles the train/valid/test triple sets with the
 entity/relation vocabularies and the index structures the evaluation
-framework needs.  Each index is a :class:`KeyedCSR` from the one
-:func:`build_keyed_csr`, and differs only in key and value:
+framework needs.  It is the one graph type: the compact on-disk store
+(:func:`repro.kg.triples.open_compact`) opens as a :class:`KnowledgeGraph`
+whose triple sets are int32 memory maps and whose vocabularies read
+their label files on first use.
+
+Each index is a :class:`KeyedCSR` from the one :func:`build_keyed_csr`,
+and differs only in key and value:
 
 * *the filter index* (:func:`build_filter_csr`) — keyed by
   ``anchor * num_relations + relation`` over all splits: the known true
@@ -74,11 +79,17 @@ def _as_triple_array(triples: Iterable[tuple[int, int, int]] | np.ndarray) -> np
         return np.empty((0, 3), dtype=np.int64)
     if array.ndim != 2 or array.shape[1] != 3:
         raise ValueError(f"triples must have shape (n, 3), got {array.shape}")
-    return array.astype(np.int64, copy=False)
+    if array.dtype in (np.int32, np.int64):
+        return array
+    return array.astype(np.int64)
 
 
 class TripleSet:
-    """An immutable collection of ``(head, relation, tail)`` integer triples."""
+    """An immutable collection of ``(head, relation, tail)`` integer triples.
+
+    int32 and int64 arrays are kept as given, so a memory-mapped int32
+    store split is held without a copy; any other input becomes int64.
+    """
 
     __slots__ = ("_array",)
 
@@ -89,7 +100,9 @@ class TripleSet:
 
     @property
     def array(self) -> np.ndarray:
-        """The underlying read-only ``(n, 3)`` int64 array."""
+        """The underlying read-only ``(n, 3)`` array: int64, or the int32
+        (:func:`id_dtype`) a compact store holds.  Widen a column before
+        building composite keys from it."""
         return self._array
 
     @property
@@ -202,7 +215,7 @@ class KnowledgeGraph:
             if len(split) == 0:
                 continue
             arr = split.array
-            if arr[:, [0, 2]].max() >= self.num_entities or arr.min() < 0:
+            if max(arr[:, 0].max(), arr[:, 2].max()) >= self.num_entities or arr.min() < 0:
                 raise ValueError(f"{split_name} split references entities outside the vocabulary")
             if arr[:, 1].max() >= self.num_relations:
                 raise ValueError(f"{split_name} split references relations outside the vocabulary")

@@ -1,12 +1,17 @@
 """Compact on-disk triple store for out-of-core evaluation.
 
-A :class:`CompactGraph` is the million-entity counterpart of the in-memory
-:class:`~repro.kg.graph.KnowledgeGraph`: the three splits live on disk as
-``(n, 3)`` int32 ``.npy`` files (12 bytes per triple) that are memory-mapped
-on open, the vocabularies stay on disk as plain label files that are only
-read when labels are actually requested, and the filter index is the same
-vectorised CSR build (:func:`~repro.kg.graph.build_filter_csr`) the
-in-memory graph uses, run straight over the memory maps.
+:func:`open_compact` opens a store directory as a plain
+:class:`~repro.kg.graph.KnowledgeGraph`, so every graph method, index and
+evaluator runs on a store as on any other graph:
+
+* each split is an ``(n, 3)`` int32 ``.npy`` file (12 bytes per triple),
+  memory-mapped into its :class:`~repro.kg.graph.TripleSet` without a
+  copy — the filter and observed indexes are built straight over the
+  maps;
+* each vocabulary is a :meth:`~repro.kg.vocabulary.Vocabulary.from_file`
+  label file, read on the first label lookup, never to answer a size;
+* the graph validates the stored ids when it opens, and the store's row
+  and label counts against its manifest.
 
 The store directory layout is::
 
@@ -17,27 +22,21 @@ The store directory layout is::
     entities.txt      one label per line, line i = label of entity id i
     relations.txt     one label per line
 
-Both graph backends build their index with the one builder, so on the
-same triples the CSR arrays are bitwise-equal and evaluation ranks are
-identical between them.
+:func:`save_compact` writes it from an in-memory graph and
+:func:`repro.datasets.ingest.ingest_files` streams it from raw files,
+both through :func:`write_store_metadata`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Mapping
 
 import numpy as np
 
-from repro.kg.graph import (
-    FilterIndexCSR,
-    KnowledgeGraph,
-    Side,
-    TripleSet,
-    build_filter_csr,
-    id_dtype,
-)
+from repro.kg.graph import KnowledgeGraph, TripleSet, id_dtype
+from repro.kg.vocabulary import Vocabulary
 
 COMPACT_FORMAT = "repro-compact-graph"
 COMPACT_VERSION = 1
@@ -62,159 +61,38 @@ def unique_rows_in_order(rows: np.ndarray) -> np.ndarray:
     return contiguous[np.sort(first)]
 
 
-def _read_labels(path: Path) -> list[str]:
-    with path.open("r", encoding="utf-8") as handle:
-        return [line.rstrip("\n") for line in handle]
-
-
-def _write_labels(path: Path, labels: Sequence[str]) -> None:
+def _write_labels(path: Path, labels: Collection[str]) -> None:
     with path.open("w", encoding="utf-8") as handle:
-        for label in labels:
-            handle.write(label)
-            handle.write("\n")
+        handle.writelines(f"{label}\n" for label in labels)
 
 
-class CompactGraph:
-    """A memory-mapped, evaluation-ready view of a compact store directory.
-
-    Duck-types the slice of the :class:`~repro.kg.graph.KnowledgeGraph`
-    interface the evaluation engine touches — ``num_entities`` /
-    ``num_relations`` / ``name``, the split :class:`TripleSet` properties,
-    ``filter_index``, ``true_answers`` and the ``evaluation_plans``
-    cache — while keeping memory flat in
-    the vocabulary size: split arrays are int32 memory maps, the filter
-    index is built from them without an int64 copy of the triples, and
-    label files are read lazily.
-    """
-
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        manifest_path = self.directory / "manifest.json"
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if manifest.get("format") != COMPACT_FORMAT:
-            raise ValueError(
-                f"{manifest_path} is not a {COMPACT_FORMAT} manifest"
-            )
-        if int(manifest.get("version", 0)) > COMPACT_VERSION:
-            raise ValueError(
-                f"compact store version {manifest['version']} is newer than "
-                f"supported version {COMPACT_VERSION}"
-            )
-        self.manifest = manifest
-        self.name: str = manifest.get("name", self.directory.name)
-        self.num_entities: int = int(manifest["num_entities"])
-        self.num_relations: int = int(manifest["num_relations"])
-        self._splits: dict[str, np.ndarray] = {}
-        self._triple_sets: dict[str, TripleSet] = {}
-        self._filter_index: FilterIndexCSR | None = None
-        #: Evaluation plans over this graph (see ``KnowledgeGraph``).
-        self.evaluation_plans: list = []
-        self._entity_labels: list[str] | None = None
-        self._relation_labels: list[str] | None = None
-
-    # ------------------------------------------------------------------
-    # Splits
-    # ------------------------------------------------------------------
-    def split_array(self, split: str) -> np.ndarray:
-        """The raw ``(n, 3)`` memory-mapped array of one split."""
-        if split not in SPLITS:
-            raise KeyError(
-                f"unknown split {split!r}; expected train, valid or test"
-            )
-        if split not in self._splits:
-            self._splits[split] = np.load(
-                self.directory / f"{split}.npy", mmap_mode="r"
-            )
-        return self._splits[split]
-
-    def _triple_set(self, split: str) -> TripleSet:
-        # TripleSet casts to int64; eval splits are small so this is cheap,
-        # and the filter index below never goes through TripleSet at all.
-        if split not in self._triple_sets:
-            self._triple_sets[split] = TripleSet(
-                np.asarray(self.split_array(split))
-            )
-        return self._triple_sets[split]
-
-    @property
-    def train(self) -> TripleSet:
-        return self._triple_set("train")
-
-    @property
-    def valid(self) -> TripleSet:
-        return self._triple_set("valid")
-
-    @property
-    def test(self) -> TripleSet:
-        return self._triple_set("test")
-
-    def num_triples(self, split: str) -> int:
-        return int(self.manifest["splits"][split])
-
-    # ------------------------------------------------------------------
-    # Filter index
-    # ------------------------------------------------------------------
-    @property
-    def filter_index(self) -> FilterIndexCSR:
-        """The CSR filter index over all splits, built once, lazily."""
-        if self._filter_index is None:
-            self._filter_index = build_filter_csr(
-                self.num_entities,
-                self.num_relations,
-                [self.split_array(split) for split in SPLITS],
-            )
-        return self._filter_index
-
-    def true_answers(self, anchor: int, relation: int, side: Side) -> np.ndarray:
-        """Known true answers across all splits."""
-        return self.filter_index.true_answers(anchor, relation, side)
-
-    # ------------------------------------------------------------------
-    # Vocabularies (lazy — label files are only read when asked for)
-    # ------------------------------------------------------------------
-    def entity_labels(self) -> list[str]:
-        if self._entity_labels is None:
-            self._entity_labels = _read_labels(self.directory / "entities.txt")
-        return self._entity_labels
-
-    def relation_labels(self) -> list[str]:
-        if self._relation_labels is None:
-            self._relation_labels = _read_labels(
-                self.directory / "relations.txt"
-            )
-        return self._relation_labels
-
-    # ------------------------------------------------------------------
-    # Conversion
-    # ------------------------------------------------------------------
-    def to_knowledge_graph(self) -> KnowledgeGraph:
-        """Materialise a full in-memory :class:`KnowledgeGraph`.
-
-        Intended for small stores (tests, inspection); this loads the
-        vocabularies and casts every split to int64.
-        """
-        from repro.kg.vocabulary import Vocabulary
-
-        return KnowledgeGraph(
-            entities=Vocabulary(self.entity_labels()),
-            relations=Vocabulary(self.relation_labels()),
-            train=self.train,
-            valid=self.valid,
-            test=self.test,
-            name=self.name,
-        )
-
-    def __iter__(self) -> Iterator[str]:  # pragma: no cover — guard
-        raise TypeError("CompactGraph is not iterable; use .train/.valid/.test")
-
-    def __repr__(self) -> str:
-        splits = self.manifest.get("splits", {})
-        return (
-            f"CompactGraph(name={self.name!r}, |E|={self.num_entities}, "
-            f"|R|={self.num_relations}, "
-            + ", ".join(f"{s}={splits.get(s, '?')}" for s in SPLITS)
-            + f", dir={str(self.directory)!r})"
-        )
+def write_store_metadata(
+    directory: Path,
+    name: str,
+    entities: Collection[str],
+    relations: Collection[str],
+    splits: Mapping[str, int],
+    stats: Mapping[str, object] | None = None,
+) -> None:
+    """Write every file of a store but its split arrays: the two label
+    files (in id order) and the manifest, whose ``splits`` are the row
+    counts of the split arrays the caller has saved."""
+    _write_labels(directory / "entities.txt", entities)
+    _write_labels(directory / "relations.txt", relations)
+    manifest = {
+        "format": COMPACT_FORMAT,
+        "version": COMPACT_VERSION,
+        "name": name,
+        "num_entities": len(entities),
+        "num_relations": len(relations),
+        "id_dtype": id_dtype(len(entities)).name,
+        "splits": dict(splits),
+    }
+    if stats:
+        manifest["stats"] = dict(stats)
+    (directory / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def save_compact(
@@ -232,30 +110,49 @@ def save_compact(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     dtype = id_dtype(graph.num_entities)
-    counts: dict[str, int] = {}
     for split in SPLITS:
-        array = getattr(graph, split).array
-        np.save(directory / f"{split}.npy", array.astype(dtype, copy=False))
-        counts[split] = int(array.shape[0])
-    _write_labels(directory / "entities.txt", graph.entities.labels())
-    _write_labels(directory / "relations.txt", graph.relations.labels())
-    manifest = {
-        "format": COMPACT_FORMAT,
-        "version": COMPACT_VERSION,
-        "name": graph.name,
-        "num_entities": graph.num_entities,
-        "num_relations": graph.num_relations,
-        "id_dtype": dtype.name,
-        "splits": counts,
-    }
-    if stats:
-        manifest["stats"] = dict(stats)
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        np.save(directory / f"{split}.npy", getattr(graph, split).array.astype(dtype, copy=False))
+    write_store_metadata(
+        directory,
+        graph.name,
+        graph.entities.labels(),
+        graph.relations.labels(),
+        {split: len(getattr(graph, split)) for split in SPLITS},
+        stats,
     )
     return directory
 
 
-def open_compact(directory: str | Path) -> CompactGraph:
-    """Open a compact store directory as a :class:`CompactGraph`."""
-    return CompactGraph(directory)
+def open_compact(directory: str | Path) -> KnowledgeGraph:
+    """Open a compact store directory as a :class:`KnowledgeGraph`.
+
+    ``ValueError`` for a foreign or newer manifest, a split whose row
+    count is not the manifest's, or an id outside the vocabulary; a label
+    file of the wrong length raises on the first label lookup.
+    """
+    directory = Path(directory)
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if manifest.get("format") != COMPACT_FORMAT:
+        raise ValueError(f"{manifest_path} is not a {COMPACT_FORMAT} manifest")
+    if int(manifest.get("version", 0)) > COMPACT_VERSION:
+        raise ValueError(
+            f"compact store version {manifest['version']} is newer than "
+            f"supported version {COMPACT_VERSION}"
+        )
+    splits: dict[str, TripleSet] = {}
+    for split in SPLITS:
+        array = np.load(directory / f"{split}.npy", mmap_mode="r")
+        expected = int(manifest["splits"][split])
+        if array.shape[0] != expected:
+            raise ValueError(
+                f"{directory / split}.npy holds {array.shape[0]} triples; "
+                f"the manifest says {expected}"
+            )
+        splits[split] = TripleSet(array)
+    return KnowledgeGraph(
+        entities=Vocabulary.from_file(directory / "entities.txt", manifest["num_entities"]),
+        relations=Vocabulary.from_file(directory / "relations.txt", manifest["num_relations"]),
+        name=manifest.get("name", directory.name),
+        **splits,
+    )

@@ -347,7 +347,7 @@ class Trainer:
             lr=config.lr,
             weight_decay=config.weight_decay,
         )
-        triples = graph.train.array
+        triples = graph.train.array.astype(np.int64, copy=False)
         inverse_offset = getattr(model, "inverse_offset", None)
         if inverse_offset is not None:
             triples = self._augment_inverse(triples, inverse_offset)

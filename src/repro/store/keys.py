@@ -74,7 +74,8 @@ def cache_key(kind: str, fields: Mapping[str, Any]) -> str:
 
 
 def _array_digest(array: np.ndarray) -> str:
-    data = np.ascontiguousarray(array)
+    # The int64 form, so a store's int32 splits hash as their in-memory twin's.
+    data = np.ascontiguousarray(array, dtype=np.int64)
     return hashlib.sha256(data.tobytes()).hexdigest()[:16]
 
 

@@ -107,8 +107,8 @@ class TestIngestFiles:
         result = ingest_directory(tmp_path, tmp_path / "store")
         compact = open_compact(result.directory)
         reference = build_graph({"train": train, "valid": valid, "test": test})
-        assert compact.entity_labels() == list(reference.entities.labels())
-        assert compact.relation_labels() == list(reference.relations.labels())
+        assert compact.entities == reference.entities
+        assert compact.relations == reference.relations
         for split in ("train", "valid", "test"):
             np.testing.assert_array_equal(
                 getattr(compact, split).array, getattr(reference, split).array
@@ -149,8 +149,8 @@ class TestIngestFiles:
         )
         result = ingest_directory(tmp_path, tmp_path / "store")
         compact = open_compact(result.directory)
-        assert compact.entity_labels() == ["http://x/a", "http://x/b"]
-        assert compact.relation_labels() == ["http://x/p"]
+        assert compact.entities.labels() == ("http://x/a", "http://x/b")
+        assert compact.relations.labels() == ("http://x/p",)
 
     def test_unknown_split_key_rejected(self, tmp_path):
         _write(tmp_path / "train.tsv", "a\tr\tb\n")

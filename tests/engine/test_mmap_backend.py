@@ -3,8 +3,9 @@
 The acceptance matrix of the out-of-core backend: a model served from
 ``.npy`` mmap shards must produce ranks bitwise-identical to its
 in-memory twin on the full protocol and the sampled estimator, at any
-worker count, under both start methods, over a :class:`KnowledgeGraph`
-and a :class:`CompactGraph` alike.  The shared-memory transport ships
+worker count, under both start methods, over an in-memory
+:class:`KnowledgeGraph` and one opened from a compact store (int32
+memory-mapped splits) alike.  The shared-memory transport ships
 only the shard manifest (no parameter blocks), and attaching verifies
 the manifest digest.
 """

@@ -11,7 +11,8 @@ Every model runs every edge case of the evaluation plan: full-path
 chunks that span several relations and mix head and tail rows (checked
 by ``TestFullChunkCalls``), a split with
 duplicate triples next to a clean one (a repeated triple is one query
-per side, so both rank, aggregate and score alike), and on the sampled
+per side, so both rank, aggregate and score alike), the clean split
+opened from a compact store (int32 memory maps), and on the sampled
 path random pools next to hand-built pools with an empty pool, a missing
 pool, truths outside their pool, pools made of known answers and a pool
 that is the whole vocabulary.
@@ -32,7 +33,7 @@ from repro.core.estimators import evaluate_sampled
 from repro.core.ranking import evaluate_full, filtered_rank
 from repro.core.sampling import NegativePools, build_pools
 from repro.datasets import SyntheticConfig, generate
-from repro.kg import KnowledgeGraph, TripleSet
+from repro.kg import KnowledgeGraph, TripleSet, open_compact, save_compact
 from repro.engine.chunking import plan_chunks
 from repro.engine.worker import build_state, evaluation_plan, score_chunk
 from repro.kg.graph import HEAD, SIDES, keyed_by_relation
@@ -63,7 +64,7 @@ MODELS = sorted(MODEL_REGISTRY) + sorted(HASH_MODELS)
 
 
 @pytest.fixture(scope="module")
-def graphs():
+def graphs(tmp_path_factory):
     config = SyntheticConfig(
         num_entities=80,
         num_relations=4,
@@ -84,7 +85,8 @@ def graphs():
         test=TripleSet(np.concatenate([test, test[:5], test[3:4]])),
         name="oracle-tiny-duplicates",
     )
-    return {"plain": graph, "duplicates": duplicated}
+    compact = open_compact(save_compact(graph, tmp_path_factory.mktemp("compact")))
+    return {"plain": graph, "duplicates": duplicated, "compact": compact}
 
 
 def _edge_pools(graph) -> NegativePools:

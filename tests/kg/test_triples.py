@@ -1,4 +1,5 @@
-"""The compact triple store: CSR equality, round-trips, id dtypes."""
+"""The compact triple store: CSR equality, round-trips, id dtypes, and
+rejection of a corrupt store."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.kg import (
-    CompactGraph,
     FilterIndexCSR,
     KnowledgeGraph,
     TripleSet,
@@ -45,7 +45,7 @@ def graph(labelled_triples) -> KnowledgeGraph:
 
 
 @pytest.fixture
-def compact(graph, tmp_path) -> CompactGraph:
+def compact(graph, tmp_path) -> KnowledgeGraph:
     save_compact(graph, tmp_path / "store")
     return open_compact(tmp_path / "store")
 
@@ -153,11 +153,13 @@ class TestBuildFilterCSR:
 
 class TestCompactRoundTrip:
     def test_vocabulary_and_sizes_survive(self, graph, compact):
+        assert isinstance(compact, KnowledgeGraph)
         assert compact.num_entities == graph.num_entities
         assert compact.num_relations == graph.num_relations
         assert compact.name == graph.name
-        assert compact.entity_labels() == list(graph.entities.labels())
-        assert compact.relation_labels() == list(graph.relations.labels())
+        assert compact.entities == graph.entities
+        assert compact.relations == graph.relations
+        assert compact.entities.id_of("c") == graph.entities.id_of("c")
 
     def test_split_arrays_bitwise_equal(self, graph, compact):
         for split in ("train", "valid", "test"):
@@ -165,20 +167,17 @@ class TestCompactRoundTrip:
                 getattr(compact, split).array, getattr(graph, split).array
             )
 
-    def test_stored_ids_are_int32(self, compact):
-        assert compact.split_array("train").dtype == np.int32
+    def test_stored_ids_are_int32(self, tmp_path, graph):
+        save_compact(graph, tmp_path / "store")
+        assert np.load(tmp_path / "store" / "train.npy").dtype == np.int32
 
-    def test_triple_sets_are_int64_views(self, compact):
-        # Evaluation code consumes TripleSet; materialisation is int64.
-        assert compact.train.array.dtype == np.int64
-
-    def test_to_knowledge_graph_round_trips(self, graph, compact):
-        back = compact.to_knowledge_graph()
+    def test_triple_sets_are_int32_store_views(self, compact):
+        # The splits are the read-only int32 memory maps, not int64 copies.
         for split in ("train", "valid", "test"):
-            np.testing.assert_array_equal(
-                getattr(back, split).array, getattr(graph, split).array
-            )
-        assert list(back.entities.labels()) == list(graph.entities.labels())
+            array = getattr(compact, split).array
+            assert array.dtype == np.int32
+            assert not array.flags.writeable
+            assert isinstance(array.base, np.memmap)
 
     def test_filter_index_property_serves_csr(self, graph, compact):
         csr = compact.filter_index
@@ -202,7 +201,34 @@ class TestCompactRoundTrip:
             open_compact(tmp_path / "store")
 
     def test_iteration_is_rejected(self, compact):
-        # A CompactGraph is not a triple sequence; looping over a
-        # million-entity store entity-by-entity is always a bug.
+        # A graph is not a triple sequence; looping over a million-entity
+        # store entity-by-entity is always a bug.
         with pytest.raises(TypeError):
             iter(compact)
+
+
+class TestCorruptStore:
+    """A store that contradicts itself is rejected, not scored."""
+
+    @pytest.fixture
+    def store(self, graph, tmp_path):
+        return save_compact(graph, tmp_path / "store")
+
+    def test_out_of_range_id_rejected_at_open(self, store, graph):
+        train = np.load(store / "train.npy")
+        train[0, 2] = graph.num_entities + 5
+        np.save(store / "train.npy", train)
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            open_compact(store)
+
+    def test_row_count_must_match_manifest(self, store):
+        np.save(store / "test.npy", np.load(store / "test.npy")[:0])
+        with pytest.raises(ValueError, match="manifest says 1"):
+            open_compact(store)
+
+    def test_short_label_file_rejected_on_first_read(self, store, graph):
+        (store / "entities.txt").write_text("a\nb\n", encoding="utf-8")
+        opened = open_compact(store)
+        assert len(opened.entities) == graph.num_entities  # no read yet
+        with pytest.raises(ValueError, match="expected 6"):
+            opened.entities.labels()

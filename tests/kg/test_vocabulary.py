@@ -1,4 +1,4 @@
-"""Vocabulary: id assignment, round-trips, equality."""
+"""Vocabulary: id assignment, round-trips, equality, label files."""
 
 import pytest
 from hypothesis import given
@@ -78,6 +78,29 @@ class TestEquality:
 
     def test_not_equal_to_other_types(self):
         assert Vocabulary() != ["a"]
+
+
+class TestFromFile:
+    def test_reads_once_on_first_lookup(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("x\ny\nz\n", encoding="utf-8")
+        vocabulary = Vocabulary.from_file(path, 3)
+        assert len(vocabulary) == 3
+        path.unlink()  # len() never needed the file; lookups read it once
+        with pytest.raises(FileNotFoundError):
+            vocabulary.id_of("y")
+        path.write_text("x\ny\nz\n", encoding="utf-8")
+        assert vocabulary.id_of("y") == 1
+        path.unlink()
+        assert vocabulary.label_of(2) == "z" and "x" in vocabulary
+        assert vocabulary == Vocabulary(["x", "y", "z"])
+        assert vocabulary.add("w") == 3 and len(vocabulary) == 4
+
+    def test_duplicate_label_rejected(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("x\nx\ny\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="2 distinct"):
+            Vocabulary.from_file(path, 3).labels()
 
 
 @given(st.lists(st.text(min_size=1, max_size=8)))
