@@ -131,16 +131,20 @@ def best_seconds_interleaved():
     """``best(calls, rounds=5)``: each call's fastest of ``rounds`` timed
     runs, the calls alternating round by round.  A burst of host
     contention then slows one round of every call, not every round of
-    one, so it cannot decide their ratios.  Every timing assert that
-    compares two sides of a bench times them this way."""
+    one, so it cannot decide their ratios.  Every other round runs the
+    calls in reverse order, so no call always runs first or always
+    follows the same neighbour.  Every timing assert that compares two
+    sides of a bench times them this way."""
 
     def best(calls, rounds: int = 5) -> list[float]:
         seconds = [float("inf")] * len(calls)
+        order = list(range(len(calls)))
         for _ in range(rounds):
-            for index, call in enumerate(calls):
+            for index in order:
                 start = time.perf_counter()
-                call()
+                calls[index]()
                 seconds[index] = min(seconds[index], time.perf_counter() - start)
+            order.reverse()
         return seconds
 
     return best

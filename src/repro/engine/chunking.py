@@ -253,25 +253,25 @@ def chunk_filtered_ranks(
 ) -> np.ndarray:
     """Vectorised filtered ranks for one chunk of queries.
 
-    ``scores`` is ``(b, k)``: row ``i`` scores the candidates of query
-    ``i``.  ``(rows, cols)`` are the candidate columns to exclude per row
-    (known answers, truth included): entity ids when the candidate axis
-    is every entity, pool positions (:func:`pool_positions`) when it is a
-    pool.
+    ``scores`` is a floating ``(b, k)`` slab: row ``i`` scores the
+    candidates of query ``i``.  ``(rows, cols)`` are the candidate
+    columns to exclude per row (known answers, truth included): entity
+    ids when the candidate axis is every entity, pool positions
+    (:func:`pool_positions`) when it is a pool.
 
-    The rank is ``1 + better + ties/2`` over non-excluded candidates; the
-    exclusion is applied as a vectorised correction (one fancy-indexed
-    gather and two bincounts per chunk) rather than per-row masking, which
-    is what keeps sampled evaluation sampling-bound instead of
-    Python-bound.
+    The rank is ``1 + better + ties/2`` over the row's non-excluded
+    candidates, a pair listed twice excluded once.  The truth scores are
+    copied first (they may be a view of the slab); then every excluded
+    cell is overwritten with NaN, which compares false both ways, so it
+    neither beats nor ties the truth, and one ``>`` and one ``==`` pass
+    count the rest.  The slab is this kernel's scratch: its excluded
+    cells hold NaN afterwards, so callers pass a slab they own and do
+    not read it again.
     """
-    b = scores.shape[0]
-    # int32 counts reduce faster than numpy's default int64; k < 2**31.
-    better = (scores > true_scores[:, None]).sum(axis=1, dtype=np.int32)
-    ties = (scores == true_scores[:, None]).sum(axis=1, dtype=np.int32)
+    true_scores = np.array(true_scores)[:, None]
     if rows.size:
-        values = scores[rows, cols]
-        reference = true_scores[rows]
-        better -= np.bincount(rows[values > reference], minlength=b)
-        ties -= np.bincount(rows[values == reference], minlength=b)
+        scores[rows, cols] = np.nan
+    # int32 counts reduce faster than numpy's default int64; k < 2**31.
+    better = (scores > true_scores).sum(axis=1, dtype=np.int32)
+    ties = (scores == true_scores).sum(axis=1, dtype=np.int32)
     return 1.0 + better + ties / 2.0

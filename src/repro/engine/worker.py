@@ -120,6 +120,21 @@ class EvaluationPlan:
             )
         )
 
+    @cached_property
+    def pool_ids(self) -> dict[tuple[int, Side], np.ndarray]:
+        """Each group's pool as read-only int64 entity ids, keyed by the
+        group's ``(relation, side)``; empty without pools.  Resolved once
+        per plan (per process), so a sampled chunk neither searches the
+        pools nor widens its pool's ids."""
+        if self.pools is None:
+            return {}
+        ids = {}
+        for relation, side in self.groups:
+            pool = self.pools.pool(relation, side).astype(np.int64)
+            pool.setflags(write=False)
+            ids[relation, side] = pool
+        return ids
+
     def chunk(
         self, task: ChunkTask
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -299,8 +314,9 @@ def score_chunk(state: EvaluationState, task: ChunkTask) -> tuple[np.ndarray, in
     chunk's rows may span groups, so the call takes each row's relation
     and side from the plan, and each truth's score is read from its row.
     Either way the plan already holds the chunk's exclusions in candidate
-    coordinates, so this is one score call, then compare, one gather, two
-    bincounts.
+    coordinates (and, on the sampled path, the group's pool ids,
+    :attr:`EvaluationPlan.pool_ids`), so this is one score call, then
+    one rank pass that masks the exclusions in the fresh score slab.
     """
     plan = state.plan
     anchors, truths, rows, cols = plan.chunk(task)
@@ -316,7 +332,7 @@ def score_chunk(state: EvaluationState, task: ChunkTask) -> tuple[np.ndarray, in
         return chunk_filtered_ranks(scores, true_scores, rows, cols), int(scores.size)
 
     relation, side = task.relation, task.side
-    pool = plan.pools.pool(relation, side)
+    pool = plan.pool_ids[relation, side]
     if pool.size == 0:
         # Nothing competes with the truth: every query ranks first.
         return np.ones(b, dtype=np.float64), b

@@ -574,8 +574,12 @@ def _check_per_row(values: Array, anchors: Array, what: str) -> None:
 
 
 def check_ids(values: Iterable[int], limit: int, what: str) -> Array:
-    """Validate and convert an id array, raising a clear error on overflow."""
+    """Validate and convert an id array, raising a clear error on overflow.
+
+    One reduction checks both ends: read as uint64, a negative id is
+    larger than any limit.  The min and max are taken only for the error.
+    """
     array = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=np.int64)
-    if array.size and (array.min() < 0 or array.max() >= limit):
+    if array.size and array.view(np.uint64).max() >= limit:
         raise IndexError(f"{what} ids must lie in [0, {limit}), got range [{array.min()}, {array.max()}]")
     return array

@@ -564,7 +564,7 @@ class LinkPredictionService:
         evaluation plan caches, and the same rank kernel — which is what
         makes served ranks bitwise-equal to ``evaluate_full``'s.
         """
-        sub = scores[rows]
+        sub = scores[rows]  # a copy: the rank kernel masks it in place
         truths = np.asarray([queries[i].truth for i in rows], dtype=np.int64)
         if paired_scores is None:
             true_scores = sub[np.arange(len(rows)), truths]

@@ -84,7 +84,8 @@ class TestChunkFilteredRanks:
             # Small integer scores force ties with known answers and the truth.
             scores = rng.integers(0, 4, size=(truths.size, 12)).astype(np.float64)
             true_scores = scores[np.arange(truths.size), truths]
-            ranks = chunk_filtered_ranks(scores, true_scores, rows, cols)
+            # The kernel masks its slab in place: rank a copy.
+            ranks = chunk_filtered_ranks(scores.copy(), true_scores, rows, cols)
             for i in range(truths.size):
                 known = index.true_answers(int(anchors[i]), 0, TAIL)
                 assert ranks[i] == filtered_rank(scores[i], int(truths[i]), known)
@@ -153,9 +154,10 @@ class TestChunkFilteredRankEdges:
     EXCLUDED = (np.array([0, 0, 2]), np.array([1, 3, 0]))
 
     def _check(self, scores, true_scores, rows, cols):
+        reference = _reference_ranks(scores, true_scores, rows, cols)
         ranks = chunk_filtered_ranks(scores, true_scores, rows, cols)
         assert ranks.dtype == np.float64
-        assert ranks.tolist() == _reference_ranks(scores, true_scores, rows, cols)
+        assert ranks.tolist() == reference
         return ranks
 
     def test_all_ties(self):
@@ -192,6 +194,33 @@ class TestChunkFilteredRankEdges:
         true_scores = scores[np.arange(6), rng.integers(0, 9, size=6)]
         empty = np.empty(0, dtype=np.int32)
         self._check(scores, true_scores, empty, empty)
+
+    def test_duplicated_exclusion_excludes_once(self):
+        scores = np.array([[3.0, 1.0, 2.0, 1.0], [0.0, 5.0, 1.0, 1.0]])
+        # Row 0 lists column 0 (beats its truth) twice and column 3 (ties
+        # it) twice; row 1 lists its truth's own column twice.
+        rows, cols = np.array([0, 0, 0, 0, 1, 1]), np.array([0, 0, 3, 3, 2, 2])
+        ranks = self._check(scores, np.array([1.0, 1.0]), rows, cols)
+        # Row 0 keeps column 1 (a tie) and column 2 (better); row 1 keeps
+        # column 1 (better) and column 3 (a tie).
+        assert ranks.tolist() == [2.5, 2.5]
+
+    def test_float32_slab(self, rng):
+        scores = rng.integers(0, 4, size=(5, 7)).astype(np.float32)
+        true_scores = scores[np.arange(5), rng.integers(0, 7, size=5)]
+        rows = np.repeat(np.arange(5), 2)
+        cols = np.concatenate([rng.choice(7, size=2, replace=False) for _ in range(5)])
+        self._check(scores, true_scores, rows, cols)
+
+    def test_truth_scores_view_the_slab(self):
+        scores = np.array([[1.0, 2.0, 1.0, 0.5], [2.0, 2.0, 3.0, 1.0]])
+        # The truths are column 0, read as a strided view of the slab,
+        # and column 0 is excluded: masking it must not move the truth.
+        true_scores = scores[:, 0]
+        ranks = self._check(
+            scores, true_scores, np.array([0, 1, 1]), np.array([0, 0, 2])
+        )
+        assert ranks.tolist() == [2.5, 1.5]
 
     def test_one_candidate(self):
         scores = np.array([[1.0], [2.0], [0.0], [5.0]])

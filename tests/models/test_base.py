@@ -67,6 +67,42 @@ class TestHelpers:
     def test_check_ids_empty_ok(self):
         assert check_ids([], 5, "entity").size == 0
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.array([2, -3, 4]), "got range [-3, 4]"),
+            (np.array([-(2**63), 1]), f"got range [{-(2**63)}, 1]"),
+            (np.array([0, 5]), "got range [0, 5]"),
+            ([7, 1], "got range [1, 7]"),
+            ([-1], "got range [-1, -1]"),
+        ],
+    )
+    def test_check_ids_error_names_the_range(self, values, message):
+        with pytest.raises(IndexError) as caught:
+            check_ids(values, 5, "anchor")
+        assert str(caught.value) == f"anchor ids must lie in [0, 5), {message}"
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32), [4, 0], np.array([4])],
+    )
+    def test_check_ids_passes_in_range_ids_as_int64(self, values):
+        out = check_ids(values, 5, "anchor")
+        assert out.dtype == np.int64
+        assert out.tolist() == list(np.asarray(values).tolist())
+
+    def test_check_ids_reads_an_int32_memmap(self, tmp_path):
+        ids = np.lib.format.open_memmap(
+            tmp_path / "ids.npy", mode="w+", dtype=np.int32, shape=(4,)
+        )
+        ids[:] = [3, 0, 4, 2]
+        out = check_ids(ids, 5, "anchor")
+        assert out.dtype == np.int64 and out.tolist() == [3, 0, 4, 2]
+        ids[1] = -2
+        with pytest.raises(IndexError) as caught:
+            check_ids(ids[:2], 5, "anchor")
+        assert str(caught.value) == "anchor ids must lie in [0, 5), got range [-2, 3]"
+
     def test_xavier_bounds(self, rng):
         data = xavier_uniform(rng, (100, 50))
         limit = np.sqrt(6.0 / 150)

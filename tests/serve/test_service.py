@@ -8,6 +8,7 @@ from repro.core.ranking import evaluate_full
 from repro.datasets import load
 from repro.models import build_model
 from repro.serve import LinkPredictionService, ModelRegistry
+from repro.serve.scheduler import RankQuery
 from repro.serve.service import _best_k
 from repro.store import ExperimentStore
 
@@ -152,6 +153,36 @@ class TestScoreExactness:
             anchor, truth = (t, h) if side == "head" else (h, t)
             rank, _ = sampled_rank(model, graph, anchor, r, side, truth, candidates)
             assert row["rank"] == rank
+
+    @pytest.mark.parametrize("candidates", ["filtered", "all"])
+    def test_rank_rows_never_mask_topk_rows(self, service, dataset, candidates):
+        """A rank row and a top-k row of one key share one score call; the
+        rank kernel masks the rank row's exclusions in its own copy of the
+        rank rows, so each top-k list is the one served without a rank row.
+        Every batch here is three rows of one anchor, since a product's
+        rounding may depend on the batch's height."""
+        graph = dataset.graph
+        h, r, t = max(
+            graph.train.as_tuples(), key=lambda x: graph.true_answers(x[0], x[1], "tail").size
+        )
+        key = ("dm", r, "tail", candidates)
+        topk = RankQuery(
+            "dm", r, "tail", h, k=graph.num_entities, filter_known=False, candidates=candidates
+        )
+        rank = RankQuery("dm", r, "tail", h, kind="rank", truth=t, candidates=candidates)
+        alone = service._score_batch(key, [topk] * 3)[0]
+        rank_alone = service._score_batch(key, [rank] * 3)[1]
+        # The unfiltered list holds every known answer on the candidate
+        # axis: the very cells the rank row masks.
+        axis = np.arange(graph.num_entities)
+        if candidates == "filtered":
+            selected = service.registry.candidates("dm").candidates(r, "tail")
+            axis = selected if selected.size else axis
+        known = set(graph.true_answers(h, r, "tail").tolist()) & set(axis.tolist())
+        assert known and known <= {entity for entity, _ in alone.results}
+        together = service._score_batch(key, [topk, rank, topk])
+        assert together[0] == alone and together[2] == alone
+        assert together[1] == rank_alone
 
     def test_scores_are_the_models(self, service, dataset, model):
         h, r, t = next(iter(dataset.graph.test))
