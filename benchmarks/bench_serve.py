@@ -6,8 +6,10 @@ Three claims, all asserted:
    (``LinkPredictionService.score``) equals the rank
    :func:`repro.core.ranking.evaluate_full` reports for the same
    ``(h, r, t, side)`` query, for *every* test query of the dataset.
-   Serving reuses the offline engine's scoring kernel, so batching and
-   concurrency are pure execution knobs.
+   Serving runs the offline engine's rank step (``score_rank_rows``,
+   then ``chunk_filtered_ranks``).  A product's last-ulp rounding may
+   depend on its batch height, so a rank could move only where a
+   competitor scores within a few ulp of the truth; here none does.
 2. **Throughput** — with a scoring backend whose per-call latency
    dominates (the serving regime: large score slabs, accelerator or
    remote scorers), the micro-batched service sustains >= 3x the

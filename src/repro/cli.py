@@ -36,8 +36,9 @@ first:
   layering, hot-path determinism, metric/doc parity — docs/analysis.md),
   with ``--select``/``--ignore``, ``# repro: noqa[RULE]`` suppressions
   and a committed baseline that CI requires to stay empty;
-* ``shard``           — convert a saved checkpoint into ``.npy`` mmap
-  shards for out-of-core evaluation (``--backend mmap``, docs/scale.md).
+* ``shard``           — convert a saved checkpoint into a directory of
+  ``.npy`` mmap shards that ``repro.models.io.open_mmap`` opens for
+  out-of-core evaluation (docs/scale.md).
 
 ``train``, ``evaluate`` and ``serve`` are thin shims: each builds an
 :class:`repro.experiment.ExperimentSpec` from its flags and hands it to
@@ -591,15 +592,15 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     from repro.models.io import save_sharded
 
     model = load_model(args.checkpoint)
-    max_bytes = (
-        None if args.max_shard_mb is None else int(args.max_shard_mb * 1024 * 1024)
-    )
-    source = save_sharded(model, args.out, max_shard_bytes=max_bytes)
+    source = save_sharded(model, args.out)
     print(
         f"Sharded {model.name} ({model.num_entities:,} entities, dim {model.dim}) "
         f"to {source.directory}: {source.nbytes:,} bytes, digest {source.digest[:16]}"
     )
-    print("Evaluate against it out of core with `repro evaluate --backend mmap`.")
+    print(
+        f"Open it out of core with `repro.models.io.open_mmap({source.directory!r})` "
+        "and pass the model to evaluate_full / evaluate_sampled."
+    )
     return 0
 
 
@@ -988,13 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
         "checkpoint", metavar="CHECKPOINT", help=".npz checkpoint to shard"
     )
     shard.add_argument("--out", required=True, help="shard directory to write")
-    shard.add_argument(
-        "--max-shard-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="split parameter files larger than this (default: one file each)",
-    )
 
     runs = commands.add_parser("runs", help="inspect the run journal")
     runs_commands = runs.add_subparsers(dest="runs_command", required=True)

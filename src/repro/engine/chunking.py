@@ -235,8 +235,8 @@ def pool_positions(pool: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Returns ``(inside, positions)``: ``inside[j]`` says whether
     ``ids[j]`` is in ``pool`` and, where it is, ``positions[j]`` is its
-    column.  This is how known answers (entity ids) become exclusions on
-    the sampled path, whose candidate axis is the pool.
+    column.  This is how serve's top-k rows move their known answers
+    (entity ids) onto a candidate set's axis.
     """
     if pool.size == 0:
         return np.zeros(len(ids), dtype=bool), np.zeros(len(ids), dtype=np.int64)
@@ -257,7 +257,7 @@ def chunk_filtered_ranks(
     candidates of query ``i``.  ``(rows, cols)`` are the candidate
     columns to exclude per row (known answers, truth included): entity
     ids when the candidate axis is every entity, pool positions
-    (:func:`pool_positions`) when it is a pool.
+    (:func:`collect_known_answers` given the pools) when it is a pool.
 
     The rank is ``1 + better + ties/2`` over the row's non-excluded
     candidates, a pair listed twice excluded once.  The truth scores are

@@ -18,11 +18,11 @@ amounts the worker measured for it (stage seconds, query and entity
 counts).
 
 :func:`score_chunk` is the single scoring kernel both evaluation paths
-share: one validated score call per chunk (on the sampled path it also
-returns each truth's score against its own query row) and one rank pass.
-The serial engine path calls it directly on a locally built
-:class:`EvaluationState`, which is what guarantees bitwise-equal ranks
-between ``workers=1`` and ``workers=N``.
+share: one :func:`score_rank_rows` call per chunk (the score slab and
+each truth's score) and one rank pass.  Serve's rank rows make the same
+call.  The serial engine path calls :func:`score_chunk` directly on a
+locally built :class:`EvaluationState`, which is what guarantees
+bitwise-equal ranks between ``workers=1`` and ``workers=N``.
 """
 
 from __future__ import annotations
@@ -304,43 +304,56 @@ def build_state(
     return EvaluationState(model=model, plan=evaluation_plan(graph, split, sides, pools))
 
 
+def score_rank_rows(
+    model: KGEModel,
+    anchors: np.ndarray,
+    truths: np.ndarray,
+    relation: int | np.ndarray,
+    side: Side | np.ndarray,
+    pool: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rank step's score call: ``(scores, true_scores)`` of ``b`` queries.
+
+    ``relation`` and ``side`` are one value or one per row (sides as
+    codes into ``SIDES``).  Against a ``pool`` the ``(b, k)`` slab scores
+    the pool's entities and each truth is scored against its own query
+    row in the same paired call (a truth need not be in the pool).  With
+    ``pool=None`` the slab is the full entity axis and each truth's
+    score is read from its own row.  The slab is fresh, so the rank pass
+    may mask it in place.
+    """
+    if pool is None:
+        scores = model.score_candidates_batch(anchors, relation, side)
+        return scores, scores[np.arange(scores.shape[0]), truths]
+    return model.score_candidates_batch(anchors, relation, side, pool, truths=truths)
+
+
 def score_chunk(state: EvaluationState, task: ChunkTask) -> tuple[np.ndarray, int]:
     """Rank one chunk of queries; returns ``(ranks, entities_scored)``.
 
-    With pools in the plan the chunk is the sampled path: one score call
-    returns the chunk's relation-side pool scores and each query's own
-    truth score, both from one set of query rows.  Without pools it is
-    the full path: the candidate axis is the whole entity vocabulary, the
-    chunk's rows may span groups, so the call takes each row's relation
-    and side from the plan, and each truth's score is read from its row.
-    Either way the plan already holds the chunk's exclusions in candidate
-    coordinates (and, on the sampled path, the group's pool ids,
-    :attr:`EvaluationPlan.pool_ids`), so this is one score call, then
-    one rank pass that masks the exclusions in the fresh score slab.
+    With pools in the plan the chunk is the sampled path: its candidate
+    axis is the group's pool (:attr:`EvaluationPlan.pool_ids`), and each
+    truth is scored too.  Without pools it is the full path: the
+    candidate axis is the whole entity vocabulary and the chunk's rows
+    may span groups, so the call takes each row's relation and side from
+    the plan.  Either way it is one :func:`score_rank_rows` call, then
+    one rank pass that masks the plan's exclusions (already in candidate
+    coordinates) in the fresh score slab.  An empty pool gives a
+    ``(b, 0)`` slab, so every query ranks first.
     """
     plan = state.plan
     anchors, truths, rows, cols = plan.chunk(task)
-    model = state.model
-    b = task.num_queries
-
     if plan.pools is None:
         relations, sides = plan.row_groups
-        scores = model.score_candidates_batch(
-            anchors, relations[task.start : task.stop], sides[task.start : task.stop]
-        )
-        true_scores = scores[np.arange(b), truths]
-        return chunk_filtered_ranks(scores, true_scores, rows, cols), int(scores.size)
-
-    relation, side = task.relation, task.side
-    pool = plan.pool_ids[relation, side]
-    if pool.size == 0:
-        # Nothing competes with the truth: every query ranks first.
-        return np.ones(b, dtype=np.float64), b
-    pool_scores, true_scores = model.score_candidates_batch(
-        anchors, relation, side, pool, truths=truths
-    )
-    ranks = chunk_filtered_ranks(pool_scores, true_scores, rows, cols)
-    return ranks, int(pool_scores.size) + b
+        relation, side = relations[task.start : task.stop], sides[task.start : task.stop]
+        pool = None
+    else:
+        relation, side = task.relation, task.side
+        pool = plan.pool_ids[relation, side]
+    scores, true_scores = score_rank_rows(state.model, anchors, truths, relation, side, pool)
+    ranks = chunk_filtered_ranks(scores, true_scores, rows, cols)
+    # The sampled path scores each truth on top of its pool.
+    return ranks, int(scores.size) + (0 if pool is None else task.num_queries)
 
 
 # ----------------------------------------------------------------------

@@ -61,7 +61,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from repro.autodiff.engine import Tensor, parameter
-from repro.kg.graph import HEAD, SIDES, Side
+from repro.kg.graph import SIDES, Side
 
 Array = np.ndarray
 
@@ -476,20 +476,6 @@ class KGEModel(abc.ABC):
                     anchors, relation_id, side, _NO_CANDIDATES, truths
                 )[1]
         return scores
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def _anchor_triples(
-        self, anchor: int, relation: int, side: Side, entities: Array
-    ) -> tuple[Array, Array, Array]:
-        """Expand one query into arrays of (h, r, t) over ``entities``."""
-        entities = np.asarray(entities, dtype=np.int64)
-        anchors = np.full(entities.shape, anchor, dtype=np.int64)
-        relations = np.full(entities.shape, relation, dtype=np.int64)
-        if side == HEAD:
-            return entities, relations, anchors
-        return anchors, relations, entities
 
     def __repr__(self) -> str:
         return (

@@ -7,10 +7,10 @@ initialised parameters, so a round-tripped model scores bit-identically.
 
 Out-of-core checkpoints are a *directory* of ``.npy`` shards instead
 (:func:`save_sharded` / :func:`open_mmap`): each parameter table lives in
-one or more row-split ``.npy`` files that are memory-mapped read-only at
-open, so a million-entity embedding table costs pages, not resident
-memory, and every process that opens the same shards shares them through
-the OS page cache.  The manifest carries per-parameter digests, so the
+one ``.npy`` file that is memory-mapped read-only at open, so a
+million-entity embedding table costs pages, not resident memory, and
+every process that opens the same shards shares them through the OS
+page cache.  The manifest carries per-parameter digests, so the
 engine can tell a sharded model is already published without ever
 paging its bytes in (:meth:`repro.engine.shm.PublishedState.refresh`).
 """
@@ -139,15 +139,10 @@ class ShardSource:
     nbytes: int
 
 
-def save_sharded(
-    model: KGEModel,
-    directory: str | os.PathLike[str],
-    max_shard_bytes: int | None = None,
-) -> ShardSource:
+def save_sharded(model: KGEModel, directory: str | os.PathLike[str]) -> ShardSource:
     """Write ``model`` as a directory of ``.npy`` parameter shards.
 
-    Each parameter becomes ``<name>.<i>.npy`` files (one by default;
-    row-split when ``max_shard_bytes`` caps the file size) plus a
+    Each parameter becomes one ``<name>.0.npy`` file plus an entry in
     ``manifest.json`` carrying the model's
     :meth:`~repro.models.base.KGEModel.init_spec`, per-parameter shapes,
     digests and the ``entity_indexed`` flag that tells
@@ -162,22 +157,9 @@ def save_sharded(
     total = 0
     for name, array in model.parameter_arrays().items():
         array = np.ascontiguousarray(array)
-        rows = int(array.shape[0]) if array.ndim else 1
-        row_bytes = max(1, array.nbytes // max(rows, 1))
-        per_shard = rows
-        if max_shard_bytes is not None and array.ndim >= 1:
-            per_shard = max(1, int(max_shard_bytes) // row_bytes)
-        shards = []
-        if array.ndim == 0 or rows == 0 or per_shard >= rows:
-            file = f"{name}.0.npy"
-            np.save(directory / file, array)
-            shards.append({"file": file, "rows": rows})
-        else:
-            for index, start in enumerate(range(0, rows, per_shard)):
-                block = array[start : start + per_shard]
-                file = f"{name}.{index}.npy"
-                np.save(directory / file, block)
-                shards.append({"file": file, "rows": int(block.shape[0])})
+        file = f"{name}.0.npy"
+        np.save(directory / file, array)
+        shards = [{"file": file, "rows": int(array.shape[0]) if array.ndim else 1}]
         params[name] = {
             "dtype": array.dtype.name,
             "shape": list(array.shape),
@@ -218,35 +200,21 @@ def read_shard_manifest(directory: str | os.PathLike[str]) -> dict:
     return manifest
 
 
-def _joined_shard(directory: Path, name: str, meta: dict) -> np.ndarray:
-    """One read-only mmap for a parameter, joining row shards if needed.
+def _mapped_shard(directory: Path, name: str, meta: dict) -> np.ndarray:
+    """The read-only mmap of a parameter's one shard file.
 
-    Multi-shard parameters are consolidated once into ``<name>.joined.npy``
-    (block-copied through a temp file, then atomically renamed, so a
-    crash never leaves a half-written join behind) and the consolidated
-    file is reused by later opens.
+    A parameter split over several row files is rejected: mapping them
+    as one table would mean copying them into one full-size file.
     """
     shards = meta["shards"]
+    if len(shards) != 1:
+        raise ValueError(
+            f"parameter {name!r} in {directory} is split over {len(shards)} "
+            "shard files; open_mmap maps one file per parameter"
+        )
     shape = tuple(meta["shape"])
     dtype = np.dtype(meta["dtype"])
-    if len(shards) == 1:
-        array = np.load(directory / shards[0]["file"], mmap_mode="r")
-    else:
-        joined = directory / f"{name}.joined.npy"
-        if not joined.exists():
-            tmp = directory / f"{name}.joined.npy.tmp.{os.getpid()}"
-            out = np.lib.format.open_memmap(
-                tmp, mode="w+", dtype=dtype, shape=shape
-            )
-            row = 0
-            for shard in shards:
-                block = np.load(directory / shard["file"], mmap_mode="r")
-                out[row : row + block.shape[0]] = block
-                row += int(block.shape[0])
-            out.flush()
-            del out
-            os.replace(tmp, joined)
-        array = np.load(joined, mmap_mode="r")
+    array = np.load(directory / shards[0]["file"], mmap_mode="r")
     if tuple(array.shape) != shape or array.dtype != dtype:
         raise ValueError(
             f"shard {name!r} in {directory} has {array.shape} {array.dtype}, "
@@ -275,7 +243,7 @@ def open_mmap(directory: str | os.PathLike[str]) -> KGEModel:
 
     arrays: dict[str, np.ndarray] = {}
     for name, meta in manifest["params"].items():
-        array = _joined_shard(directory, name, meta)
+        array = _mapped_shard(directory, name, meta)
         if meta["entity_indexed"] and array.shape[0] != num_entities:
             raise ValueError(
                 f"entity-indexed parameter {name!r} has {array.shape[0]} rows, "

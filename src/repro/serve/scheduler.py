@@ -16,9 +16,10 @@ company — a lone request is scored immediately, and requests arriving
 while a batch is in flight queue up to form the next one, so load (not
 a timer) sets the batch size.
 
-The contract mirrors the evaluation engine's: batching is purely an
-execution knob.  Scoring is row-local, so a request's result is
-bitwise-identical whether its batch held 1 query or 64.
+Batching is an execution knob with one caveat: a product's last-ulp
+rounding may depend on how many rows it scores, so a request's scores
+may differ in the last ulp with the batch it landed in, and its rank
+only where a competitor scores within those few ulp of the truth.
 """
 
 from __future__ import annotations

@@ -8,12 +8,12 @@ and an LRU result cache:
   the model's static candidate set (or the full vocabulary) with known
   true answers optionally filtered out, and cached as an immutable
   :class:`TopK` record each response is rendered from;
-* :meth:`score` — triple scores *and filtered ranks* computed by exactly
-  the offline engine's kernel (one `score_candidates_batch` call, which
-  against a candidate set also scores each truth against its own query
-  row, + `collect_known_answers` + `pool_positions` +
-  `chunk_filtered_ranks`), so a served rank is bitwise-identical to the
-  same query's rank in :func:`repro.core.ranking.evaluate_full`;
+* :meth:`score` — triple scores *and filtered ranks* computed by the
+  offline engine's rank step (:func:`~repro.engine.worker.score_rank_rows`
+  + `collect_known_answers` + `chunk_filtered_ranks`), so a served rank
+  equals the same query's rank in :func:`repro.core.ranking.evaluate_full`
+  except for competitors within a few ulp of the truth (a product's
+  rounding may depend on its batch height);
 * :meth:`evaluate_model` — a full offline evaluation of one registered
   model, executed on a **service-owned persistent worker pool**
   (``engine_workers > 1``) that stays warm across requests — the shared
@@ -37,6 +37,7 @@ import numpy as np
 from repro.engine.chunking import chunk_filtered_ranks, collect_known_answers, pool_positions
 from repro.engine.engine import EvaluationEngine
 from repro.engine.pool import PersistentWorkerPool
+from repro.engine.worker import score_rank_rows
 from repro.kg.graph import SIDES, Side
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.registry import ModelRegistry
@@ -289,11 +290,12 @@ class LinkPredictionService:
         """Scores and filtered ranks of explicit ``(h, r, t)`` triples.
 
         With the default ``candidates="all"`` each rank is computed by
-        the offline engine's own kernel over the full entity axis, so it
+        the offline engine's rank step over the full entity axis, so it
         equals the rank :func:`~repro.core.ranking.evaluate_full` reports
-        for the same ``(h, r, t, side)`` query.  ``candidates="filtered"``
-        ranks within the model's static candidate set instead (the
-        sampled-protocol semantics).
+        for the same ``(h, r, t, side)`` query, up to competitors within
+        a few ulp of the truth.  ``candidates="filtered"`` ranks within
+        the model's static candidate set instead (the sampled-protocol
+        semantics; an empty set ranks 1).
 
         All queries are submitted before any result is awaited, so one
         call batches into few scoring calls even single-threaded.
@@ -520,63 +522,47 @@ class LinkPredictionService:
     # The batched scoring kernel (runs on the scheduler thread)
     # ------------------------------------------------------------------
     def _score_batch(self, key: BatchKey, queries: list[RankQuery]) -> list[dict]:
-        """Score one micro-batch with a single vectorized model call."""
+        """Score one micro-batch: one vectorized model call for its rank
+        rows and one for its top-k rows."""
         name, relation, side, mode = key
         model = self.registry.model(name)
-        pool: np.ndarray | None = None
-        if mode == "filtered":
-            sets = self.registry.candidates(name)
-            selected = sets.candidates(relation, side)
-            # An empty column means the recommender admitted nothing for
-            # this (relation, side); fall back to the full vocabulary
-            # rather than serving an unanswerable query.
-            pool = selected if selected.size else None
-        anchors = np.asarray([query.anchor for query in queries], dtype=np.int64)
-        rank_rows = [i for i, query in enumerate(queries) if query.kind == "rank"]
-        paired_scores = None
-        if pool is not None and rank_rows:
-            # The same call scores each rank row's truth against its own
-            # query row; a top-k row pairs with its anchor, a valid id
-            # whose score goes unused.
-            paired = [query.truth if query.kind == "rank" else query.anchor for query in queries]
-            scores, paired_scores = model.score_candidates_batch(
-                anchors, relation, side, pool, truths=paired
-            )
-        else:
-            scores = model.score_candidates_batch(anchors, relation, side, pool)
+        sets = self.registry.candidates(name).sets[side] if mode == "filtered" else None
         results: list[dict | None] = [None] * len(queries)
+        rank_rows = [i for i, query in enumerate(queries) if query.kind == "rank"]
+        topk_rows = [i for i, query in enumerate(queries) if query.kind == "topk"]
         if rank_rows:
-            self._resolve_ranks(
-                queries, results, rank_rows, scores, paired_scores, anchors, relation, side, pool
-            )
-        self._resolve_topk(queries, results, scores, relation, side, pool)
+            self._resolve_ranks(model, queries, results, rank_rows, relation, side, sets)
+        if topk_rows:
+            pool = None if sets is None else sets.segment(relation)
+            if pool is not None and not pool.size:
+                # The recommender admitted nothing for this (relation,
+                # side): top-k falls back to the full vocabulary rather
+                # than serving an empty answer.
+                pool = None
+            self._resolve_topk(model, queries, results, topk_rows, relation, side, pool)
         return results  # type: ignore[return-value] — every slot is filled
 
-    def _resolve_ranks(
-        self, queries, results, rows, scores, paired_scores, anchors, relation, side, pool
-    ) -> None:
-        """Filtered ranks for the batch's ``kind="rank"`` ``rows``, vectorized.
+    def _resolve_ranks(self, model, queries, results, rows, relation, side, sets) -> None:
+        """Filtered ranks for the batch's ``kind="rank"`` ``rows``: the
+        offline engine's rank step, done per request.
 
-        This is the offline engine's computation done per request: the
-        same score call as :func:`repro.engine.worker.score_chunk` (truth
-        scores from ``paired_scores`` with a pool, else read from each
-        row), the same known-answer gather and pool mapping its
-        evaluation plan caches, and the same rank kernel — which is what
-        makes served ranks bitwise-equal to ``evaluate_full``'s.
+        :func:`~repro.engine.worker.score_rank_rows` scores the rows as
+        :func:`~repro.engine.worker.score_chunk` does, against the side's
+        candidate ``sets`` (a :class:`~repro.kg.graph.KeyedCSR` keyed by
+        relation) or, without them, every entity.  The known answers are
+        mapped onto that axis as the evaluation plan maps them
+        (:func:`collect_known_answers` given the sets as pools), and one
+        rank pass masks them.  An empty candidate set ranks every row
+        first over 0 candidates, as an empty pool does in the engine.
         """
-        sub = scores[rows]  # a copy: the rank kernel masks it in place
+        anchors = np.asarray([queries[i].anchor for i in rows], dtype=np.int64)
         truths = np.asarray([queries[i].truth for i in rows], dtype=np.int64)
-        if paired_scores is None:
-            true_scores = sub[np.arange(len(rows)), truths]
-        else:
-            true_scores = paired_scores[rows]
+        pool = None if sets is None else sets.segment(relation)
+        scores, true_scores = score_rank_rows(model, anchors, truths, relation, side, pool)
         known_rows, known_cols = collect_known_answers(
-            self.graph.filter_index, anchors[rows], truths, relation, side
+            self.graph.filter_index, anchors, truths, relation, side, sets
         )
-        if pool is not None:
-            inside, positions = pool_positions(pool, known_cols)
-            known_rows, known_cols = known_rows[inside], positions[inside]
-        ranks = chunk_filtered_ranks(sub, true_scores, known_rows, known_cols)
+        ranks = chunk_filtered_ranks(scores, true_scores, known_rows, known_cols)
         for j, i in enumerate(rows):
             results[i] = {
                 "score": float(true_scores[j]),
@@ -584,8 +570,9 @@ class LinkPredictionService:
                 "num_candidates": int(scores.shape[1]),
             }
 
-    def _resolve_topk(self, queries, results, scores, relation, side, pool) -> None:
-        """Top-k selection for the batch's ``kind="topk"`` rows.
+    def _resolve_topk(self, model, queries, results, rows, relation, side, pool) -> None:
+        """Top-k selection for the batch's ``kind="topk"`` ``rows``, scored
+        in one call against ``pool`` (every entity when ``None``).
 
         Ordering is ``(-score, entity id)`` — fully deterministic under
         ties — with known answers and the anchor itself removed when the
@@ -593,11 +580,12 @@ class LinkPredictionService:
         Each row then takes its :func:`_best_k`, with exclusions as ``+inf``
         in its negated scores.
         """
+        anchors = np.asarray([queries[i].anchor for i in rows], dtype=np.int64)
+        scores = model.score_candidates_batch(anchors, relation, side, pool)
         entity_ids = pool if pool is not None else np.arange(scores.shape[1])
-        for i, query in enumerate(queries):
-            if query.kind != "topk":
-                continue
-            negated = np.negative(scores[i], dtype=np.float64)
+        for row, i in zip(scores, rows):
+            query = queries[i]
+            negated = np.negative(row, dtype=np.float64)
             if query.filter_known:
                 known = self.graph.true_answers(query.anchor, relation, side)
                 if pool is None:

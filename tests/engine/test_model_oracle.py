@@ -17,8 +17,12 @@ path random pools next to hand-built pools with an empty pool, a missing
 pool, truths outside their pool, pools made of known answers and a pool
 that is the whole vocabulary.
 
-The engine scores chunks of queries with one many-row product while the
-reference scores one query at a time, and BLAS may round those two
+Served ``score`` rows (:class:`~repro.serve.LinkPredictionService`) join
+the same oracle on every graph: ranked over every entity, and within
+candidate sets made of the edge pools.
+
+The engine and serve score many queries with one many-row product while
+the reference scores one query at a time, and BLAS may round those two
 differently in the last ulp.  A rank may therefore differ from the
 reference only by competitors whose score lies within a few ulp of the
 truth's; anywhere else the two must agree exactly.
@@ -29,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.candidates import CandidateSets
 from repro.core.estimators import evaluate_sampled
 from repro.core.ranking import evaluate_full, filtered_rank
 from repro.core.sampling import NegativePools, build_pools
@@ -38,6 +43,8 @@ from repro.engine.chunking import plan_chunks
 from repro.engine.worker import build_state, evaluation_plan, score_chunk
 from repro.kg.graph import HEAD, SIDES, keyed_by_relation
 from repro.models import MODEL_REGISTRY, OracleModel, RandomModel, build_model
+from repro.serve import LinkPredictionService, ModelRegistry
+from repro.store import ExperimentStore
 
 DTYPES = ("float32", "float64")
 #: Small enough that every model's test split spans several chunks.
@@ -132,6 +139,26 @@ def _pool_cases(graph) -> dict[str, NegativePools]:
     }
 
 
+def _candidate_sets(graph, pools: NegativePools) -> CandidateSets:
+    """``pools`` as a serving candidate set: one set per (relation, side)."""
+    return CandidateSets(
+        sets=pools.pools,
+        thresholds={side: np.zeros(graph.num_relations) for side in SIDES},
+        num_entities=graph.num_entities,
+    )
+
+
+def _pool_scores(model, graph, anchor, relation, side, truth, pool) -> np.ndarray:
+    """The sampled reference's score row: the truth and its pool scored
+    one query at a time, every other entity ``-inf``."""
+    true_score = model.score_candidates(anchor, relation, side, [truth])
+    scores = np.full(graph.num_entities, -np.inf, dtype=true_score.dtype)
+    if pool.size:
+        scores[pool] = model.score_candidates(anchor, relation, side, pool)
+    scores[truth] = true_score[0]
+    return scores
+
+
 def _model(name: str, graph, dtype: str):
     if name in HASH_MODELS:
         return HASH_MODELS[name](graph)
@@ -216,14 +243,41 @@ class TestModelOracle:
             for key, rank in runs["plain", 1].ranks.items():
                 anchor, truth, relation, side = _query(key)
                 pool = pools.pool(relation, side)
-                true_score = model.score_candidates(anchor, relation, side, [truth])
-                scores = np.full(graph.num_entities, -np.inf, dtype=true_score.dtype)
-                if pool.size:
-                    scores[pool] = model.score_candidates(anchor, relation, side, pool)
-                scores[truth] = true_score[0]
                 _assert_rank_matches(
-                    rank, scores, truth, graph.true_answers(anchor, relation, side)
+                    rank,
+                    _pool_scores(model, graph, anchor, relation, side, truth, pool),
+                    truth,
+                    graph.true_answers(anchor, relation, side),
                 )
+
+    def test_served_ranks(self, graphs, name, dtype, tmp_path):
+        """Served ``score`` rows rank as the references: over every
+        entity with ``candidates="all"``, and with ``"filtered"`` within
+        candidate sets made of the edge pools (an empty set, truths
+        outside their set, the whole vocabulary)."""
+        model = _model(name, graphs["plain"], dtype)
+        sets = _candidate_sets(graphs["plain"], _edge_pools(graphs["plain"]))
+        for kind, graph in graphs.items():
+            registry = ModelRegistry(ExperimentStore(tmp_path / kind), graph)
+            registry.register(name, model, persist=False)
+            registry.candidates = lambda _: sets
+            with LinkPredictionService(registry) as service:
+                served = {
+                    mode: service.score(name, graph.test.as_tuples(), candidates=mode)
+                    for mode in ("all", "filtered")
+                }
+            for mode, rows in served.items():
+                assert len(rows) == len(SIDES) * len(graph.test)
+                for row in rows:
+                    h, r, t, side = row["head_id"], row["relation_id"], row["tail_id"], row["side"]
+                    anchor, truth = (t, h) if side == HEAD else (h, t)
+                    if mode == "all":
+                        scores = model.score_all(anchor, r, side)
+                    else:
+                        pool = sets.candidates(r, side)
+                        scores = _pool_scores(model, graph, anchor, r, side, truth, pool)
+                    known = graph.true_answers(anchor, r, side)
+                    _assert_rank_matches(row["rank"], scores, truth, known)
 
 
 class TestSampledChunkCalls:

@@ -116,13 +116,3 @@ class TestHelpers:
         tensor_scores = model.score_triples(h, r, t).data
         numpy_scores = model.score_triples_numpy(h, r, t)
         np.testing.assert_allclose(numpy_scores, tensor_scores, atol=1e-12)
-
-    def test_anchor_triples_expansion(self):
-        model = build_model("distmult", 10, 2, dim=4)
-        heads, relations, tails = model._anchor_triples(3, 1, "tail", np.array([5, 6]))
-        assert heads.tolist() == [3, 3]
-        assert relations.tolist() == [1, 1]
-        assert tails.tolist() == [5, 6]
-        heads, relations, tails = model._anchor_triples(3, 1, "head", np.array([5, 6]))
-        assert heads.tolist() == [5, 6]
-        assert tails.tolist() == [3, 3]

@@ -12,7 +12,6 @@ from repro.models.io import (
     MMAP_BYTES_GAUGE,
     init_sharded,
     open_mmap,
-    read_shard_manifest,
     save_sharded,
 )
 
@@ -36,18 +35,24 @@ class TestSaveOpenRoundTrip:
                 reopened.parameters[key].data, tensor.data
             )
 
-    def test_multi_shard_files_rejoin(self, model, tmp_path):
-        # Force several shards per parameter, then verify the join.
-        save_sharded(model, tmp_path / "s", max_shard_bytes=400)
-        manifest = read_shard_manifest(tmp_path / "s")
-        assert any(
-            len(meta["shards"]) > 1 for meta in manifest["params"].values()
-        )
-        reopened = open_mmap(tmp_path / "s")
-        for key, tensor in model.parameters.items():
-            np.testing.assert_array_equal(
-                reopened.parameters[key].data, tensor.data
-            )
+    def test_multi_shard_manifest_rejected(self, model, tmp_path):
+        # A parameter split over row files cannot be mapped as one table
+        # without copying it whole, so open_mmap refuses it and writes nothing.
+        save_sharded(model, tmp_path / "s")
+        manifest_path = tmp_path / "s" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        name, meta = next(iter(manifest["params"].items()))
+        table = np.load(tmp_path / "s" / meta["shards"][0]["file"])
+        half = table.shape[0] // 2
+        meta["shards"] = []
+        for index, block in enumerate((table[:half], table[half:])):
+            np.save(tmp_path / "s" / f"{name}.{index}.npy", block)
+            meta["shards"].append({"file": f"{name}.{index}.npy", "rows": int(block.shape[0])})
+        manifest_path.write_text(json.dumps(manifest))
+        before = sorted(path.name for path in (tmp_path / "s").iterdir())
+        with pytest.raises(ValueError, match="split over 2 shard files"):
+            open_mmap(tmp_path / "s")
+        assert sorted(path.name for path in (tmp_path / "s").iterdir()) == before
 
     def test_arrays_are_read_only_maps(self, model, tmp_path):
         save_sharded(model, tmp_path / "s")

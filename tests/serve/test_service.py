@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.candidates import CandidateSets
 from repro.core.estimators import sampled_rank
 from repro.core.ranking import evaluate_full
 from repro.datasets import load
+from repro.kg.graph import SIDES, keyed_by_relation
 from repro.models import build_model
 from repro.serve import LinkPredictionService, ModelRegistry
 from repro.serve.scheduler import RankQuery
@@ -130,37 +132,59 @@ class TestScoreExactness:
 
     def test_filtered_ranks_equal_sampled_rank(self, tmp_path, dataset):
         """``candidates="filtered"`` ranks each query within its candidate
-        set as the sampled protocol's scalar rank does, and over every
-        entity where the set is empty.  At dim 1 a batched and a scalar
-        product round alike, so the ranks compare exactly."""
+        set as the sampled protocol's scalar rank does.  At dim 1 a
+        batched and a scalar product round alike, so the ranks compare
+        exactly."""
         graph = dataset.graph
         model = build_model("distmult", graph.num_entities, graph.num_relations, dim=1, seed=0)
         registry = ModelRegistry(
             ExperimentStore(tmp_path / "store"), graph, types=dataset.types
         )
         registry.register("dm1", model)
-        full = evaluate_full(model, graph)
         with LinkPredictionService(registry) as service:
             rows = service.score("dm1", graph.test.as_tuples(), candidates="filtered")
             sets = registry.candidates("dm1")
         assert len(rows) == 2 * len(graph.test)
         for row in rows:
             h, r, t, side = row["head_id"], row["relation_id"], row["tail_id"], row["side"]
-            candidates = sets.candidates(r, side)
-            if candidates.size == 0:
-                assert row["rank"] == full.ranks[(h, r, t, side)]
-                continue
             anchor, truth = (t, h) if side == "head" else (h, t)
-            rank, _ = sampled_rank(model, graph, anchor, r, side, truth, candidates)
+            rank, _ = sampled_rank(model, graph, anchor, r, side, truth, sets.candidates(r, side))
             assert row["rank"] == rank
+
+    def test_empty_candidate_set_ranks_first(self, tmp_path, dataset, model):
+        """A filtered rank row whose candidate set is empty ranks first
+        over 0 candidates, as the engine ranks an empty pool; top-k over
+        the same empty set falls back to every entity."""
+        graph = dataset.graph
+        registry = ModelRegistry(ExperimentStore(tmp_path / "store"), graph, types=dataset.types)
+        registry.register("dm", model, persist=False)
+        empty = CandidateSets(
+            sets={side: keyed_by_relation({}, graph.num_entities) for side in SIDES},
+            thresholds={side: np.full(graph.num_relations, np.inf) for side in SIDES},
+            num_entities=graph.num_entities,
+        )
+        registry.candidates = lambda name: empty
+        triples = graph.test.as_tuples()
+        h, r, t = triples[0]
+        with LinkPredictionService(registry) as service:
+            rows = service.score("dm", triples, candidates="filtered")
+            (result,) = service._score_batch(
+                ("dm", r, "tail", "filtered"), [RankQuery("dm", r, "tail", h, kind="rank", truth=t)]
+            )
+            response = service.rank("dm", h, r, k=5)
+        assert [row["rank"] for row in rows] == [1.0] * len(rows)
+        assert result["rank"] == 1.0 and result["num_candidates"] == 0
+        assert response["num_candidates"] == graph.num_entities
+        assert len(response["results"]) == 5
 
     @pytest.mark.parametrize("candidates", ["filtered", "all"])
     def test_rank_rows_never_mask_topk_rows(self, service, dataset, candidates):
-        """A rank row and a top-k row of one key share one score call; the
-        rank kernel masks the rank row's exclusions in its own copy of the
-        rank rows, so each top-k list is the one served without a rank row.
-        Every batch here is three rows of one anchor, since a product's
-        rounding may depend on the batch's height."""
+        """A batch's rank rows and top-k rows are scored in separate calls
+        and the rank pass masks only the rank rows' slab, so each top-k
+        list of a mixed batch is the one served without a rank row.  The
+        reference batches have the heights of the mixed batch's two calls
+        (two top-k rows, one rank row, all of one anchor), since a
+        product's rounding may depend on its height."""
         graph = dataset.graph
         h, r, t = max(
             graph.train.as_tuples(), key=lambda x: graph.true_answers(x[0], x[1], "tail").size
@@ -170,8 +194,8 @@ class TestScoreExactness:
             "dm", r, "tail", h, k=graph.num_entities, filter_known=False, candidates=candidates
         )
         rank = RankQuery("dm", r, "tail", h, kind="rank", truth=t, candidates=candidates)
-        alone = service._score_batch(key, [topk] * 3)[0]
-        rank_alone = service._score_batch(key, [rank] * 3)[1]
+        alone = service._score_batch(key, [topk] * 2)[0]
+        (rank_alone,) = service._score_batch(key, [rank])
         # The unfiltered list holds every known answer on the candidate
         # axis: the very cells the rank row masks.
         axis = np.arange(graph.num_entities)

@@ -555,6 +555,26 @@ class TestIngestShard:
         assert "Sharded distmult" in capsys.readouterr().out
         assert (tmp_path / "shards" / "manifest.json").exists()
 
+    def test_shard_directory_opens_and_scores_like_the_checkpoint(self, tmp_path, capsys):
+        import numpy as np
+
+        from repro.kg.graph import SIDES
+        from repro.models import build_model, load_model, save_model
+        from repro.models.io import open_mmap
+
+        save_model(build_model("complex", 10, 2, dim=4, seed=0), tmp_path / "ckpt.npz")
+        out = tmp_path / "shards"
+        assert main(["shard", str(tmp_path / "ckpt.npz"), "--out", str(out)]) == 0
+        assert f"open_mmap({str(out)!r})" in capsys.readouterr().out
+        mapped, loaded = open_mmap(out), load_model(tmp_path / "ckpt.npz")
+        anchors = np.arange(10)
+        for relation in range(2):
+            for side in SIDES:
+                assert np.array_equal(
+                    mapped.score_candidates_batch(anchors, relation, side),
+                    loaded.score_candidates_batch(anchors, relation, side),
+                )
+
     def test_evaluate_backend_mmap(self, tmp_path, capsys):
         assert main(
             [
